@@ -41,55 +41,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import UndefinedFractionError
 from .model import (
     EPS_THETA,
+    Amplitudes,
     BarrierSpec,
-    DispersionData,
-    ModeRatios,
     check_nondegenerate,
+    interior_pairs,
     mode_ratios,
     wavenumbers,
 )
-from .quaternion import SymplecticPair
 
 EXACT = "exact"
 COMPLEX_LIMIT = "complex-limit"
 TAYLOR = "taylor"
-
-
-@dataclass(frozen=True)
-class ClosedFormAmplitudes:
-    """Amplitudes evaluated from the closed forms.
-
-    regime records which formula produced the values: "exact" for the full
-    closed forms, "complex-limit" when the direction sits at a pole (the same
-    formulas, noted because the quaternionic components vanish identically
-    there), "taylor" for the small-parameter expansion.  interior follows the
-    same convention as the matching solver; the Taylor regime does not
-    provide it.
-    """
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    c5: complex
-    c6: complex
-    c7: complex
-    c8: complex
-    dispersion: DispersionData
-    ratios: ModeRatios
-    regime: str
-    interior: tuple[SymplecticPair, SymplecticPair, SymplecticPair, SymplecticPair] | None
-
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.c1, self.c2, self.c3, self.c4,
-                         self.c5, self.c6, self.c7, self.c8], dtype=complex)
 
 
 def _branch(q: float, k0: float, a: float) -> tuple[complex, complex, complex, complex]:
@@ -106,11 +72,12 @@ def _branch(q: float, k0: float, a: float) -> tuple[complex, complex, complex, c
     return r, t, fwd, bwd
 
 
-def amplitudes_closed(spec: BarrierSpec) -> ClosedFormAmplitudes:
+def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     """Evaluate the exact closed-form amplitudes for spec.
 
     Valid for every theta in [0, pi]; only the regular angle combinations
-    enter, so the poles need no special casing.
+    enter, so the poles need no special casing.  The route is
+    "complex-limit" at a pole and "exact" elsewhere.
     """
     check_nondegenerate(spec)
     disp = wavenumbers(spec)
@@ -121,12 +88,8 @@ def amplitudes_closed(spec: BarrierSpec) -> ClosedFormAmplitudes:
 
     # Pre-scaled interior coefficients shared with the matching solver.
     d3, d4, d5, d6 = -ap, -bp, am, bm
-    interior = (SymplecticPair(wm * d3, wx * d3),
-                SymplecticPair(wm * d4, wx * d4),
-                SymplecticPair(wp * d5, wx * d5),
-                SymplecticPair(wp * d6, wx * d6))
-    regime = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
-    return ClosedFormAmplitudes(
+    route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
+    return Amplitudes(
         c1=wp * rm - wm * rp,
         c2=wx * (rm - rp),
         c3=wm * d3,
@@ -135,20 +98,22 @@ def amplitudes_closed(spec: BarrierSpec) -> ClosedFormAmplitudes:
         c6=wp * d6,
         c7=wp * tm - wm * tp,
         c8=wx * (tm - tp),
-        dispersion=disp, ratios=ratios, regime=regime, interior=interior)
+        dispersion=disp, ratios=ratios, route=route,
+        interior=interior_pairs(ratios, (d3, d4, d5, d6)))
 
 
-def amplitudes_taylor(spec: BarrierSpec) -> ClosedFormAmplitudes:
+def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
     """First-order amplitudes in small (theta, a, V0).
 
     Meaningful when a * omega0, V0 / omega0 and theta are all small; the
-    exact amplitudes then agree with these to second order.
+    exact amplitudes then agree with these to second order.  The result
+    carries no interior coefficients.
     """
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
     a, v0, w0 = spec.a, spec.v0, spec.omega0
     cross = a * spec.theta * v0 * cmath.exp(-1j * spec.phi)
-    return ClosedFormAmplitudes(
+    return Amplitudes(
         c1=-1j * a * v0,
         c2=cross,
         c3=0j,
@@ -157,10 +122,10 @@ def amplitudes_taylor(spec: BarrierSpec) -> ClosedFormAmplitudes:
         c6=-v0 / (2.0 * w0) - 1j * a * v0,
         c7=1.0 - 1j * a * v0,
         c8=cross,
-        dispersion=disp, ratios=ratios, regime=TAYLOR, interior=None)
+        dispersion=disp, ratios=ratios, route=TAYLOR, interior=None)
 
 
-def quaternionic_fraction(amps) -> float:
+def quaternionic_fraction(amps: Amplitudes) -> float:
     """Share of the transmitted intensity carried by the j component.
 
     |c8|^2 / (|c7|^2 + |c8|^2); raises UndefinedFractionError when nothing
@@ -173,7 +138,7 @@ def quaternionic_fraction(amps) -> float:
     return num / den
 
 
-def exterior_magnitude_sum(amps) -> float:
+def exterior_magnitude_sum(amps: Amplitudes) -> float:
     """|c1|^2 + |c2|^2 + |c7|^2 + |c8|^2, reported but not asserted."""
     return (abs(amps.c1) ** 2 + abs(amps.c2) ** 2
             + abs(amps.c7) ** 2 + abs(amps.c8) ** 2)

@@ -26,8 +26,14 @@ regularized form (production path)
     stays nonsingular at both poles, and c2 = c8 = 0 is recovered exactly in
     the complex limit.
 
-The solver is a dense LU factorization with partial pivoting plus one step
-of iterative refinement when needed.
+The solver forms the explicit inverse (LAPACK LU with partial pivoting),
+applies it to the right-hand side and adds one step of iterative refinement
+when the backward error calls for it.  The inverse also gives the 1-norm
+condition number, which doubles as the singularity gate: the LU factors
+satisfy U^-1 = M^-1 P^T L with every |L_ij| <= 1, so cond_1 >= 1 / (8 rho)
+where rho is the smallest pivot over the largest matrix entry.  Rejecting
+cond_1 >= 1 / (8 _PIVOT_FLOOR) therefore rejects every matrix whose pivot
+ratio falls below _PIVOT_FLOOR.
 """
 
 from __future__ import annotations
@@ -36,14 +42,15 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSystemError
 from .model import (
+    Amplitudes,
     BarrierSpec,
     DispersionData,
     ModeRatios,
     check_nondegenerate,
+    interior_pairs,
     mode_ratios,
     wavenumbers,
 )
@@ -53,6 +60,7 @@ log = logging.getLogger(__name__)
 
 # Solver gates.
 _PIVOT_FLOOR = 1e-14          # times the largest matrix entry
+_COND_REJECT = 1.0 / (8.0 * _PIVOT_FLOOR)
 _REFINE_TRIGGER = 1e-12       # backward error that triggers refinement
 _RESIDUAL_ACCEPT = 1e-10      # backward error beyond which the solve fails
 _COND_WARN = 1e8
@@ -76,37 +84,6 @@ class MatchingSystem:
     spec: BarrierSpec
     dispersion: DispersionData
     ratios: ModeRatios
-
-
-@dataclass(frozen=True, eq=False)
-class ScatteringAmplitudes:
-    """Solved amplitudes c1..c8 plus solve diagnostics.
-
-    interior holds the symplectic (alpha, beta) coefficient pairs of the four
-    interior modes in the order (+k_plus, -k_plus, +k_minus, -k_minus); the
-    beta entries stay finite for every theta because they are assembled from
-    the regular combinations, never from raw ratios.
-    """
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-    c5: complex
-    c6: complex
-    c7: complex
-    c8: complex
-    dispersion: DispersionData
-    ratios: ModeRatios
-    interior: tuple[SymplecticPair, SymplecticPair, SymplecticPair, SymplecticPair]
-    residual: float
-    condition: float
-    form: str
-    solution: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4,
-                         self.c5, self.c6, self.c7, self.c8], dtype=complex)
 
 
 def build_system(spec: BarrierSpec, form: str = REGULARIZED) -> MatchingSystem:
@@ -161,25 +138,32 @@ def _backward_error(m: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> tuple[np.n
     return r, float(np.linalg.norm(r, np.inf) / denom)
 
 
-def solve(system: MatchingSystem) -> ScatteringAmplitudes:
-    """LU-solve a matching system and map back to physical amplitudes."""
+def solve(system: MatchingSystem) -> Amplitudes:
+    """Solve a matching system and map back to physical amplitudes.
+
+    Raises ValueError for a matrix with non-finite entries and
+    SingularSystemError for a singular or near-singular one, or when the
+    backward error stays above _RESIDUAL_ACCEPT.
+    """
     m, rhs = system.matrix, system.rhs
-    scale = float(np.max(np.abs(m)))
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < _PIVOT_FLOOR * scale:
+    if not np.isfinite(m).all():
+        raise ValueError("matching matrix must not contain infs or NaNs")
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"matching matrix is singular: {exc}") from exc
+    condition = float(np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1))
+    if not condition < _COND_REJECT:
         raise SingularSystemError(
-            f"matching matrix is numerically singular (pivot {pivots.min():.3e} "
-            f"against scale {scale:.3e})")
-    u = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+            f"matching matrix is numerically singular (cond_1 {condition:.3e})")
+    u = inverse @ rhs
     r, err = _backward_error(m, u, rhs)
     if err > _REFINE_TRIGGER:
-        u = u + scipy.linalg.lu_solve((lu, piv), r, check_finite=False)
+        u = u + inverse @ r
         r, err = _backward_error(m, u, rhs)
     if err > _RESIDUAL_ACCEPT:
         raise SingularSystemError(
             f"matching solve did not converge: backward error {err:.3e}")
-    condition = float(np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
     if condition > _COND_WARN:
         log.warning("matching matrix badly conditioned: cond_1 = %.3e "
                     "(form=%s, theta=%.6g)", condition, system.form,
@@ -188,37 +172,30 @@ def solve(system: MatchingSystem) -> ScatteringAmplitudes:
     c = system.column_scale * u
     ratios = system.ratios
     if system.form == REGULARIZED:
-        wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-        d3, d4, d5, d6 = u[2], u[3], u[4], u[5]
-        interior = (SymplecticPair(complex(wm * d3), complex(wx * d3)),
-                    SymplecticPair(complex(wm * d4), complex(wx * d4)),
-                    SymplecticPair(complex(wp * d5), complex(wx * d5)),
-                    SymplecticPair(complex(wp * d6), complex(wx * d6)))
+        interior = interior_pairs(ratios, u[2:6])
     else:
         rp, rm = ratios.r_plus, ratios.r_minus
-        interior = (SymplecticPair(complex(c[2]), complex(rp * c[2])),
-                    SymplecticPair(complex(c[3]), complex(rp * c[3])),
-                    SymplecticPair(complex(c[4]), complex(rm * c[4])),
-                    SymplecticPair(complex(c[5]), complex(rm * c[5])))
+        interior = tuple(SymplecticPair(complex(ci), complex(r * ci))
+                         for ci, r in zip(c[2:6], (rp, rp, rm, rm)))
 
-    residual = float(np.linalg.norm(rhs - m @ u, np.inf))
-    return ScatteringAmplitudes(
+    return Amplitudes(
         c1=complex(c[0]), c2=complex(c[1]), c3=complex(c[2]), c4=complex(c[3]),
         c5=complex(c[4]), c6=complex(c[5]), c7=complex(c[6]), c8=complex(c[7]),
-        dispersion=system.dispersion, ratios=ratios, interior=interior,
-        residual=residual, condition=condition, form=system.form, solution=u)
+        dispersion=system.dispersion, ratios=ratios, route=system.form,
+        interior=interior, residual=float(np.linalg.norm(r, np.inf)),
+        condition=condition, solution=u)
 
 
-def solve_spec(spec: BarrierSpec, form: str = REGULARIZED) -> ScatteringAmplitudes:
+def solve_spec(spec: BarrierSpec, form: str = REGULARIZED) -> Amplitudes:
     """Convenience wrapper: build and solve in one call."""
     return solve(build_system(spec, form))
 
 
-def reflection(amps: ScatteringAmplitudes) -> SymplecticPair:
+def reflection(amps: Amplitudes) -> SymplecticPair:
     """Reflected amplitude (c1, c2)."""
     return SymplecticPair(amps.c1, amps.c2)
 
 
-def transmission(amps: ScatteringAmplitudes) -> SymplecticPair:
+def transmission(amps: Amplitudes) -> SymplecticPair:
     """Transmitted amplitude (c7, c8)."""
     return SymplecticPair(amps.c7, amps.c8)

@@ -54,6 +54,22 @@ EPS_THETA = 1e-9
 EPS_K_REL = 1e-9
 
 
+def check_layer(width: float, v0: float, theta: float, phi: float) -> None:
+    """Reject a constant-potential slab outside the valid parameter ranges.
+
+    Raises ValueError unless width >= 0 and v0 >= 0 are finite, theta lies
+    in [0, pi] and phi in [0, 2 pi).  NaN fails every check.
+    """
+    if not (width >= 0.0 and math.isfinite(width)):
+        raise ValueError(f"width must be finite and >= 0, got {width}")
+    if not (v0 >= 0.0 and math.isfinite(v0)):
+        raise ValueError(f"potential must satisfy v0 >= 0, got {v0}")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2 pi), got {phi}")
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
     """Parameters of a single rectangular quaternionic barrier.
@@ -79,16 +95,9 @@ class BarrierSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (self.a >= 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"barrier width must satisfy a >= 0, got {self.a}")
-        if not (self.v0 >= 0.0 and math.isfinite(self.v0)):
-            raise ValueError(f"potential must satisfy v0 >= 0, got {self.v0}")
+        check_layer(self.a, self.v0, self.theta, self.phi)
         if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
             raise ValueError(f"frequency must satisfy omega0 > 0, got {self.omega0}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
     def direction(self) -> UnitImaginaryDirection:
         return UnitImaginaryDirection.from_angles(self.theta, self.phi)
@@ -221,3 +230,51 @@ def dispersion_residual(k: float, spec: BarrierSpec, c: SymplecticPair,
     m = interior_matrix(k, spec) if inside else free_matrix(k, spec)
     vec = np.array([c.alpha, c.beta], dtype=complex)
     return float(np.linalg.norm(m @ vec))
+
+
+def interior_pairs(ratios: ModeRatios, d) -> tuple[SymplecticPair, ...]:
+    """Symplectic (alpha, beta) coefficients of the four interior modes.
+
+    d holds the pre-scaled interior unknowns d3..d6 of the regularized
+    matching system (c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5,
+    c6 = w_plus d6).  The pairs come in the order (+k_plus, -k_plus,
+    +k_minus, -k_minus); their beta entries use w_cross, never the raw
+    ratios, so they stay finite at every theta.
+    """
+    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
+    return tuple(SymplecticPair(complex(w * di), complex(wx * di))
+                 for w, di in zip((wm, wm, wp, wp), d))
+
+
+@dataclass(frozen=True, eq=False)
+class Amplitudes:
+    """Scattering amplitudes c1..c8 of one barrier, from any route.
+
+    route names the formula used: "regularized" or "raw" (matching solve),
+    "exact" or, at a pole, "complex-limit" (closed forms), "taylor"
+    (small-parameter expansion).  interior holds the pairs of
+    interior_pairs, None on the Taylor route.  The matching solve also
+    reports residual (infinity norm of rhs - M u), condition (1-norm
+    condition number of M) and solution (the solved unknowns u); the other
+    routes leave them None.
+    """
+
+    c1: complex
+    c2: complex
+    c3: complex
+    c4: complex
+    c5: complex
+    c6: complex
+    c7: complex
+    c8: complex
+    dispersion: DispersionData
+    ratios: ModeRatios
+    route: str
+    interior: tuple[SymplecticPair, ...] | None
+    residual: float | None = None
+    condition: float | None = None
+    solution: np.ndarray | None = None
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.c1, self.c2, self.c3, self.c4,
+                         self.c5, self.c6, self.c7, self.c8], dtype=complex)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateWavenumberError, SingularSystemError
-from .model import EPS_K_REL, BarrierSpec, direction_coupling
+from .model import EPS_K_REL, BarrierSpec, check_layer, direction_coupling
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 
@@ -43,10 +42,7 @@ class Segment:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (self.length >= 0.0 and np.isfinite(self.length)):
-            raise ValueError(f"segment length must be >= 0, got {self.length}")
-        if not (self.v0 >= 0.0 and np.isfinite(self.v0)):
-            raise ValueError(f"segment v0 must be >= 0, got {self.v0}")
+        check_layer(self.length, self.v0, self.theta, self.phi)
 
     @classmethod
     def from_barrier(cls, spec: BarrierSpec) -> "Segment":
@@ -136,9 +132,11 @@ def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:
                          [0, 1j * k0 * e_end]], dtype=complex)
     m4 = np.hstack([t @ refl_cols, -out_cols])
     rhs = -(t @ incident)
+    if not (np.isfinite(m4).all() and np.isfinite(rhs).all()):
+        raise ValueError("stack boundary system must not contain infs or NaNs")
     try:
-        sol = scipy.linalg.solve(m4, rhs)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        sol = np.linalg.solve(m4, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stack boundary system unsolvable: {exc}") from exc
     return (SymplecticPair(complex(sol[0]), complex(sol[1])),
             SymplecticPair(complex(sol[2]), complex(sol[3])))
@@ -156,7 +154,13 @@ class OrderingReport:
 
 def ordering_report(seg_a: Segment, seg_b: Segment, gap: float,
                     omega0: float) -> OrderingReport:
-    """Scatter through [A, gap, B] and [B, gap, A] and compare transmissions."""
+    """Scatter through [A, gap, B] and [B, gap, A] and compare transmissions.
+
+    d_prob = | |t_AB|^2 - |t_BA|^2 | and d_amp is the max-norm difference of
+    the transmission pairs.  Both vanish for identical barriers; d_prob also
+    vanishes for any pair of complex (theta = 0) barriers, while quaternionic
+    barriers with non-commuting directions generally give d_amp > 0.
+    """
     if not (gap >= 0.0 and np.isfinite(gap)):
         raise ValueError(f"gap must be >= 0, got {gap}")
     spacer = free_gap(gap)
@@ -165,16 +169,3 @@ def ordering_report(seg_a: Segment, seg_b: Segment, gap: float,
     d_prob = abs(t_ab.norm2() - t_ba.norm2())
     d_amp = max(abs(t_ab.alpha - t_ba.alpha), abs(t_ab.beta - t_ba.beta))
     return OrderingReport(t_ab, t_ba, d_prob, d_amp)
-
-
-def ordering_asymmetry(seg_a: Segment, seg_b: Segment, gap: float,
-                       omega0: float) -> tuple[float, float]:
-    """(probability difference, amplitude difference) of the two orderings.
-
-    d_prob = | |t_AB|^2 - |t_BA|^2 | and d_amp is the max-norm difference of
-    the transmission pairs.  Both vanish for identical barriers; d_prob also
-    vanishes for any pair of complex (theta = 0) barriers, while quaternionic
-    barriers with non-commuting directions generally give d_amp > 0.
-    """
-    report = ordering_report(seg_a, seg_b, gap, omega0)
-    return report.d_prob, report.d_amp

@@ -288,8 +288,7 @@ def check_ordering_sanity(quick: bool = False) -> CheckResult:
     for _ in range(5 if quick else 20):
         seg_a = Segment(rng.uniform(0.2, 3.0), rng.uniform(0.05, 0.9), 0.0, 0.0)
         seg_b = Segment(rng.uniform(0.2, 3.0), rng.uniform(0.05, 0.9), 0.0, 0.0)
-        d_prob, _ = (lambda r: (r.d_prob, r.d_amp))(
-            ordering_report(seg_a, seg_b, rng.uniform(0.0, 4.0), 1.0))
+        d_prob = ordering_report(seg_a, seg_b, rng.uniform(0.0, 4.0), 1.0).d_prob
         worst_complex = max(worst_complex, d_prob)
     complex_ok = worst_complex <= ORDER_COMPLEX_TOL
 

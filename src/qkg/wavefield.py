@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BarrierSpec
+from .model import Amplitudes, BarrierSpec
 from .quaternion import SymplecticPair
 
 LEFT = "left"
@@ -38,20 +38,12 @@ def region_of(x: float, spec: BarrierSpec) -> str:
     return BARRIER
 
 
-def _require_interior(amps) -> tuple[SymplecticPair, ...]:
-    interior = getattr(amps, "interior", None)
-    if interior is None:
-        raise ValueError("amplitudes carry no interior coefficients "
-                         "(Taylor-regime values cannot drive a field evaluation)")
-    return interior
-
-
-def _interior_wavenumbers(amps) -> tuple[float, float, float, float]:
+def _interior_wavenumbers(amps: Amplitudes) -> tuple[float, float, float, float]:
     d = amps.dispersion
     return (d.k_plus, -d.k_plus, d.k_minus, -d.k_minus)
 
 
-def _eval(x: float, spec: BarrierSpec, amps, region: str,
+def _eval(x: float, spec: BarrierSpec, amps: Amplitudes, region: str,
           derivative: bool) -> SymplecticPair:
     k0 = amps.dispersion.k0
     if region == LEFT:
@@ -66,9 +58,12 @@ def _eval(x: float, spec: BarrierSpec, amps, region: str,
         if derivative:
             return SymplecticPair(1j * k0 * amps.c7 * fwd, 1j * k0 * amps.c8 * fwd)
         return SymplecticPair(amps.c7 * fwd, amps.c8 * fwd)
+    if amps.interior is None:
+        raise ValueError("amplitudes carry no interior coefficients "
+                         "(Taylor-route values cannot drive a field evaluation)")
     alpha = 0j
     beta = 0j
-    for pair, k in zip(_require_interior(amps), _interior_wavenumbers(amps)):
+    for pair, k in zip(amps.interior, _interior_wavenumbers(amps)):
         phase = cmath.exp(1j * k * x)
         if derivative:
             phase *= 1j * k
@@ -77,17 +72,18 @@ def _eval(x: float, spec: BarrierSpec, amps, region: str,
     return SymplecticPair(alpha, beta)
 
 
-def psi(x: float, spec: BarrierSpec, amps) -> SymplecticPair:
+def psi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
     """Field value at x for the solved amplitudes."""
     return _eval(x, spec, amps, region_of(x, spec), derivative=False)
 
 
-def dpsi(x: float, spec: BarrierSpec, amps) -> SymplecticPair:
+def dpsi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
     """Spatial derivative of the field at x."""
     return _eval(x, spec, amps, region_of(x, spec), derivative=True)
 
 
-def continuity_residuals(spec: BarrierSpec, amps) -> tuple[float, float, float, float]:
+def continuity_residuals(spec: BarrierSpec,
+                         amps: Amplitudes) -> tuple[float, float, float, float]:
     """Mismatch norms (psi at 0, psi' at 0, psi at a, psi' at a).
 
     Each boundary is evaluated from both adjoining region formulas at the
@@ -104,8 +100,8 @@ def continuity_residuals(spec: BarrierSpec, amps) -> tuple[float, float, float, 
     return (out[0], out[1], out[2], out[3])
 
 
-def sample_field(spec: BarrierSpec, amps, x_min: float, x_max: float,
-                 n_points: int) -> list[FieldSample]:
+def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
+                 x_max: float, n_points: int) -> list[FieldSample]:
     """Sample psi and psi' on a uniform grid of n_points positions."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")

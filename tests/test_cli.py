@@ -44,9 +44,23 @@ class TestSolve:
         proc = run_cli("solve", "--v0", "1", "--omega0", "1")
         assert proc.returncode == 2
 
+    def test_non_finite_matrix_exits_2(self):
+        # a * k overflows, so the matching matrix holds NaNs
+        proc = run_cli("solve", "--a", "1e308", "--omega0", "10")
+        assert proc.returncode == 2
+
     def test_unknown_subcommand_exits_2(self):
         proc = run_cli("granulate")
         assert proc.returncode == 2
+
+
+def test_import_leaves_out_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qkg.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 class TestSweep:
@@ -165,6 +179,11 @@ class TestOrdering:
     def test_malformed_segment_exits_2(self):
         proc = run_cli("ordering", "--seg-a", "1:0.3:0", "--seg-b", "1:0.3:0:0")
         assert proc.returncode == 2
+
+    def test_invalid_angle_exits_2(self):
+        proc = run_cli("ordering", "--seg-a", "1:0.3:9:0", "--seg-b", "1:0.3:1:1")
+        assert proc.returncode == 2
+        assert "theta" in proc.stderr
 
 
 class TestVerifyCommand:

@@ -40,7 +40,7 @@ class TestAgainstScalarOracle:
         r, t = scalar_barrier(d.k_minus, d.k0, spec.a)
         assert amps.c1 == pytest.approx(r, abs=1e-12)
         assert amps.c7 == pytest.approx(t, abs=1e-12)
-        assert amps.regime == COMPLEX_LIMIT
+        assert amps.route == COMPLEX_LIMIT
 
     def test_antipole_reduces_to_fast_scalar_barrier(self):
         spec = BarrierSpec(a=2.3, v0=0.6, omega0=1.1, theta=math.pi, phi=0.0)
@@ -88,7 +88,7 @@ class TestTaylorRegime:
         assert t.c6 == -v0 / (2 * w0) - 1j * a * v0
         assert t.c7 == 1.0 - 1j * a * v0
         assert t.c8 == t.c2
-        assert t.regime == TAYLOR
+        assert t.route == TAYLOR
         assert t.interior is None
 
     def test_exact_matches_expansion(self):
@@ -165,4 +165,4 @@ class TestInteriorCoefficients:
                 assert abs(pc.beta - ps.beta) < 1e-11
 
     def test_regime_tag(self, spec_point):
-        assert amplitudes_closed(spec_point).regime == EXACT
+        assert amplitudes_closed(spec_point).route == EXACT

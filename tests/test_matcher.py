@@ -122,7 +122,7 @@ class TestSolveProperties:
 
     def test_diagnostics_populated(self, spec_point):
         amps = solve_spec(spec_point)
-        assert amps.form == REGULARIZED
+        assert amps.route == REGULARIZED
         assert amps.residual < 1e-12
         assert amps.condition >= 1.0
         assert amps.solution.shape == (8,)
@@ -140,5 +140,13 @@ class TestSolveFailureModes:
     def test_singular_matrix_reported(self, spec_point):
         system = build_system(spec_point)
         system.matrix[:, 0] = system.matrix[:, 1]        # force rank loss
+        with pytest.raises(SingularSystemError):
+            solve(system)
+
+    def test_near_singular_matrix_reported(self, spec_point):
+        # nonzero smallest pivot, about 6e-15 of the largest entry: below
+        # the pivot floor, so the condition gate must reject it too
+        system = build_system(spec_point)
+        system.matrix[:, 0] = system.matrix[:, 1] + 1e-15 * np.arange(1, 9)
         with pytest.raises(SingularSystemError):
             solve(system)

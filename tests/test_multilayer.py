@@ -12,7 +12,6 @@ from qkg.multilayer import (
     Segment,
     compose,
     free_gap,
-    ordering_asymmetry,
     ordering_report,
     segment_transfer,
     stack_scatter,
@@ -43,6 +42,12 @@ class TestSegments:
             Segment(-1.0, 0.3, 0.0, 0.0)
         with pytest.raises(ValueError):
             Segment(1.0, -0.3, 0.0, 0.0)
+
+    @pytest.mark.parametrize("theta, phi", [(9.0, 0.0), (math.nan, 0.0),
+                                            (1.0, 7.0)])
+    def test_angles_validated(self, theta, phi):
+        with pytest.raises(ValueError):
+            Segment(1.0, 0.3, theta, phi)
 
     def test_from_barrier(self):
         spec = BarrierSpec(1.5, 0.4, 1.0, 0.7, 0.2)
@@ -157,19 +162,18 @@ class TestStackScattering:
 class TestOrdering:
     def test_identical_segments_commute(self):
         seg = Segment(1.0, 0.45, 1.1, 0.7)
-        d_prob, d_amp = ordering_asymmetry(seg, seg, 1.5, 1.0)
-        assert d_prob < 1e-15
-        assert d_amp < 1e-15
+        report = ordering_report(seg, seg, 1.5, 1.0)
+        assert report.d_prob < 1e-15
+        assert report.d_amp < 1e-15
 
     def test_pole_directions_commute(self, rng):
         # both barriers complex-valued: reciprocity forces equal transmission
         for _ in range(10):
             seg_a = Segment(rng.uniform(0.2, 3), rng.uniform(0.05, 0.9), 0.0, 0.0)
             seg_b = Segment(rng.uniform(0.2, 3), rng.uniform(0.05, 0.9), 0.0, 0.0)
-            d_prob, d_amp = ordering_asymmetry(seg_a, seg_b,
-                                               rng.uniform(0, 4), 1.0)
-            assert d_prob < 1e-12
-            assert d_amp < 1e-12
+            report = ordering_report(seg_a, seg_b, rng.uniform(0, 4), 1.0)
+            assert report.d_prob < 1e-12
+            assert report.d_amp < 1e-12
 
     def test_orthogonal_directions_fixture(self):
         seg_a, seg_b = fixture_segments()
@@ -185,9 +189,9 @@ class TestOrdering:
         # the observable effect: swapping non-commuting barriers changes
         # the transmitted intensity, not just its phase
         seg_a, seg_b = fixture_segments()
-        d_prob, d_amp = ordering_asymmetry(seg_a, seg_b, 2.0, 1.0)
-        assert d_prob > 0.01
-        assert d_amp > 0.01
+        report = ordering_report(seg_a, seg_b, 2.0, 1.0)
+        assert report.d_prob > 0.01
+        assert report.d_amp > 0.01
 
     def test_negative_gap_rejected(self):
         seg_a, seg_b = fixture_segments()
