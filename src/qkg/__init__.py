@@ -6,12 +6,15 @@ provides the equivalent closed-form amplitudes, samples the wavefunction,
 and composes stacked barriers through 4x4 transfer matrices.
 """
 
+import logging
+
 from .closedform import (
     COMPLEX_LIMIT,
     EXACT,
     TAYLOR,
     amplitudes_closed,
     amplitudes_taylor,
+    exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
 )
@@ -82,6 +85,9 @@ from .wavefield import (
     sample_field,
 )
 
+# The library logs warnings only; an application decides where they go.
+logging.getLogger("qkg").addHandler(logging.NullHandler())
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -125,6 +131,7 @@ __all__ = [
     "direction_coupling",
     "dispersion_residual",
     "dpsi",
+    "exterior_amplitudes_grid",
     "exterior_magnitude_sum",
     "free_gap",
     "free_matrix",

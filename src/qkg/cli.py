@@ -9,8 +9,8 @@ Subcommands:
   verify    run the built-in verification suite
 
 Floats are printed with 17 significant digits so output is reproducible
-bit for bit; sweeps evaluate grid points in a fixed order even when
-parallel workers are used.
+bit for bit.  A sweep evaluates its whole grid with one array call in one
+process; --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -18,20 +18,24 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
+import logging
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .closedform import (
     amplitudes_closed,
+    exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
 )
 from .errors import SingularSystemError, UndefinedFractionError
 from .matcher import solve_spec
-from .model import BarrierSpec, wavenumbers
+from .model import BarrierSpec, check_nondegenerate, wavenumbers
 from .multilayer import Segment, ordering_report
 from .verify import run_all
 from .wavefield import sample_field
@@ -44,7 +48,6 @@ DEFAULTS = {
     "phi": 0.0,
     "xmin": -2.0,
     "points": 201,
-    "workers": 1,
 }
 
 _SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
@@ -149,14 +152,9 @@ def _setting(args, config: dict[str, str], key: str, cast, default):
     return default
 
 
-def _spec_from(args, config) -> BarrierSpec:
-    return BarrierSpec(
-        a=_setting(args, config, "a", float, DEFAULTS["a"]),
-        v0=_setting(args, config, "v0", float, DEFAULTS["v0"]),
-        omega0=_setting(args, config, "omega0", float, DEFAULTS["omega0"]),
-        theta=_setting(args, config, "theta", float, DEFAULTS["theta"]),
-        phi=_setting(args, config, "phi", float, DEFAULTS["phi"]),
-    )
+def _params(args, config) -> dict[str, float]:
+    return {key: _setting(args, config, key, float, DEFAULTS[key])
+            for key in _SWEEPABLE}
 
 
 def _spec_table(spec: BarrierSpec) -> dict[str, float]:
@@ -203,22 +201,8 @@ def _parse_segment(text: str, label: str) -> Segment:
     return Segment(length, v0, theta, phi)
 
 
-def _sweep_row(task):
-    base, names, values = task
-    params = dict(base)
-    for name, value in zip(names, values):
-        params[name] = value
-    amps = amplitudes_closed(BarrierSpec(**params))
-    try:
-        fraction = quaternionic_fraction(amps)
-    except UndefinedFractionError:
-        fraction = math.nan
-    return list(values) + [abs(amps.c1), abs(amps.c2), abs(amps.c7),
-                           abs(amps.c8), fraction]
-
-
 def cmd_solve(args, config) -> int:
-    spec = _spec_from(args, config)
+    spec = BarrierSpec(**_params(args, config))
     amps = solve_spec(spec)
     closed = amplitudes_closed(spec)
     disp = wavenumbers(spec)
@@ -268,51 +252,51 @@ def cmd_solve(args, config) -> int:
     return 0
 
 
+def _check_grid(base: dict[str, float], names, axes) -> None:
+    """Raise what the first invalid grid point, in row order, raises.
+
+    Each check reads one parameter, except the float-range (a, v0, omega0)
+    and degeneracy (v0, omega0) checks.  Unless both swept parameters are
+    among those three, the first invalid point is in the first row or column,
+    and only those points are built."""
+    points = itertools.product(*axes)
+    if len(axes) == 2 and not set(names) <= {"a", "v0", "omega0"}:
+        outer, inner = axes
+        points = itertools.chain(itertools.product(outer[:1], inner),
+                                 itertools.product(outer[1:], inner[:1]))
+    for point in points:
+        check_nondegenerate(BarrierSpec(**dict(base, **dict(zip(names, point)))))
+
+
 def cmd_sweep(args, config) -> int:
     sweeps = args.sweep or []
     if not sweeps:
         raise ValueError("sweep requires --sweep param:start:stop:step")
     if len(sweeps) > 2:
         raise ValueError("at most two --sweep axes are supported")
-    axes = [_parse_sweep(text) for text in sweeps]
-    names = [name for name, _ in axes]
+    names, values = zip(*map(_parse_sweep, sweeps))
     if len(set(names)) != len(names):
         raise ValueError("swept parameters must differ")
 
-    base = {
-        "a": _setting(args, config, "a", float, DEFAULTS["a"]),
-        "v0": _setting(args, config, "v0", float, DEFAULTS["v0"]),
-        "omega0": _setting(args, config, "omega0", float, DEFAULTS["omega0"]),
-        "theta": _setting(args, config, "theta", float, DEFAULTS["theta"]),
-        "phi": _setting(args, config, "phi", float, DEFAULTS["phi"]),
-    }
-    tasks = []
-    if len(axes) == 1:
-        for value in axes[0][1]:
-            tasks.append((base, tuple(names), (value,)))
-    else:
-        for outer in axes[0][1]:
-            for inner in axes[1][1]:
-                tasks.append((base, tuple(names), (outer, inner)))
+    base = _params(args, config)
+    _check_grid(base, names, values)
+    mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
+    c1, c2, c7, c8 = np.abs(
+        exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
+    with np.errstate(invalid="ignore"):    # nan when nothing is transmitted
+        fraction = c8 ** 2 / (c7 ** 2 + c8 ** 2)
+    table = np.column_stack([*mesh, c1, c2, c7, c8, fraction])
 
-    workers = max(1, int(_setting(args, config, "workers", int,
-                                  DEFAULTS["workers"])))
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=chunk))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
-
-    columns = names + ["abs_c1", "abs_c2", "abs_c7", "abs_c8",
-                       "quaternionic_fraction"]
+    columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
+               "quaternionic_fraction"]
     fmt = _setting(args, config, "format", str, "csv")
     with _output(args.out) as fh:
         if fmt == "csv":
-            _write_csv(fh, columns, rows)
+            # one row at a time, so the formatted grid is never held whole
+            _write_csv(fh, columns, (row.tolist() for row in table))
         elif fmt == "json":
             payload = {"config": dict(base, sweep=list(sweeps)),
-                       "columns": columns, "rows": rows}
+                       "columns": columns, "rows": table.tolist()}
             fh.write(_json_dump(payload) + "\n")
         else:
             raise ValueError("sweep supports csv or json output")
@@ -320,7 +304,7 @@ def cmd_sweep(args, config) -> int:
 
 
 def cmd_field(args, config) -> int:
-    spec = _spec_from(args, config)
+    spec = BarrierSpec(**_params(args, config))
     amps = amplitudes_closed(spec)
     x_min = _setting(args, config, "xmin", float, DEFAULTS["xmin"])
     x_max = _setting(args, config, "xmax", float, None)
@@ -385,9 +369,7 @@ def cmd_ordering(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
-    workers = int(_setting(args, config, "workers", int, 8))
-    results = run_all(quick=args.quick, perturb=args.inject_perturbation,
-                      workers=workers)
+    results = run_all(quick=args.quick, perturb=args.inject_perturbation)
     for result in results:
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -430,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep", action="append", metavar="PARAM:START:STOP:STEP",
                          help="axis to scan; repeat once for a 2-d grid")
     p_sweep.add_argument("--workers", type=int,
-                         help="parallel processes (default 1)")
+                         help="ignored: a sweep runs in one process")
     _add_io_flags(p_sweep, ("csv", "json"))
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -458,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller samples, skip the subprocess check")
     p_verify.add_argument("--workers", type=int,
-                          help="parallelism for the determinism check")
+                          help="ignored: sweeps run in one process")
     p_verify.add_argument("--inject-perturbation", type=float, nargs="?",
                           const=1e-3, default=0.0,
                           help="corrupt one amplitude to prove the gate trips")
@@ -471,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(message)s")    # warnings to stderr
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args, config)

@@ -42,6 +42,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import UndefinedFractionError
 from .model import (
     EPS_THETA,
@@ -58,18 +60,23 @@ COMPLEX_LIMIT = "complex-limit"
 TAYLOR = "taylor"
 
 
-def _branch(q: float, k0: float, a: float) -> tuple[complex, complex, complex, complex]:
+def _branch(q, k0, a, sin=math.sin, cos=math.cos, exp=cmath.exp):
     """Scalar barrier amplitudes (r, t, A, B) for interior wavenumber q."""
-    sq = math.sin(a * q)
-    cq = math.cos(a * q)
+    sq = sin(a * q)
+    cq = cos(a * q)
     s = (q * q + k0 * k0) * sq + 2j * k0 * q * cq
     r = (k0 * k0 - q * q) * sq / s
-    t = 2j * k0 * q * cmath.exp(-1j * a * k0) / s
-    ph2 = cmath.exp(2j * a * q)
+    t = 2j * k0 * q * exp(-1j * a * k0) / s
+    ph2 = exp(2j * a * q)
     d = -((q + k0) ** 2) + ((q - k0) ** 2) * ph2
     fwd = -2.0 * k0 * (q + k0) / d
     bwd = -2.0 * k0 * (q - k0) * ph2 / d
     return r, t, fwd, bwd
+
+
+def _exterior(wp, wm, wx, rp, tp, rm, tm):
+    """(c1, c2, c7, c8) from the k_plus and k_minus branch amplitudes."""
+    return wp * rm - wm * rp, wx * (rm - rp), wp * tm - wm * tp, wx * (tm - tp)
 
 
 def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
@@ -85,21 +92,30 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     rp, tp, ap, bp = _branch(disp.k_plus, disp.k0, spec.a)
     rm, tm, am, bm = _branch(disp.k_minus, disp.k0, spec.a)
+    c1, c2, c7, c8 = _exterior(wp, wm, wx, rp, tp, rm, tm)
 
     # Pre-scaled interior coefficients shared with the matching solver.
     d3, d4, d5, d6 = -ap, -bp, am, bm
     route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
     return Amplitudes(
-        c1=wp * rm - wm * rp,
-        c2=wx * (rm - rp),
-        c3=wm * d3,
-        c4=wm * d4,
-        c5=wp * d5,
-        c6=wp * d6,
-        c7=wp * tm - wm * tp,
-        c8=wx * (tm - tp),
+        c1=c1, c2=c2, c3=wm * d3, c4=wm * d4, c5=wp * d5, c6=wp * d6,
+        c7=c7, c8=c8,
         dispersion=disp, ratios=ratios, route=route,
         interior=interior_pairs(ratios, (d3, d4, d5, d6)))
+
+
+def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
+    """amplitudes_closed's (c1, c2, c7, c8), in numpy over broadcast arrays.
+
+    The same formulas with numpy's sin, cos and exp: the two agree to
+    rounding, and c2 = c8 = 0 exactly at theta = 0.  Every point must be a
+    BarrierSpec that passes check_nondegenerate."""
+    n1 = np.cos(theta)
+    wp, wm = (1.0 + n1) / 2.0, (n1 - 1.0) / 2.0
+    wx = 0.5j * np.sin(theta) * np.exp(-1j * phi)
+    rp, tp, _, _ = _branch(np.abs(omega0 + v0), omega0, a, np.sin, np.cos, np.exp)
+    rm, tm, _, _ = _branch(np.abs(omega0 - v0), omega0, a, np.sin, np.cos, np.exp)
+    return np.broadcast_arrays(*_exterior(wp, wm, wx, rp, tp, rm, tm))
 
 
 def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,8 @@ class BarrierSpec:
     v0 : float
         Potential magnitude, >= 0.
     omega0 : float
-        Wave frequency, > 0.
+        Wave frequency, > 0.  2 a (omega0 + v0) and 16 (omega0 + v0)^2 must
+        be finite and omega0^2 a normal float.
     theta : float
         Polar angle of the potential direction, in [0, pi].
     phi : float
@@ -98,6 +100,15 @@ class BarrierSpec:
         check_layer(self.a, self.v0, self.theta, self.phi)
         if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
             raise ValueError(f"frequency must satisfy omega0 > 0, got {self.omega0}")
+        # Past these bounds the closed form overflows, or divides by a term
+        # that underflows to zero.
+        k = self.omega0 + self.v0
+        if not (math.isfinite(2.0 * self.a * k) and math.isfinite(16.0 * k * k)
+                and self.omega0 * self.omega0 >= sys.float_info.min):
+            raise ValueError(
+                f"a = {self.a}, v0 = {self.v0}, omega0 = {self.omega0} leave "
+                "the float range: 2 a (omega0 + v0) and 16 (omega0 + v0)^2 "
+                "must be finite and omega0^2 a normal float")
 
     def direction(self) -> UnitImaginaryDirection:
         return UnitImaginaryDirection.from_angles(self.theta, self.phi)

@@ -355,8 +355,8 @@ def check_matrix_fidelity(quick: bool = False) -> CheckResult:
                        elapsed)
 
 
-def check_determinism(quick: bool = False, workers: int = 8) -> CheckResult:
-    """Criterion 9: parallel sweeps are byte-identical run to run."""
+def check_determinism(quick: bool = False) -> CheckResult:
+    """Criterion 9: sweeps are byte-identical run to run."""
     if quick:
         return CheckResult(9, "determinism", True,
                            "skipped in quick mode", 0.0, skipped=True)
@@ -372,8 +372,7 @@ def check_determinism(quick: bool = False, workers: int = 8) -> CheckResult:
                        "--a", "1", "--v0", "0.3", "--omega0", "1",
                        "--phi", "0",
                        "--sweep", "theta:0:3.141592653589793:0.02",
-                       "--workers", str(workers), "--format", fmt,
-                       "--out", out]
+                       "--format", fmt, "--out", out]
                 proc = subprocess.run(cmd, capture_output=True, text=True)
                 if proc.returncode != 0:
                     passed = False
@@ -386,12 +385,10 @@ def check_determinism(quick: bool = False, workers: int = 8) -> CheckResult:
                 passed = passed and same
                 details.append(f"{fmt} identical: {same}")
     elapsed = time.perf_counter() - start
-    return CheckResult(9, "determinism", passed,
-                       f"{workers} workers, " + ", ".join(details), elapsed)
+    return CheckResult(9, "determinism", passed, ", ".join(details), elapsed)
 
 
-def run_all(quick: bool = False, perturb: float = 0.0,
-            workers: int = 8) -> list[CheckResult]:
+def run_all(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
     """Run every check in order and collect the results."""
     return [
         check_oracle_equivalence(quick, perturb),
@@ -402,5 +399,5 @@ def run_all(quick: bool = False, perturb: float = 0.0,
         check_transfer_oracle(quick),
         check_ordering_sanity(quick),
         check_matrix_fidelity(quick),
-        check_determinism(quick, workers),
+        check_determinism(quick),
     ]

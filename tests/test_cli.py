@@ -49,6 +49,12 @@ class TestSolve:
         proc = run_cli("solve", "--a", "1e308", "--omega0", "10")
         assert proc.returncode == 2
 
+    def test_badly_conditioned_warning_printed(self):
+        proc = run_cli("solve", "--omega0", "1e8")
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("matching matrix badly conditioned")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_unknown_subcommand_exits_2(self):
         proc = run_cli("granulate")
         assert proc.returncode == 2
@@ -61,6 +67,36 @@ def test_import_leaves_out_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--a", "1e308", "--omega0", "10"),
+    ("solve", "--omega0", "1e200"),
+    ("sweep", "--sweep", "omega0:1e200:1e200:1"),
+    ("sweep", "--sweep", "a:1e308:1e308:1", "--omega0", "10"),
+    ("field", "--omega0", "1e200"),
+    # each axis is in range on its own; a * omega0 overflows inside the grid
+    ("sweep", "--sweep", "a:1e307:1e307:1", "--sweep", "omega0:1:20:1"),
+    ("solve", "--omega0", "1e-300", "--v0", "0"),
+], ids=" ".join)
+def test_out_of_float_range_exits_2_with_one_line(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "float range" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_library_logs_nothing_without_a_handler():
+    code = ("import math\n"
+            "from qkg import BarrierSpec, solve_spec\n"
+            "amps = solve_spec(BarrierSpec(1, 0.3, 1e8, math.pi / 2, 0))\n"
+            "assert amps.condition > 1e8\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 class TestSweep:
@@ -108,6 +144,25 @@ class TestSweep:
     def test_duplicate_axis_rejected(self):
         proc = run_cli("sweep", "--sweep", "a:1:2:1", "--sweep", "a:3:4:1")
         assert proc.returncode == 2
+
+    def test_degenerate_point_exits_2(self):
+        proc = run_cli("sweep", "--sweep", "v0:0.5:1.5:0.25", "--omega0", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: k_minus ~ 0 for v0 = 1.0, "
+                                      "omega0 = 1.0")
+
+    def test_out_of_range_angle_named(self):
+        proc = run_cli("sweep", "--sweep", "theta:0:4:1")
+        assert proc.returncode == 2
+        assert "theta" in proc.stderr
+
+    def test_first_invalid_point_in_row_order_reported(self):
+        # theta = 4 ends the outer axis, a = -1 starts the inner one: the
+        # first point, (0, -1), already fails on its width
+        proc = run_cli("sweep", "--sweep", "theta:0:4:1",
+                       "--sweep", "a:-1:0:1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: width must be")
 
     def test_parallel_output_matches_serial(self):
         args = ("sweep", "--sweep", "theta:0:3:0.1", "--v0", "0.4")
@@ -192,6 +247,10 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert "[PASS] 1 oracle-equivalence" in proc.stdout
         assert "[SKIP] 9 determinism" in proc.stdout
+
+    def test_workers_flag_accepted(self):
+        proc = run_cli("verify", "--quick", "--workers", "3")
+        assert proc.returncode == 0
 
     def test_injected_perturbation_trips_gate(self):
         proc = run_cli("verify", "--quick", "--inject-perturbation")

@@ -11,12 +11,14 @@ from qkg.closedform import (
     TAYLOR,
     amplitudes_closed,
     amplitudes_taylor,
+    exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
 )
 from qkg.errors import DegenerateWavenumberError, UndefinedFractionError
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec, wavenumbers
+from qkg.verify import random_specs
 
 
 def scalar_barrier(q: float, k0: float, a: float) -> tuple[complex, complex]:
@@ -166,3 +168,34 @@ class TestInteriorCoefficients:
 
     def test_regime_tag(self, spec_point):
         assert amplitudes_closed(spec_point).route == EXACT
+
+
+class TestGrid:
+    @staticmethod
+    def columns(specs):
+        return [np.array([getattr(s, name) for s in specs])
+                for name in ("a", "v0", "omega0", "theta", "phi")]
+
+    def test_matches_scalar_route(self):
+        specs = random_specs(np.random.default_rng(4321), 1200)
+        # force both poles on a third of the specs each
+        specs = [BarrierSpec(s.a, s.v0, s.omega0, (0.0, math.pi, s.theta)[i % 3],
+                             s.phi) for i, s in enumerate(specs)]
+        grid = np.array(exterior_amplitudes_grid(*self.columns(specs)))
+        for i, spec in enumerate(specs):
+            amps = amplitudes_closed(spec)
+            want = np.array([amps.c1, amps.c2, amps.c7, amps.c8])
+            assert np.abs(grid[:, i] - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_complex_limit_zeros_exact(self):
+        specs = [BarrierSpec(s.a, s.v0, s.omega0, 0.0, s.phi)
+                 for s in random_specs(np.random.default_rng(8765), 200)]
+        _, c2, _, c8 = exterior_amplitudes_grid(*self.columns(specs))
+        assert (c2 == 0).all() and (c8 == 0).all()
+
+    def test_broadcasts_to_common_shape(self):
+        # only phi varies, yet c1 and c7 (independent of phi) come out full
+        phi = np.linspace(0.0, 6.0, 7)
+        amps = exterior_amplitudes_grid(1.0, 0.3, 1.0, 1.2, phi)
+        assert [c.shape for c in amps] == [(7,)] * 4
+        assert (amps[0] == amps[0][0]).all()
