@@ -311,6 +311,8 @@ def cmd_field(args, config) -> int:
     if x_max is None:
         x_max = spec.a + 2.0
     points = int(_setting(args, config, "points", int, DEFAULTS["points"]))
+    if points > _MAX_GRID:
+        raise ValueError(f"field grid exceeds {_MAX_GRID} points")
     samples = sample_field(spec, amps, x_min, x_max, points)
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -82,6 +82,10 @@ def segment_transfer(seg: Segment, omega0: float) -> TransferMatrix4:
     """Transfer matrix of one segment at frequency omega0."""
     kp = abs(omega0 + seg.v0)
     km = abs(omega0 - seg.v0)
+    if not isfinite(seg.length * kp):
+        raise ValueError(
+            f"segment with length = {seg.length}, v0 = {seg.v0} at omega0 = "
+            f"{omega0}: length * (omega0 + v0) leaves the float range")
     if km < EPS_K_REL * omega0:
         raise DegenerateWavenumberError(
             f"segment with v0 = {seg.v0} at omega0 = {omega0} has k_minus ~ 0")
@@ -120,7 +124,12 @@ def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:
     """
     t = stack_transfer(stack).matrix
     k0 = stack.omega0
-    e_end = cmath.exp(1j * k0 * stack.total_length())
+    total_length = stack.total_length()
+    if not isfinite(k0 * total_length):
+        raise ValueError(
+            f"stack of total length {total_length} at omega0 = {k0}: "
+            "omega0 * total length leaves the float range")
+    e_end = cmath.exp(1j * k0 * total_length)
     incident = np.array([1, 0, 1j * k0, 0], dtype=complex)
     refl_cols = np.array([[1, 0],
                           [0, 1],

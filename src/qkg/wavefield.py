@@ -1,10 +1,13 @@
 """Evaluate the scattered wave and its derivative over position.
 
 Regions are named "left" (x < 0), "barrier" (0 <= x <= a) and "right"
-(x > a).  The field is reconstructed from a solved amplitude object: the
-exterior pieces from (c1, c2) and (c7, c8), the interior piece from the four
-symplectic coefficient pairs attached to the amplitudes, which keeps the
-evaluation finite at every angle.
+(x > a).  In each region the field is a sum of plane waves
+(alpha + j beta) e^{i k x}, and psi' is the same sum with each wave scaled by
+i k.  _waves lists them as (k, alpha, beta): left (k0, 1, 0) and
+(-k0, c1, c2), right (k0, c7, c8), barrier the amplitudes' four interior
+pairs (finite at every angle) at +k_plus, -k_plus, +k_minus, -k_minus.
+_eval sums the table, with cmath.exp at one position or with np.exp on all
+the grid points of a region at once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .quaternion import SymplecticPair
 LEFT = "left"
 BARRIER = "barrier"
 RIGHT = "right"
+_REGIONS = (LEFT, BARRIER, RIGHT)
 
 
 @dataclass(frozen=True)
@@ -30,56 +34,50 @@ class FieldSample:
     region: str
 
 
+def _region_index(x, a):
+    """Index into _REGIONS of x (a float or an array) for barrier width a."""
+    return 1 - (x < 0.0) + (x > a)
+
+
 def region_of(x: float, spec: BarrierSpec) -> str:
-    if x < 0.0:
-        return LEFT
-    if x > spec.a:
-        return RIGHT
-    return BARRIER
+    return _REGIONS[_region_index(x, spec.a)]
 
 
-def _interior_wavenumbers(amps: Amplitudes) -> tuple[float, float, float, float]:
+def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
+    """The (k, alpha, beta) plane waves that make up the field in region."""
     d = amps.dispersion
-    return (d.k_plus, -d.k_plus, d.k_minus, -d.k_minus)
-
-
-def _eval(x: float, spec: BarrierSpec, amps: Amplitudes, region: str,
-          derivative: bool) -> SymplecticPair:
-    k0 = amps.dispersion.k0
     if region == LEFT:
-        fwd = cmath.exp(1j * k0 * x)
-        bwd = cmath.exp(-1j * k0 * x)
-        if derivative:
-            return SymplecticPair(1j * k0 * fwd - 1j * k0 * amps.c1 * bwd,
-                                  -1j * k0 * amps.c2 * bwd)
-        return SymplecticPair(fwd + amps.c1 * bwd, amps.c2 * bwd)
+        return ((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
     if region == RIGHT:
-        fwd = cmath.exp(1j * k0 * x)
-        if derivative:
-            return SymplecticPair(1j * k0 * amps.c7 * fwd, 1j * k0 * amps.c8 * fwd)
-        return SymplecticPair(amps.c7 * fwd, amps.c8 * fwd)
+        return ((d.k0, amps.c7, amps.c8),)
     if amps.interior is None:
         raise ValueError("amplitudes carry no interior coefficients "
                          "(Taylor-route values cannot drive a field evaluation)")
-    alpha = 0j
-    beta = 0j
-    for pair, k in zip(amps.interior, _interior_wavenumbers(amps)):
-        phase = cmath.exp(1j * k * x)
-        if derivative:
-            phase *= 1j * k
-        alpha += pair.alpha * phase
-        beta += pair.beta * phase
-    return SymplecticPair(alpha, beta)
+    ks = (d.k_plus, -d.k_plus, d.k_minus, -d.k_minus)
+    return tuple((k, pair.alpha, pair.beta) for k, pair in zip(ks, amps.interior))
+
+
+def _eval(x, amps: Amplitudes, region: str,
+          exp=cmath.exp) -> tuple[SymplecticPair, SymplecticPair]:
+    """(psi, psi') at x in region: a float, or an array with exp=np.exp."""
+    psi_a = psi_b = dpsi_a = dpsi_b = 0j
+    for k, alpha, beta in _waves(amps, region):
+        phase = exp(1j * k * x)
+        psi_a += alpha * phase
+        psi_b += beta * phase
+        dpsi_a += 1j * k * alpha * phase
+        dpsi_b += 1j * k * beta * phase
+    return SymplecticPair(psi_a, psi_b), SymplecticPair(dpsi_a, dpsi_b)
 
 
 def psi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
     """Field value at x for the solved amplitudes."""
-    return _eval(x, spec, amps, region_of(x, spec), derivative=False)
+    return _eval(x, amps, region_of(x, spec))[0]
 
 
 def dpsi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
     """Spatial derivative of the field at x."""
-    return _eval(x, spec, amps, region_of(x, spec), derivative=True)
+    return _eval(x, amps, region_of(x, spec))[1]
 
 
 def continuity_residuals(spec: BarrierSpec,
@@ -92,28 +90,29 @@ def continuity_residuals(spec: BarrierSpec,
     """
     out = []
     for x, lo, hi in ((0.0, LEFT, BARRIER), (spec.a, BARRIER, RIGHT)):
-        for derivative in (False, True):
-            below = _eval(x, spec, amps, lo, derivative)
-            above = _eval(x, spec, amps, hi, derivative)
+        for below, above in zip(_eval(x, amps, lo), _eval(x, amps, hi)):
             out.append((below - above).norm())
-    # order: psi(0), dpsi(0), psi(a), dpsi(a)
     return (out[0], out[1], out[2], out[3])
 
 
 def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
                  x_max: float, n_points: int) -> list[FieldSample]:
-    """Sample psi and psi' on a uniform grid of n_points positions."""
+    """Sample psi and psi' on a uniform grid of n_points positions.
+
+    Only regions the grid reaches are evaluated (Taylor amplitudes have no
+    barrier waves)."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
-    samples = []
-    for x in np.linspace(x_min, x_max, n_points):
-        xf = float(x)
-        region = region_of(xf, spec)
-        samples.append(FieldSample(
-            x=xf,
-            psi=_eval(xf, spec, amps, region, derivative=False),
-            dpsi=_eval(xf, spec, amps, region, derivative=True),
-            region=region))
-    return samples
+    xs = np.linspace(x_min, x_max, n_points)
+    index = _region_index(xs, spec.a)
+    values = np.empty((4, n_points), dtype=complex)
+    for i in np.unique(index).tolist():
+        at = index == i
+        value, slope = _eval(xs[at], amps, _REGIONS[i], np.exp)
+        values[:, at] = value.alpha, value.beta, slope.alpha, slope.beta
+    return [FieldSample(x, SymplecticPair(pa, pb), SymplecticPair(da, db),
+                        _REGIONS[i])
+            for x, i, pa, pb, da, db in zip(xs.tolist(), index.tolist(),
+                                            *values.tolist())]

@@ -206,6 +206,12 @@ class TestField:
         proc = run_cli("field", "--points", "1")
         assert proc.returncode == 2
 
+    def test_point_count_capped_like_sweep_grids(self):
+        proc = run_cli("field", "--points", "1000001")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: field grid exceeds 1000000 points\n"
+
 
 class TestOrdering:
     AB = ("--seg-a", "1:0.3:1.5707963267948966:0",
@@ -239,6 +245,45 @@ class TestOrdering:
         proc = run_cli("ordering", "--seg-a", "1:0.3:9:0", "--seg-b", "1:0.3:1:1")
         assert proc.returncode == 2
         assert "theta" in proc.stderr
+
+    @pytest.mark.parametrize("args, named", [
+        (("--seg-a", "1e308:0.3:1:0", "--seg-b", "1:0.3:1:1", "--omega0", "10"),
+         "length = 1e+308"),
+        (("--seg-a", "1:0.3:1:0", "--seg-b", "1:0.3:1:1", "--gap", "1e308",
+          "--omega0", "10"), "length = 1e+308"),
+        (("--seg-a", "1e308:0:0:0", "--seg-b", "1e308:0:0:0", "--omega0", "1"),
+         "total length inf"),
+    ], ids=("segment length", "gap length", "total length"))
+    def test_out_of_float_range_names_the_value(self, args, named):
+        proc = run_cli("ordering", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert named in proc.stderr and "float range" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    # Extreme inputs that stay in range keep their answers, byte for byte.
+    @pytest.mark.parametrize("args, expect", [
+        (("--omega0", "1e-300"),
+         "gap=0 omega0=1e-300\n"
+         "transmission a-then-b alpha=0+1.1806881311251503e-299j beta=0+0j\n"
+         "transmission b-then-a alpha=0+1.1806881311251503e-299j beta=0+0j\n"
+         "d_prob 0\n"
+         "d_amp 0\n"),
+        (("--gap", "1e308", "--omega0", "1"),
+         "gap=1e+308 omega0=1\n"
+         "transmission a-then-b alpha=-0.066790894953799709+0.83066492439172523j"
+         " beta=0.0068558363170148828+0.34711969209914922j\n"
+         "transmission b-then-a alpha=-0.14405594862242199+0.85586121328931986j"
+         " beta=0.050136975242669989+0.38789273906930832j\n"
+         "d_prob 0.091220702657693331\n"
+         "d_amp 0.081269560676960298\n"),
+    ], ids=("omega0 1e-300", "gap 1e308"))
+    def test_extreme_in_range_inputs_answer(self, args, expect):
+        proc = run_cli("ordering", "--seg-a", "1:0.3:1:0",
+                       "--seg-b", "1:0.3:1:1", *args)
+        assert proc.returncode == 0
+        assert proc.stdout == expect
 
 
 class TestVerifyCommand:

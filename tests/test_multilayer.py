@@ -64,6 +64,22 @@ class TestSegments:
         with pytest.raises(ValueError):
             LayerStack((free_gap(1.0),), 0.0)
 
+    @pytest.mark.parametrize("seg, omega0", [
+        (Segment(1e308, 0.3, 1.0, 0.0), 10.0),
+        (free_gap(1e308), 10.0),
+        (Segment(1.0, 1e308, 1.0, 0.0), 1e308),
+    ])
+    def test_phase_out_of_float_range_named(self, seg, omega0):
+        with pytest.raises(ValueError, match="float range") as info:
+            segment_transfer(seg, omega0)
+        for value in (seg.length, seg.v0, omega0):
+            assert str(value) in str(info.value)
+
+    def test_total_phase_out_of_float_range_named(self):
+        stack = LayerStack((free_gap(1e308), free_gap(1e308)), 1.0)
+        with pytest.raises(ValueError, match="total length inf"):
+            stack_scatter(stack)
+
 
 class TestTransferMatrices:
     def test_zero_length_is_identity(self):

@@ -1,11 +1,14 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qkg.closedform import amplitudes_closed, amplitudes_taylor
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec
+from qkg.verify import random_specs
 from qkg.wavefield import (
     BARRIER,
     LEFT,
@@ -64,6 +67,11 @@ class TestFieldValues:
             psi(5e-4, spec, taylor)
         # exterior evaluation needs no interior coefficients
         assert psi(-1.0, spec, taylor).alpha != 0
+        samples = sample_field(spec, taylor, -3.0, -1.0, 9)
+        assert [s.region for s in samples] == [LEFT] * 9
+        assert (samples[0].psi - psi(-3.0, spec, taylor)).norm() < 1e-14
+        with pytest.raises(ValueError):
+            sample_field(spec, taylor, -1.0, 2.0, 7)    # reaches x = 0
 
 
 class TestContinuity:
@@ -100,6 +108,34 @@ class TestSampling:
         assert samples[-1].x == 2.0
         assert [s.region for s in samples] == [
             LEFT, LEFT, BARRIER, BARRIER, BARRIER, RIGHT, RIGHT]
+
+    def test_grid_points_on_boundaries_are_barrier(self):
+        spec = BarrierSpec(2.0, 0.3, 1.0, 0.5, 0.0)
+        samples = sample_field(spec, amplitudes_closed(spec), -2.0, 4.0, 7)
+        assert [s.x for s in samples] == [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+        assert [s.region for s in samples] == [
+            LEFT, LEFT, BARRIER, BARRIER, BARRIER, RIGHT, RIGHT]
+
+    def test_samples_match_scalar_evaluation(self):
+        specs = random_specs(np.random.default_rng(4242), 200)
+        # force both poles on a share of the specs
+        specs = [dataclasses.replace(spec, theta=(0.0, math.pi)[i % 2])
+                 if i % 10 < 2 else spec for i, spec in enumerate(specs)]
+        assert {0.0, math.pi} <= {spec.theta for spec in specs}
+        for spec in specs:
+            amps = amplitudes_closed(spec)
+            tol = 1e-14 * (1.0 + amps.dispersion.k0)
+            for s in sample_field(spec, amps, -2.0, spec.a + 2.0, 61):
+                assert s.region == region_of(s.x, spec)
+                assert (s.psi - psi(s.x, spec, amps)).norm() <= tol
+                assert (s.dpsi - dpsi(s.x, spec, amps)).norm() <= tol
+
+    def test_complex_limit_has_no_beta_component(self):
+        for spec in random_specs(np.random.default_rng(77), 20):
+            spec = dataclasses.replace(spec, theta=0.0)
+            amps = amplitudes_closed(spec)
+            for s in sample_field(spec, amps, -2.0, spec.a + 2.0, 41):
+                assert s.psi.beta == 0
 
     @pytest.mark.parametrize("bounds", [
         (0.0, 1.0, 1),
