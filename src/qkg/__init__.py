@@ -26,7 +26,6 @@ from .errors import (
     UndefinedFractionError,
 )
 from .matcher import (
-    RAW,
     REGULARIZED,
     MatchingSystem,
     build_system,
@@ -112,7 +111,6 @@ __all__ = [
     "ONE",
     "OrderingReport",
     "Quaternion",
-    "RAW",
     "REGULARIZED",
     "RIGHT",
     "Segment",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import logging
@@ -115,11 +114,16 @@ def _output(path: str | None):
 
 
 def _write_csv(handle, columns, rows) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                         for cell in row])
+    # one %-format line per table, typed by the first row; string cells are
+    # plain names that never need quoting
+    handle.write(",".join(columns) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                    for cell in first) + "\n"
+    handle.writelines(line % tuple(row) for row in itertools.chain([first], rows))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -446,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--inject-perturbation", type=float, nargs="?",
                           const=1e-3, default=0.0,
                           help="corrupt one amplitude to prove the gate trips")
-    p_verify.add_argument("--config", help="key=value defaults file")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

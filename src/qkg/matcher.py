@@ -8,23 +8,17 @@ A unit wave exp(i(k0 x - omega0 t)) comes in from the left.  The ansatz is
     x > a:        psi = (c7 + j c8) e^{i k0 x}
 
 Continuity of psi and psi' at x = 0 and x = a, split into alpha and beta
-components, gives eight complex equations for c1..c8.  Two assemblies of the
-same system are provided:
-
-raw-ratio form
-    The equations verbatim, with the divergent raw ratios r_plus/minus as
-    coefficients.  Only valid away from the complex limit; kept as a
-    cross-check surface.
-
-regularized form (production path)
-    Interior unknowns are pre-scaled, c3 = w_minus d3, c4 = w_minus d4,
-    c5 = w_plus d5, c6 = w_plus d6, which replaces the ratio products in the
-    alpha rows by w_plus/minus.  The beta rows then carry a common factor
-    w_cross, which is divided out by additionally rescaling the quaternionic
-    exterior unknowns, c2 = w_cross e2 and c8 = w_cross e8.  Every matrix
-    entry is then bounded by max(1, k) for all theta in [0, pi], the system
-    stays nonsingular at both poles, and c2 = c8 = 0 is recovered exactly in
-    the complex limit.
+components, gives eight complex equations for c1..c8.  Written verbatim
+they carry the raw ratios r_plus/minus, which diverge in the complex limit.
+The system is therefore assembled in regularized form: interior unknowns
+are pre-scaled, c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5,
+c6 = w_plus d6, which replaces the ratio products in the alpha rows by
+w_plus/minus.  The beta rows then carry a common factor w_cross, which is
+divided out by additionally rescaling the quaternionic exterior unknowns,
+c2 = w_cross e2 and c8 = w_cross e8.  Every matrix entry is then bounded by
+max(1, k) for all theta in [0, pi], the system stays nonsingular at both
+poles, and c2 = c8 = 0 is recovered exactly in the complex limit.  The
+verbatim system survives only as the reference transcription in qkg.verify.
 
 The solver forms the explicit inverse (LAPACK LU with partial pivoting),
 applies it to the right-hand side and adds one step of iterative refinement
@@ -66,7 +60,6 @@ _RESIDUAL_ACCEPT = 1e-10      # backward error beyond which the solve fails
 _COND_WARN = 1e8
 
 REGULARIZED = "regularized"
-RAW = "raw"
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,26 +67,19 @@ class MatchingSystem:
     """One assembled linear system M u = rhs.
 
     column_scale maps the solved unknowns back to the physical amplitudes,
-    c_i = column_scale[i] * u_i (all ones for the raw form).
+    c_i = column_scale[i] * u_i.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    form: str
     column_scale: np.ndarray
     spec: BarrierSpec
     dispersion: DispersionData
     ratios: ModeRatios
 
 
-def build_system(spec: BarrierSpec, form: str = REGULARIZED) -> MatchingSystem:
-    """Assemble the matching system for spec in the requested form.
-
-    The raw-ratio form needs sin(theta) above the complex-limit cutoff; the
-    regularized form accepts any direction.
-    """
-    if form not in (REGULARIZED, RAW):
-        raise ValueError(f"unknown system form {form!r}")
+def build_system(spec: BarrierSpec) -> MatchingSystem:
+    """Assemble the regularized matching system for spec; any direction."""
     check_nondegenerate(spec)
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
@@ -101,33 +87,21 @@ def build_system(spec: BarrierSpec, form: str = REGULARIZED) -> MatchingSystem:
     ep = np.exp(1j * spec.a * kp)
     em = np.exp(1j * spec.a * km)
     e0 = np.exp(1j * spec.a * k0)
+    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
 
     m = np.zeros((8, 8), dtype=complex)
-    if form == RAW:
-        rp, rm = ratios.r_plus, ratios.r_minus
-        m[0] = [1, 0, -1, -1, -1, -1, 0, 0]
-        m[1] = [0, 1, -rp, -rp, -rm, -rm, 0, 0]
-        m[2] = [-k0, 0, -kp, kp, -km, km, 0, 0]
-        m[3] = [0, -k0, -kp * rp, kp * rp, -km * rm, km * rm, 0, 0]
-        m[4] = [0, 0, ep, 1 / ep, em, 1 / em, -e0, 0]
-        m[5] = [0, 0, ep * rp, rp / ep, em * rm, rm / em, 0, -e0]
-        m[6] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, -k0 * e0, 0]
-        m[7] = [0, 0, kp * ep * rp, -kp * rp / ep, km * em * rm, -km * rm / em, 0, -k0 * e0]
-        column_scale = np.ones(8, dtype=complex)
-    else:
-        wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-        m[0] = [1, 0, -wm, -wm, -wp, -wp, 0, 0]
-        m[1] = [0, 1, -1, -1, -1, -1, 0, 0]
-        m[2] = [-k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0]
-        m[3] = [0, -k0, -kp, kp, -km, km, 0, 0]
-        m[4] = [0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0]
-        m[5] = [0, 0, ep, 1 / ep, em, 1 / em, 0, -e0]
-        m[6] = [0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0]
-        m[7] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0]
-        column_scale = np.array([1, wx, wm, wm, wp, wp, 1, wx], dtype=complex)
+    m[0] = [1, 0, -wm, -wm, -wp, -wp, 0, 0]
+    m[1] = [0, 1, -1, -1, -1, -1, 0, 0]
+    m[2] = [-k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0]
+    m[3] = [0, -k0, -kp, kp, -km, km, 0, 0]
+    m[4] = [0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0]
+    m[5] = [0, 0, ep, 1 / ep, em, 1 / em, 0, -e0]
+    m[6] = [0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0]
+    m[7] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0]
+    column_scale = np.array([1, wx, wm, wm, wp, wp, 1, wx], dtype=complex)
 
     rhs = -np.array([1, 0, k0, 0, 0, 0, 0, 0], dtype=complex)
-    return MatchingSystem(matrix=m, rhs=rhs, form=form, column_scale=column_scale,
+    return MatchingSystem(matrix=m, rhs=rhs, column_scale=column_scale,
                           spec=spec, dispersion=disp, ratios=ratios)
 
 
@@ -166,29 +140,20 @@ def solve(system: MatchingSystem) -> Amplitudes:
             f"matching solve did not converge: backward error {err:.3e}")
     if condition > _COND_WARN:
         log.warning("matching matrix badly conditioned: cond_1 = %.3e "
-                    "(form=%s, theta=%.6g)", condition, system.form,
-                    system.spec.theta)
+                    "(theta=%.6g)", condition, system.spec.theta)
 
     c = system.column_scale * u
-    ratios = system.ratios
-    if system.form == REGULARIZED:
-        interior = interior_pairs(ratios, u[2:6])
-    else:
-        rp, rm = ratios.r_plus, ratios.r_minus
-        interior = tuple(SymplecticPair(complex(ci), complex(r * ci))
-                         for ci, r in zip(c[2:6], (rp, rp, rm, rm)))
-
     return Amplitudes(
         c1=complex(c[0]), c2=complex(c[1]), c3=complex(c[2]), c4=complex(c[3]),
         c5=complex(c[4]), c6=complex(c[5]), c7=complex(c[6]), c8=complex(c[7]),
-        dispersion=system.dispersion, ratios=ratios, route=system.form,
-        interior=interior, residual=float(np.linalg.norm(r, np.inf)),
+        dispersion=system.dispersion, ratios=system.ratios, route=REGULARIZED,
+        interior=interior_pairs(system.ratios, u[2:6]), residual=float(np.linalg.norm(r, np.inf)),
         condition=condition, solution=u)
 
 
-def solve_spec(spec: BarrierSpec, form: str = REGULARIZED) -> Amplitudes:
+def solve_spec(spec: BarrierSpec) -> Amplitudes:
     """Convenience wrapper: build and solve in one call."""
-    return solve(build_system(spec, form))
+    return solve(build_system(spec))
 
 
 def reflection(amps: Amplitudes) -> SymplecticPair:

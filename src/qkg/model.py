@@ -153,7 +153,7 @@ class ModeRatios:
 
     w_plus, w_minus and w_cross are defined for every direction.  The raw
     ratios r_plus and r_minus exist only away from the complex limit;
-    accessing them at sin(theta) <= eps_theta raises
+    accessing them at sin(theta) <= EPS_THETA raises
     ComplexLimitDegeneracyError.
     """
 
@@ -180,7 +180,7 @@ class ModeRatios:
         return self.raw_minus
 
 
-def mode_ratios(theta: float, phi: float, eps_theta: float = EPS_THETA) -> ModeRatios:
+def mode_ratios(theta: float, phi: float) -> ModeRatios:
     """Mode ratios for the direction (theta, phi).
 
     The regular combinations are evaluated from their closed forms in the
@@ -190,7 +190,7 @@ def mode_ratios(theta: float, phi: float, eps_theta: float = EPS_THETA) -> ModeR
         w_minus = (cos theta - 1) / 2
         w_cross = (i/2) sin(theta) e^{-i phi}
 
-    Raw ratios are attached only when sin(theta) > eps_theta.
+    Raw ratios are attached only when sin(theta) > EPS_THETA.
     """
     n = UnitImaginaryDirection.from_angles(theta, phi)
     st = math.sin(theta)
@@ -198,7 +198,7 @@ def mode_ratios(theta: float, phi: float, eps_theta: float = EPS_THETA) -> ModeR
     w_minus = complex((n.n1 - 1.0) / 2.0)
     w_cross = 0.5j * st * cmath.exp(-1j * phi)
     raw_plus = raw_minus = None
-    if st > eps_theta:
+    if st > EPS_THETA:
         denom = complex(n.n3, -n.n2)
         raw_plus = -(n.n1 + 1.0) / denom
         raw_minus = -(n.n1 - 1.0) / denom
@@ -261,8 +261,8 @@ def interior_pairs(ratios: ModeRatios, d) -> tuple[SymplecticPair, ...]:
 class Amplitudes:
     """Scattering amplitudes c1..c8 of one barrier, from any route.
 
-    route names the formula used: "regularized" or "raw" (matching solve),
-    "exact" or, at a pole, "complex-limit" (closed forms), "taylor"
+    route names the formula used: "regularized" (matching solve), "exact"
+    or, at a pole, "complex-limit" (closed forms), "taylor"
     (small-parameter expansion).  interior holds the pairs of
     interior_pairs, None on the Taylor route.  The matching solve also
     reports residual (infinity norm of rhs - M u), condition (1-norm

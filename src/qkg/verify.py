@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import amplitudes_closed, amplitudes_taylor
-from .matcher import RAW, build_system, solve, solve_spec
+from .matcher import build_system, solve, solve_spec
 from .model import BarrierSpec, mode_ratios, wavenumbers
 from .multilayer import (
     LayerStack,
@@ -147,9 +147,9 @@ def check_back_substitution(quick: bool = False) -> CheckResult:
         worst_eq = max(worst_eq, _system_backward_error(
             system.matrix, amps.solution, system.rhs))
         if math.sin(spec.theta) > BACKSUB_RAW_CUT:
-            raw = build_system(spec, form=RAW)
+            raw_m, raw_rhs = _transcribed_matrix(spec)
             worst_eq = max(worst_eq, _system_backward_error(
-                raw.matrix, amps.as_array(), raw.rhs))
+                raw_m, amps.as_array(), raw_rhs))
         worst_cont = max(worst_cont, *continuity_residuals(spec, amps))
     elapsed = time.perf_counter() - start
     passed = worst_eq <= BACKSUB_TOL and worst_cont <= BACKSUB_TOL
@@ -331,7 +331,12 @@ def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_matrix_fidelity(quick: bool = False) -> CheckResult:
-    """Criterion 8: assembled raw system equals the literal transcription."""
+    """Criterion 8: the production system is the literal transcription, rescaled.
+
+    M_raw diag(column_scale) = diag(1, wx, 1, wx, 1, wx, 1, wx) M_reg and
+    rhs_raw = diag(1, wx, ...) rhs_reg hold exactly, because
+    r_plus w_minus = r_minus w_plus = w_cross.
+    """
     count = 20 if quick else FIDELITY_SPECS
     rng = np.random.default_rng(SEED + 4)
     start = time.perf_counter()
@@ -342,12 +347,15 @@ def check_matrix_fidelity(quick: bool = False) -> CheckResult:
         if math.sin(spec.theta) <= FIDELITY_MIN_SIN:
             continue
         done += 1
-        system = build_system(spec, form=RAW)
+        system = build_system(spec)
         ref_m, ref_rhs = _transcribed_matrix(spec)
+        row_scale = np.tile([1.0, system.ratios.w_cross], 4)
+        ref_m = ref_m * system.column_scale
+        got_m = row_scale[:, None] * system.matrix
         scale = max(1.0, float(np.abs(ref_m).max()))
         worst = max(worst,
-                    float(np.abs(system.matrix - ref_m).max()) / scale,
-                    float(np.abs(system.rhs - ref_rhs).max()))
+                    float(np.abs(got_m - ref_m).max()) / scale,
+                    float(np.abs(row_scale * system.rhs - ref_rhs).max()))
     elapsed = time.perf_counter() - start
     passed = worst <= FIDELITY_TOL
     return CheckResult(8, "matrix-fidelity", passed,

@@ -5,8 +5,10 @@ The whole suite is executed once per test session through qkg.verify.run_all
 pass/fail line so `pytest -s` shows the same table the command line does.
 """
 
+import numpy as np
 import pytest
 
+from qkg import verify
 from qkg.verify import run_all
 
 
@@ -54,6 +56,21 @@ def test_criterion_7_ordering_asymmetry_sanity(results):
 
 def test_criterion_8_raw_system_matches_transcription(results):
     gate(results, 8)
+
+
+@pytest.mark.parametrize("field, index", [
+    ("matrix", (2, 0)), ("matrix", (5, 2)), ("rhs", 0), ("rhs", 1),
+], ids=("alpha row", "beta row", "alpha rhs", "beta rhs"))
+def test_criterion_8_trips_on_a_moved_production_entry(monkeypatch, field, index):
+    build = verify.build_system
+
+    def moved(spec):
+        system = build(spec)
+        getattr(system, field)[index] += 1e-11 * np.abs(system.matrix).max()
+        return system
+
+    monkeypatch.setattr(verify, "build_system", moved)
+    assert not verify.check_matrix_fidelity(quick=True).passed
 
 
 def test_criterion_9_parallel_sweep_deterministic(results):

@@ -297,6 +297,12 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--quick", "--workers", "3")
         assert proc.returncode == 0
 
+    def test_config_flag_rejected(self):
+        # verify reads no settings, so it takes no defaults file
+        proc = run_cli("verify", "--quick", "--config", "x")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --config" in proc.stderr
+
     def test_injected_perturbation_trips_gate(self):
         proc = run_cli("verify", "--quick", "--inject-perturbation")
         assert proc.returncode == 1

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from qkg.closedform import amplitudes_closed
-from qkg.errors import (
-    ComplexLimitDegeneracyError,
-    DegenerateWavenumberError,
-    SingularSystemError,
-)
+from qkg.errors import DegenerateWavenumberError, SingularSystemError
 from qkg.matcher import (
-    RAW,
     REGULARIZED,
     build_system,
     reflection,
@@ -18,26 +13,24 @@ from qkg.matcher import (
     solve_spec,
     transmission,
 )
-from qkg.model import BarrierSpec, dispersion_residual, wavenumbers
+from qkg.model import BarrierSpec, dispersion_residual, mode_ratios, wavenumbers
+from qkg.verify import _transcribed_matrix
 
 
 class TestBuildSystem:
     def test_raw_first_row_and_rhs(self, spec_point):
-        system = build_system(spec_point, form=RAW)
-        assert np.array_equal(system.matrix[0],
+        raw_m, raw_rhs = _transcribed_matrix(spec_point)
+        assert np.array_equal(raw_m[0],
                               np.array([1, 0, -1, -1, -1, -1, 0, 0], complex))
+        ratios = mode_ratios(spec_point.theta, spec_point.phi)
+        wp, wm = ratios.w_plus, ratios.w_minus
+        system = build_system(spec_point)
+        assert np.array_equal(system.matrix[0],
+                              np.array([1, 0, -wm, -wm, -wp, -wp, 0, 0], complex))
         k0 = wavenumbers(spec_point).k0
-        assert np.array_equal(system.rhs,
-                              -np.array([1, 0, k0, 0, 0, 0, 0, 0], complex))
-
-    def test_unknown_form_rejected(self, spec_point):
-        with pytest.raises(ValueError):
-            build_system(spec_point, form="cholesky")
-
-    def test_raw_form_needs_angle(self):
-        spec = BarrierSpec(1.0, 0.3, 1.0, 0.0, 0.0)
-        with pytest.raises(ComplexLimitDegeneracyError):
-            build_system(spec, form=RAW)
+        want = -np.array([1, 0, k0, 0, 0, 0, 0, 0], complex)
+        assert np.array_equal(system.rhs, want)
+        assert np.array_equal(raw_rhs, want)
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(DegenerateWavenumberError):
@@ -48,9 +41,9 @@ class TestBuildSystem:
         # regularized beta rows are the raw beta rows divided by w_cross
         # after the column regrouping, so both must accept the same c vector
         spec = spec_factory(theta_min=0.3, theta_max=math.pi - 0.3)
-        amps = solve_spec(spec, form=REGULARIZED)
-        raw = build_system(spec, form=RAW)
-        residual = np.abs(raw.matrix @ amps.as_array() - raw.rhs).max()
+        amps = solve_spec(spec)
+        raw_m, raw_rhs = _transcribed_matrix(spec)
+        residual = np.abs(raw_m @ amps.as_array() - raw_rhs).max()
         assert residual < 1e-12
 
 
@@ -93,8 +86,8 @@ class TestSolveProperties:
     def test_raw_equals_regularized_away_from_poles(self, spec_factory):
         for _ in range(50):
             spec = spec_factory(theta_min=0.2, theta_max=math.pi - 0.2)
-            a = solve_spec(spec, form=REGULARIZED).as_array()
-            b = solve_spec(spec, form=RAW).as_array()
+            a = solve_spec(spec).as_array()
+            b = np.linalg.solve(*_transcribed_matrix(spec))
             assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(a).max())
 
     def test_continuous_through_the_pole(self):
