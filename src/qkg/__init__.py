@@ -3,7 +3,8 @@
 The package solves the one-dimensional matching problem for a step
 potential whose imaginary part points along an arbitrary unit direction,
 provides the equivalent closed-form amplitudes, samples the wavefunction,
-and composes stacked barriers through 4x4 transfer matrices.
+and composes stacked barriers through 4x4 transfer matrices, which are plain
+complex ndarrays.
 """
 
 import logging
@@ -19,7 +20,6 @@ from .closedform import (
     quaternionic_fraction,
 )
 from .errors import (
-    ComplexLimitDegeneracyError,
     DegenerateWavenumberError,
     InvalidDirectionError,
     SingularSystemError,
@@ -51,7 +51,6 @@ from .multilayer import (
     LayerStack,
     OrderingReport,
     Segment,
-    TransferMatrix4,
     compose,
     free_gap,
     ordering_report,
@@ -95,7 +94,6 @@ __all__ = [
     "BarrierSpec",
     "CheckResult",
     "COMPLEX_LIMIT",
-    "ComplexLimitDegeneracyError",
     "DegenerateWavenumberError",
     "DispersionData",
     "EXACT",
@@ -117,7 +115,6 @@ __all__ = [
     "SingularSystemError",
     "SymplecticPair",
     "TAYLOR",
-    "TransferMatrix4",
     "UndefinedFractionError",
     "UnitImaginaryDirection",
     "amplitudes_closed",

@@ -10,7 +10,7 @@ Subcommands:
 
 Floats are printed with 17 significant digits so output is reproducible
 bit for bit.  A sweep evaluates its whole grid with one array call in one
-process; --workers is accepted and ignored.
+process; sweep's --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -445,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller samples, skip the subprocess check")
-    p_verify.add_argument("--workers", type=int,
-                          help="ignored: sweeps run in one process")
     p_verify.add_argument("--inject-perturbation", type=float, nargs="?",
                           const=1e-3, default=0.0,
                           help="corrupt one amplitude to prove the gate trips")

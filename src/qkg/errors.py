@@ -15,14 +15,6 @@ class DegenerateWavenumberError(ValueError):
     """
 
 
-class ComplexLimitDegeneracyError(ValueError):
-    """Raw mode ratios were requested in the complex limit (sin theta ~ 0).
-
-    The raw ratios diverge there.  The regular combinations w_plus, w_minus
-    and w_cross remain finite for every direction and should be used instead.
-    """
-
-
 class SingularSystemError(RuntimeError):
     """A matching or boundary linear system could not be solved reliably."""
 

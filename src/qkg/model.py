@@ -26,8 +26,9 @@ and amplitude ratios C_beta / C_alpha
     r_minus = -(n1 - 1) / (n3 - i n2).
 
 The raw ratios blow up as sin theta -> 0 (the complex limit, where the
-potential direction aligns with i), but every physical formula downstream
-needs them only through three combinations that stay finite for all angles:
+potential direction aligns with i), so the package never stores them.  Every
+formula downstream needs them only through three combinations that stay
+finite for all angles, and only these are kept:
 
     w_plus  = r_plus  / (r_plus - r_minus) = cos^2(theta / 2)
     w_minus = r_minus / (r_plus - r_minus) = -sin^2(theta / 2)
@@ -41,14 +42,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexLimitDegeneracyError, DegenerateWavenumberError
+from .errors import DegenerateWavenumberError
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
-# Raw mode ratios are withheld below this value of sin(theta).
+# At or below this value of sin(theta) the closed form takes its
+# complex-limit route.
 EPS_THETA = 1e-9
 
 # Relative half-width of the rejected band around V0 = omega0.
@@ -149,35 +151,15 @@ def check_nondegenerate(spec: BarrierSpec) -> None:
 
 @dataclass(frozen=True)
 class ModeRatios:
-    """Interior amplitude ratios and their regular combinations.
+    """Regular combinations of the interior amplitude ratios.
 
-    w_plus, w_minus and w_cross are defined for every direction.  The raw
-    ratios r_plus and r_minus exist only away from the complex limit;
-    accessing them at sin(theta) <= EPS_THETA raises
-    ComplexLimitDegeneracyError.
+    w_plus, w_minus and w_cross are defined for every direction; the raw
+    ratios r_plus and r_minus, which diverge at the poles, are not kept.
     """
 
     w_plus: complex
     w_minus: complex
     w_cross: complex
-    raw_plus: complex | None = field(default=None, repr=False)
-    raw_minus: complex | None = field(default=None, repr=False)
-
-    @property
-    def r_plus(self) -> complex:
-        if self.raw_plus is None:
-            raise ComplexLimitDegeneracyError(
-                "raw r_plus diverges at sin(theta) ~ 0; use w_plus, w_minus, "
-                "w_cross instead")
-        return self.raw_plus
-
-    @property
-    def r_minus(self) -> complex:
-        if self.raw_minus is None:
-            raise ComplexLimitDegeneracyError(
-                "raw r_minus is withheld at sin(theta) ~ 0; use w_plus, "
-                "w_minus, w_cross instead")
-        return self.raw_minus
 
 
 def mode_ratios(theta: float, phi: float) -> ModeRatios:
@@ -189,20 +171,10 @@ def mode_ratios(theta: float, phi: float) -> ModeRatios:
         w_plus  = (1 + cos theta) / 2
         w_minus = (cos theta - 1) / 2
         w_cross = (i/2) sin(theta) e^{-i phi}
-
-    Raw ratios are attached only when sin(theta) > EPS_THETA.
     """
-    n = UnitImaginaryDirection.from_angles(theta, phi)
-    st = math.sin(theta)
-    w_plus = complex((1.0 + n.n1) / 2.0)
-    w_minus = complex((n.n1 - 1.0) / 2.0)
-    w_cross = 0.5j * st * cmath.exp(-1j * phi)
-    raw_plus = raw_minus = None
-    if st > EPS_THETA:
-        denom = complex(n.n3, -n.n2)
-        raw_plus = -(n.n1 + 1.0) / denom
-        raw_minus = -(n.n1 - 1.0) / denom
-    return ModeRatios(w_plus, w_minus, w_cross, raw_plus, raw_minus)
+    n1 = math.cos(theta)
+    return ModeRatios(complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
+                      0.5j * math.sin(theta) * cmath.exp(-1j * phi))
 
 
 def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
@@ -210,7 +182,9 @@ def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
 
     N = [[n1, n3 - i n2], [n3 + i n2, -n1]] satisfies N^2 = I.  Its +1
     eigenvectors are the k_minus modes (ratio r_minus) and its -1
-    eigenvectors the k_plus modes (ratio r_plus).
+    eigenvectors the k_plus modes (ratio r_plus).  The Hamilton product
+    n * (alpha + j beta) * i of quaternion.left_n_right_i acts on
+    (alpha, beta) as -sz N sz, sz = diag(1, -1).
     """
     off = complex(n.n3, -n.n2)
     return np.array([[n.n1, off], [off.conjugate(), -n.n1]], dtype=complex)

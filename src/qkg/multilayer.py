@@ -8,7 +8,7 @@ the symplectic split, with the 2x2 matrix
 N the direction involution.  Spectrally, K^2 = k_minus^2 P + k_plus^2 Q with
 projectors P = (I + N)/2 and Q = (I - N)/2, so propagation over a length L
 maps the state s = (psi_alpha, psi_beta, psi_alpha', psi_beta') by the 4x4
-blocks
+complex ndarray
 
     T(L) = [ C(L)   S(L) ]      C = cos(k- L) P + cos(k+ L) Q
            [ -K^2 S(L)  C(L) ]  S = sin(k- L)/k- P + sin(k+ L)/k+ Q
@@ -71,15 +71,8 @@ class LayerStack:
         return sum(seg.length for seg in self.segments)
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMatrix4:
-    """4x4 map of (psi_alpha, psi_beta, psi_alpha', psi_beta') over a region."""
-
-    matrix: np.ndarray
-
-
-def segment_transfer(seg: Segment, omega0: float) -> TransferMatrix4:
-    """Transfer matrix of one segment at frequency omega0."""
+def segment_transfer(seg: Segment, omega0: float) -> np.ndarray:
+    """(4, 4) transfer matrix of one segment at frequency omega0."""
     kp = abs(omega0 + seg.v0)
     km = abs(omega0 - seg.v0)
     if not isfinite(seg.length * kp):
@@ -98,16 +91,15 @@ def segment_transfer(seg: Segment, omega0: float) -> TransferMatrix4:
     c_block = cos(km * length) * p_minus + cos(kp * length) * p_plus
     s_block = (sin(km * length) / km) * p_minus + (sin(kp * length) / kp) * p_plus
     ks_block = (km * sin(km * length)) * p_minus + (kp * sin(kp * length)) * p_plus
-    t = np.block([[c_block, s_block], [-ks_block, c_block]])
-    return TransferMatrix4(t)
+    return np.block([[c_block, s_block], [-ks_block, c_block]])
 
 
-def compose(later: TransferMatrix4, earlier: TransferMatrix4) -> TransferMatrix4:
+def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Transfer of traversing earlier then later."""
-    return TransferMatrix4(later.matrix @ earlier.matrix)
+    return later @ earlier
 
 
-def stack_transfer(stack: LayerStack) -> TransferMatrix4:
+def stack_transfer(stack: LayerStack) -> np.ndarray:
     total = segment_transfer(stack.segments[0], stack.omega0)
     for seg in stack.segments[1:]:
         total = compose(segment_transfer(seg, stack.omega0), total)
@@ -122,7 +114,7 @@ def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:
     beyond the stack, so a single-segment stack reproduces the one-barrier
     amplitudes directly.
     """
-    t = stack_transfer(stack).matrix
+    t = stack_transfer(stack)
     k0 = stack.omega0
     total_length = stack.total_length()
     if not isfinite(k0 * total_length):

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .closedform import amplitudes_closed, amplitudes_taylor
+from .closedform import amplitudes_closed, amplitudes_taylor, exterior_amplitudes_grid
 from .matcher import build_system, solve, solve_spec
-from .model import BarrierSpec, mode_ratios, wavenumbers
+from .model import BarrierSpec, wavenumbers
 from .multilayer import (
     LayerStack,
     Segment,
@@ -215,22 +215,12 @@ def check_no_damping(quick: bool = False) -> CheckResult:
     """Criterion 5: |c8| does not decay with barrier width."""
     step = 0.05 if quick else DAMPING_STEP
     start = time.perf_counter()
-
-    def max_c8(a_lo: float, a_hi: float) -> float:
-        peak = 0.0
-        steps_lo = int(round(a_lo / step))
-        steps_hi = int(round(a_hi / step))
-        for i in range(steps_lo, steps_hi + 1):
-            a = i * step
-            if a <= 0.0:
-                continue
-            spec = BarrierSpec(a=a, v0=0.3, omega0=1.0,
-                               theta=math.pi / 2, phi=0.0)
-            peak = max(peak, abs(amplitudes_closed(spec).c8))
-        return peak
-
-    near = max_c8(0.0, 50.0)
-    far = max_c8(50.0, 100.0)
+    # widths i * step for i = 1 .. 100 / step; c8[i - 1] belongs to width i * step
+    half = int(round(50.0 / step))
+    widths = np.arange(1, 2 * half + 1) * step
+    c8 = np.abs(exterior_amplitudes_grid(widths, 0.3, 1.0, math.pi / 2, 0.0)[3])
+    near = float(c8[:half].max())
+    far = float(c8[half - 1:].max())
     elapsed = time.perf_counter() - start
     passed = far >= DAMPING_RATIO * near and (quick or elapsed < DAMPING_SECONDS)
     return CheckResult(5, "no-damping", passed,
@@ -260,9 +250,8 @@ def check_transfer_oracle(quick: bool = False) -> CheckResult:
         second = segment_transfer(Segment(spec.a - cut, spec.v0, spec.theta,
                                           spec.phi), spec.omega0)
         whole = segment_transfer(seg, spec.omega0)
-        defect = np.abs(second.matrix @ first.matrix - whole.matrix).max()
-        worst_bisect = max(worst_bisect,
-                           defect / max(1.0, np.abs(whole.matrix).max()))
+        defect = np.abs(second @ first - whole).max()
+        worst_bisect = max(worst_bisect, defect / max(1.0, np.abs(whole).max()))
 
         _, trans_gap = stack_scatter(
             LayerStack((seg, free_gap(0.0)), spec.omega0))
@@ -306,10 +295,15 @@ def check_ordering_sanity(quick: bool = False) -> CheckResult:
 
 
 def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Independent literal transcription of the raw matching system."""
+    """Independent literal transcription of the raw matching system.
+
+    The raw ratios r+- = -(n1 +- 1) / (n3 - i n2) diverge at the poles, so
+    callers pass only specs with sin(theta) well above zero.
+    """
     disp = wavenumbers(spec)
-    ratios = mode_ratios(spec.theta, spec.phi)
-    rp, rm = ratios.r_plus, ratios.r_minus
+    n = spec.direction()
+    denom = complex(n.n3, -n.n2)
+    rp, rm = -(n.n1 + 1.0) / denom, -(n.n1 - 1.0) / denom
     k0, kp, km = disp.k0, disp.k_plus, disp.k_minus
     a = spec.a
     epp, epm = np.exp(1j * a * kp), np.exp(-1j * a * kp)

@@ -5,10 +5,14 @@ The whole suite is executed once per test session through qkg.verify.run_all
 pass/fail line so `pytest -s` shows the same table the command line does.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qkg import verify
+from qkg.closedform import amplitudes_closed
+from qkg.model import BarrierSpec
 from qkg.verify import run_all
 
 
@@ -44,6 +48,18 @@ def test_criterion_4_small_parameter_expansion_first_order(results):
 def test_criterion_5_transmitted_wave_never_damps(results):
     res = gate(results, 5)
     assert res.seconds < 2.0
+
+
+def test_criterion_5_matches_the_scalar_loop():
+    # reference: amplitudes_closed at every width i * step, one at a time
+    step = 0.05
+    c8 = {i: abs(amplitudes_closed(BarrierSpec(i * step, 0.3, 1.0, math.pi / 2,
+                                                0.0)).c8)
+          for i in range(1, 2001)}
+    near = max(c8[i] for i in range(1, 1001))
+    far = max(c8[i] for i in range(1000, 2001))
+    expect = f"max|c8| {near:.4f} on (0,50], {far:.4f} on [50,100]"
+    assert verify.check_no_damping(quick=True).detail == expect
 
 
 def test_criterion_6_transfer_matrix_reproduces_matching(results):

@@ -293,9 +293,11 @@ class TestVerifyCommand:
         assert "[PASS] 1 oracle-equivalence" in proc.stdout
         assert "[SKIP] 9 determinism" in proc.stdout
 
-    def test_workers_flag_accepted(self):
+    def test_workers_flag_rejected(self):
+        # verify runs no sweep pool, so it takes no worker count
         proc = run_cli("verify", "--quick", "--workers", "3")
-        assert proc.returncode == 0
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --workers" in proc.stderr
 
     def test_config_flag_rejected(self):
         # verify reads no settings, so it takes no defaults file

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkg.errors import ComplexLimitDegeneracyError, DegenerateWavenumberError
+from qkg.errors import DegenerateWavenumberError
 from qkg.model import (
     EPS_K_REL,
     EPS_THETA,
@@ -23,6 +23,13 @@ from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
 
 angles = st.tuples(st.floats(0.1, math.pi - 0.1),
                    st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+
+
+def raw_ratios(theta, phi):
+    """r_plus, r_minus = -(n1 +- 1) / (n3 - i n2); they diverge at the poles."""
+    n = UnitImaginaryDirection.from_angles(theta, phi)
+    denom = complex(n.n3, -n.n2)
+    return -(n.n1 + 1.0) / denom, -(n.n1 - 1.0) / denom
 
 
 class TestBarrierSpec:
@@ -69,8 +76,9 @@ class TestDispersion:
 class TestModeRatios:
     def test_equator_values(self):
         r = mode_ratios(math.pi / 2, 0.0)
-        assert r.r_plus == pytest.approx(-1j)
-        assert r.r_minus == pytest.approx(1j)
+        rp, rm = raw_ratios(math.pi / 2, 0.0)
+        assert rp == pytest.approx(-1j)
+        assert rm == pytest.approx(1j)
         assert r.w_plus == pytest.approx(0.5)
         assert r.w_minus == pytest.approx(-0.5)
         assert r.w_cross == pytest.approx(0.5j)
@@ -79,10 +87,11 @@ class TestModeRatios:
     def test_regular_combinations_match_raw(self, ang):
         theta, phi = ang
         r = mode_ratios(theta, phi)
-        dr = r.r_plus - r.r_minus
-        assert r.w_plus == pytest.approx(r.r_plus / dr, abs=1e-12)
-        assert r.w_minus == pytest.approx(r.r_minus / dr, abs=1e-12)
-        assert r.w_cross == pytest.approx(r.r_plus * r.r_minus / dr, abs=1e-12)
+        rp, rm = raw_ratios(theta, phi)
+        dr = rp - rm
+        assert r.w_plus == pytest.approx(rp / dr, abs=1e-12)
+        assert r.w_minus == pytest.approx(rm / dr, abs=1e-12)
+        assert r.w_cross == pytest.approx(rp * rm / dr, abs=1e-12)
 
     @given(angles)
     def test_half_angle_forms(self, ang):
@@ -95,17 +104,8 @@ class TestModeRatios:
 
     @given(angles)
     def test_ratio_product_identity(self, ang):
-        theta, phi = ang
-        r = mode_ratios(theta, phi)
-        assert r.r_plus * r.r_minus.conjugate() == pytest.approx(-1.0, abs=1e-12)
-
-    def test_raw_ratios_withheld_at_poles(self):
-        for theta in (0.0, math.pi):
-            r = mode_ratios(theta, 0.7)
-            with pytest.raises(ComplexLimitDegeneracyError):
-                r.r_plus
-            with pytest.raises(ComplexLimitDegeneracyError):
-                r.r_minus
+        rp, rm = raw_ratios(*ang)
+        assert rp * rm.conjugate() == pytest.approx(-1.0, abs=1e-12)
 
     def test_cross_combination_at_poles(self):
         assert mode_ratios(0.0, 1.0).w_cross == 0.0
@@ -143,9 +143,9 @@ class TestInteriorModes:
     def test_mode_pairs_satisfy_interior_equation(self):
         spec = BarrierSpec(1.0, 0.45, 1.2, 0.8, 2.0)
         d = wavenumbers(spec)
-        r = mode_ratios(spec.theta, spec.phi)
-        plus = SymplecticPair(1.0, r.r_plus)
-        minus = SymplecticPair(1.0, r.r_minus)
+        rp, rm = raw_ratios(spec.theta, spec.phi)
+        plus = SymplecticPair(1.0, rp)
+        minus = SymplecticPair(1.0, rm)
         assert dispersion_residual(d.k_plus, spec, plus) < 1e-12
         assert dispersion_residual(d.k_minus, spec, minus) < 1e-12
         # crossing branch and wavenumber must fail

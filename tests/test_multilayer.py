@@ -84,11 +84,11 @@ class TestSegments:
 class TestTransferMatrices:
     def test_zero_length_is_identity(self):
         t = segment_transfer(Segment(0.0, 0.55, 1.2, 0.3), 1.0)
-        assert np.array_equal(t.matrix, np.eye(4, dtype=complex))
+        assert np.array_equal(t, np.eye(4, dtype=complex))
 
     def test_free_gap_entries(self):
         k0, length = 1.3, 0.9
-        t = segment_transfer(free_gap(length), k0).matrix
+        t = segment_transfer(free_gap(length), k0)
         c, s = math.cos(k0 * length), math.sin(k0 * length)
         expect = np.block([
             [c * np.eye(2), (s / k0) * np.eye(2)],
@@ -99,11 +99,11 @@ class TestTransferMatrices:
     def test_composition_order(self):
         first = Segment(0.8, 0.2, 1.0, 0.0)
         second = Segment(1.1, 0.5, 2.0, 1.0)
-        stacked = stack_transfer(LayerStack((first, second), 1.0)).matrix
+        stacked = stack_transfer(LayerStack((first, second), 1.0))
         t1 = segment_transfer(first, 1.0)
         t2 = segment_transfer(second, 1.0)
-        assert np.allclose(stacked, (t2.matrix @ t1.matrix), atol=1e-14)
-        assert np.allclose(compose(t2, t1).matrix, stacked, atol=1e-14)
+        assert np.allclose(stacked, (t2 @ t1), atol=1e-14)
+        assert np.allclose(compose(t2, t1), stacked, atol=1e-14)
 
     def test_bisection(self, rng):
         for _ in range(20):
@@ -111,9 +111,9 @@ class TestTransferMatrices:
             length = rng.uniform(0.1, 10.0)
             cut = length * rng.uniform(0.2, 0.8)
             theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            whole = segment_transfer(Segment(length, v0, theta, phi), 1.0).matrix
-            left = segment_transfer(Segment(cut, v0, theta, phi), 1.0).matrix
-            right = segment_transfer(Segment(length - cut, v0, theta, phi), 1.0).matrix
+            whole = segment_transfer(Segment(length, v0, theta, phi), 1.0)
+            left = segment_transfer(Segment(cut, v0, theta, phi), 1.0)
+            right = segment_transfer(Segment(length - cut, v0, theta, phi), 1.0)
             scale = max(1.0, np.abs(whole).max())
             assert np.abs(right @ left - whole).max() < 1e-12 * scale
 
@@ -122,7 +122,7 @@ class TestTransferMatrices:
         for _ in range(10):
             seg = Segment(rng.uniform(0.1, 5), rng.uniform(0, 0.9),
                           rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            det = np.linalg.det(segment_transfer(seg, 1.0).matrix)
+            det = np.linalg.det(segment_transfer(seg, 1.0))
             assert det == pytest.approx(1.0, abs=1e-10)
 
 

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkg.errors import InvalidDirectionError
+from qkg.model import direction_coupling
 from qkg.quaternion import (
     I,
     J,
@@ -161,3 +163,17 @@ class TestLeftNRightI:
         got = left_n_right_i(n, c)
         want = brute_left_n_right_i(n, c)
         assert (got - want).norm() <= 1e-12 * max(1.0, c.norm())
+
+    def test_matrix_is_sign_conjugated_coupling(self, rng):
+        # the oracle's convention differs from the solvers' coupling N by
+        # conjugation with sz = diag(1, -1) and an overall sign
+        sz = np.diag([1.0, -1.0])
+        for _ in range(200):
+            n = UnitImaginaryDirection.from_angles(rng.uniform(0.0, math.pi),
+                                                   rng.uniform(0.0, 2.0 * math.pi))
+            cols = [left_n_right_i(n, SymplecticPair(1.0, 0.0)),
+                    left_n_right_i(n, SymplecticPair(0.0, 1.0))]
+            m = np.array([[c.alpha for c in cols], [c.beta for c in cols]])
+            coupling = direction_coupling(n)
+            assert np.abs(m + sz @ coupling @ sz).max() <= 1e-15
+            assert np.abs(m - coupling).max() == pytest.approx(2.0 * abs(n.n1))
