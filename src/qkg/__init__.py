@@ -3,8 +3,9 @@
 The package solves the one-dimensional matching problem for a step
 potential whose imaginary part points along an arbitrary unit direction,
 provides the equivalent closed-form amplitudes, samples the wavefunction,
-and composes stacked barriers through 4x4 transfer matrices, which are plain
-complex ndarrays.
+and scatters stacked barriers through 4x4 S-matrices composed by star
+products, with 4x4 transfer matrices (plain complex ndarrays) as the
+route for hard mirrors and as the check.
 """
 
 import logging
@@ -56,7 +57,9 @@ from .multilayer import (
     ordering_report,
     segment_transfer,
     stack_scatter,
+    stack_smatrix,
     stack_transfer,
+    transfer_smatrix,
 )
 from .quaternion import (
     I,
@@ -146,7 +149,9 @@ __all__ = [
     "solve_spec",
     "split",
     "stack_scatter",
+    "stack_smatrix",
     "stack_transfer",
+    "transfer_smatrix",
     "transmission",
     "wavenumbers",
 ]

@@ -1,4 +1,4 @@
-"""Transfer matrices for stacks of quaternionic barriers.
+"""Scattering of plane waves off stacks of quaternionic barriers.
 
 The interior field of any segment obeys psi'' = -K^2 psi component-wise in
 the symplectic split, with the 2x2 matrix
@@ -6,17 +6,41 @@ the symplectic split, with the 2x2 matrix
     K^2 = (omega0^2 + V0^2) I - 2 omega0 V0 N,
 
 N the direction involution.  Spectrally, K^2 = k_minus^2 P + k_plus^2 Q with
-projectors P = (I + N)/2 and Q = (I - N)/2, so propagation over a length L
-maps the state s = (psi_alpha, psi_beta, psi_alpha', psi_beta') by the 4x4
-complex ndarray
+projectors P = (I + N)/2 and Q = (I - N)/2, so every 2x2 block of a segment
+is a function of N,
+
+    f(N) = f- P + f+ Q = (f- + f+)/2 I + (f- - f+)/2 N,
+
+with f- taken on the k_minus branch and f+ on the k_plus branch.  A free gap
+(V0 = 0) has k_minus = k_plus = omega0, so its blocks ignore the stored
+angles.
+
+Stacks are scattered with S-matrices in the free-wave basis of k0 = omega0,
+each side referenced to its own end.  One array pass builds every segment's
+S = [[r, t], [t, r]]: on each branch q the segment is a symmetric lossless
+slab with
+
+    t = 1 / (cos qL - (i/2) sin qL (k0/q + q/k0)),
+    r = (i/2) sin qL (q/k0 - k0/q) t,
+
+so no per-segment inverse is needed.  The Redheffer star product composes
+the segments; it is associative, so the stack is reduced as a balanced tree
+in log2(n) batched steps, with the 2x2 products and inverses written out on
+(2, 2, n, m) arrays.  Every S-matrix is unitary, so no entry grows with
+depth.
+
+A segment branch with |t|^2 below HARD_MIRROR_FLOOR is a hard mirror: its
+|r| rounds to 1 and star products cannot work.  Between strong mirrors above
+the floor they resolve a cavity only to about eps / |t|^2, which shows as a
+flux defect.  Stacks with a hard mirror, and stacks whose star products miss
+STACK_FLUX_TOL, are scattered by the 4x4 transfer product instead,
 
     T(L) = [ C(L)   S(L) ]      C = cos(k- L) P + cos(k+ L) Q
            [ -K^2 S(L)  C(L) ]  S = sin(k- L)/k- P + sin(k+ L)/k+ Q
 
-which involves only bounded, angle-regular entries.  A free gap (V0 = 0) has
-K^2 = omega0^2 I regardless of the stored angles.  Stacks compose by left
-multiplication in traversal order, and scattering amplitudes come from a
-small boundary system rather than from inverting the total transfer matrix.
+over s = (psi_alpha, psi_beta, psi_alpha', psi_beta'), composed by left
+multiplication in traversal order, and one 4x4 boundary solve.  Its answer
+must meet STACK_FLUX_TOL too.
 """
 
 from __future__ import annotations
@@ -30,6 +54,14 @@ import numpy as np
 from .errors import DegenerateWavenumberError, SingularSystemError
 from .model import EPS_K_REL, BarrierSpec, check_layer, direction_coupling
 from .quaternion import SymplecticPair, UnitImaginaryDirection
+
+# Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
+STACK_FLUX_TOL = 1e-10
+
+# A segment branch with |t|^2 below this is a hard mirror: |r| = sqrt(1 -
+# |t|^2) is within rounding of 1, so star products cannot see its
+# transmission.
+HARD_MIRROR_FLOOR = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -106,6 +138,184 @@ def stack_transfer(stack: LayerStack) -> np.ndarray:
     return total
 
 
+def transfer_smatrix(stack: LayerStack) -> np.ndarray:
+    """S-matrix of stack_smatrix from the transfer product and a 4x4 solve.
+
+    This is the route for stacks with a hard mirror, and the oracle that
+    qkg verify holds the star products against on short stacks.
+
+    Left of the stack the field is a e^{i k0 x} + b e^{-i k0 x}; right of
+    it, in the local coordinate x' = x - L, c e^{i k0 x'} + d e^{-i k0 x'}.
+    The transfer product maps the left state to the right one; the solve
+    returns the outgoing (b, c) for each incoming unit column of (a, d).
+    """
+    t = stack_transfer(stack)
+    k0 = stack.omega0
+    eye = np.eye(2, dtype=complex)
+    right_going = np.vstack([eye, 1j * k0 * eye])
+    left_going = np.vstack([eye, -1j * k0 * eye])
+    m4 = np.hstack([t @ left_going, -right_going])
+    rhs = np.hstack([-(t @ right_going), left_going])
+    if not (np.isfinite(m4).all() and np.isfinite(rhs).all()):
+        raise ValueError("stack boundary system must not contain infs or NaNs")
+    try:
+        return np.linalg.solve(m4, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stack boundary system unsolvable: {exc}") from exc
+
+
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched product of (rows, 2, ...) and (2, cols, ...) block arrays."""
+    out = np.multiply(a[:, :1], b[0], out=out)
+    out += a[:, 1:] * b[1]
+    return out
+
+
+def _star(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Redheffer star product of (4, 4, ...) S-matrices, s1 traversed first.
+
+    Between the two, u is the right-going and v the left-going wave, both
+    as coefficients of the incoming (a, d):
+        u = (I - r1' r2)^-1 [t1 | r1' t2'],   v = r2 u + [0 | t2'].
+    """
+    y = _mul(s1[2:, 2:], s2[:2])               # [r1' r2 | r1' t2']
+    x = y[:, :2]
+    d00 = 1.0 - x[0, 0]
+    d11 = 1.0 - x[1, 1]
+    det = d00 * d11 - x[0, 1] * x[1, 0]
+    w = np.array([[d11, x[0, 1]], [x[1, 0], d00]])
+    w /= det
+    y[:, :2] = s1[2:, :2]
+    u = _mul(w, y)
+    v = _mul(s2[:2, :2], u, out=y)
+    v[:, 2:] += s2[:2, 2:]
+    out = np.empty_like(u, shape=s1.shape)
+    _mul(s1[:2, 2:], v, out=out[:2])
+    out[:2, :2] += s1[:2, :2]
+    _mul(s2[2:, :2], u, out=out[2:])
+    out[2:, 2:] += s2[2:, 2:]
+    return out
+
+
+def _branch_slabs(k0: float, length, v0) -> tuple[np.ndarray, np.ndarray] | None:
+    """r and t of each branch q = k_minus, k_plus as a symmetric slab.
+
+    Arrays of shape (2, n, m) for (n, m) valid segments, or None when a
+    branch is a hard mirror.  q / k0 may overflow; |t|^2 then fails the
+    floor.
+    """
+    q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = q * length
+        sin_half = 0.5 * np.sin(phase)
+        up, down = q / k0, k0 / q
+        t = 1.0 / (np.cos(phase) - 1j * (sin_half * (down + up)))
+        r = (1j * sin_half * (up - down)) * t
+        t2 = t.real ** 2 + t.imag ** 2
+    return (r, t) if t2.min() >= HARD_MIRROR_FLOOR else None
+
+
+def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray | None:
+    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment; None on a hard mirror.
+
+    Each 2x2 block is f(N) = (f- + f+)/2 I + (f- - f+)/2 N.
+    """
+    slabs = _branch_slabs(k0, length, v0)
+    if slabs is None:
+        return None
+    sin_theta = np.sin(theta)
+    off = np.empty(theta.shape, dtype=complex)     # n3 - i n2
+    off.real = sin_theta * np.sin(phi)
+    off.imag = sin_theta * -np.cos(phi)
+    n1 = np.cos(theta)
+    rt = np.array(slabs)
+    mean = 0.5 * (rt[:, 0] + rt[:, 1])
+    half_diff = 0.5 * (rt[:, 0] - rt[:, 1])
+    # s[out side, i, in side, j] = [[r, t], [t, r]]: fill the left row,
+    # then mirror it into the right one
+    s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
+    s[0, 0, :, 0] = mean + half_diff * n1
+    s[0, 1, :, 1] = mean - half_diff * n1
+    s[0, 0, :, 1] = half_diff * off
+    s[0, 1, :, 0] = half_diff * off.conj()
+    s[1] = s[0, :, ::-1]
+    return s.reshape((4, 4) + theta.shape)
+
+
+def _flux_defect(s: np.ndarray) -> float:
+    """Largest | |S e_j|^2 - 1 | over the columns of (4, 4, ...) S-matrices."""
+    return float(np.abs((s.real ** 2 + s.imag ** 2).sum(axis=0) - 1.0).max())
+
+
+def _star_tree(s: np.ndarray) -> np.ndarray:
+    """Star product of (4, 4, n, m) S-matrices along n, as a balanced tree."""
+    while s.shape[2] > 1:
+        pairs = s.shape[2] // 2
+        joined = _star(s[:, :, 0:2 * pairs:2], s[:, :, 1:2 * pairs:2])
+        s = joined if s.shape[2] % 2 == 0 else np.concatenate(
+            (joined, s[:, :, -1:]), axis=2)
+    return s[:, :, 0]
+
+
+def _smatrices(stacks: tuple[LayerStack, ...]) -> tuple[np.ndarray, list[float]]:
+    """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0.
+
+    Also returns each stack's total length, summed in segment order.
+    Raises the error of segment_transfer for the first segment, stack by
+    stack, whose phase leaves the float range or whose k_minus vanishes.
+    """
+    k0 = stacks[0].omega0
+    table = np.fromiter((x for stack in stacks for seg in stack.segments
+                         for x in (seg.length, seg.v0, seg.theta, seg.phi)), float)
+    length, v0, theta, phi = table.reshape(len(stacks), -1, 4).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(length * np.abs(k0 + v0)) | (np.abs(k0 - v0) < EPS_K_REL * k0)
+    if bad.any():
+        # segment_transfer raises the error for the first bad segment
+        i, j = np.argwhere(bad.T)[0]
+        segment_transfer(stacks[i].segments[j], k0)
+    s = _segment_smatrices(k0, length, v0, theta, phi)
+    if s is not None:
+        s = _star_tree(s)
+    if s is None or not _flux_defect(s) <= STACK_FLUX_TOL:
+        # a hard mirror, or a cavity between strong mirrors that the star
+        # products resolve only to about eps / |t|^2
+        s = np.stack([transfer_smatrix(stack) for stack in stacks], axis=-1)
+        defect = _flux_defect(s)
+        if not defect <= STACK_FLUX_TOL:
+            raise SingularSystemError(
+                f"stack scattering loses flux: ||r|^2 + |t|^2 - 1| = "
+                f"{defect:.3e} exceeds {STACK_FLUX_TOL:.0e}")
+    return s, [sum(lengths) for lengths in length.T.tolist()]
+
+
+def _scatter(stacks: tuple[LayerStack, ...]) -> list[tuple[SymplecticPair, SymplecticPair]]:
+    """Reflection and global-coordinate transmission pairs of each stack."""
+    k0 = stacks[0].omega0
+    s, totals = _smatrices(stacks)
+    out = []
+    for col, total_length in zip(s[:, 0].T.tolist(), totals):
+        if not isfinite(k0 * total_length):
+            raise ValueError(
+                f"stack of total length {total_length} at omega0 = {k0}: "
+                "omega0 * total length leaves the float range")
+        back = cmath.exp(-1j * k0 * total_length)
+        out.append((SymplecticPair(col[0], col[1]),
+                    SymplecticPair(col[2] * back, col[3] * back)))
+    return out
+
+
+def stack_smatrix(stack: LayerStack) -> np.ndarray:
+    """(4, 4) S-matrix of the stack in the free-wave basis of omega0.
+
+    Rows and columns run over (left alpha, left beta, right alpha, right
+    beta); column j holds the outgoing amplitudes for a unit incoming wave
+    in channel j.  Each side is referenced to its own end of the stack, so
+    S = [[r, t'], [t, r']] is unitary.
+    """
+    return _smatrices((stack,))[0][:, :, 0]
+
+
 def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:
     """Reflection and transmission pairs of a unit incident wave.
 
@@ -114,33 +324,7 @@ def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:
     beyond the stack, so a single-segment stack reproduces the one-barrier
     amplitudes directly.
     """
-    t = stack_transfer(stack)
-    k0 = stack.omega0
-    total_length = stack.total_length()
-    if not isfinite(k0 * total_length):
-        raise ValueError(
-            f"stack of total length {total_length} at omega0 = {k0}: "
-            "omega0 * total length leaves the float range")
-    e_end = cmath.exp(1j * k0 * total_length)
-    incident = np.array([1, 0, 1j * k0, 0], dtype=complex)
-    refl_cols = np.array([[1, 0],
-                          [0, 1],
-                          [-1j * k0, 0],
-                          [0, -1j * k0]], dtype=complex)
-    out_cols = np.array([[e_end, 0],
-                         [0, e_end],
-                         [1j * k0 * e_end, 0],
-                         [0, 1j * k0 * e_end]], dtype=complex)
-    m4 = np.hstack([t @ refl_cols, -out_cols])
-    rhs = -(t @ incident)
-    if not (np.isfinite(m4).all() and np.isfinite(rhs).all()):
-        raise ValueError("stack boundary system must not contain infs or NaNs")
-    try:
-        sol = np.linalg.solve(m4, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stack boundary system unsolvable: {exc}") from exc
-    return (SymplecticPair(complex(sol[0]), complex(sol[1])),
-            SymplecticPair(complex(sol[2]), complex(sol[3])))
+    return _scatter((stack,))[0]
 
 
 @dataclass(frozen=True)
@@ -160,13 +344,14 @@ def ordering_report(seg_a: Segment, seg_b: Segment, gap: float,
     d_prob = | |t_AB|^2 - |t_BA|^2 | and d_amp is the max-norm difference of
     the transmission pairs.  Both vanish for identical barriers; d_prob also
     vanishes for any pair of complex (theta = 0) barriers, while quaternionic
-    barriers with non-commuting directions generally give d_amp > 0.
+    barriers with non-commuting directions generally give d_amp > 0.  Both
+    orders are scattered as one batch.
     """
     if not (gap >= 0.0 and np.isfinite(gap)):
         raise ValueError(f"gap must be >= 0, got {gap}")
     spacer = free_gap(gap)
-    _, t_ab = stack_scatter(LayerStack((seg_a, spacer, seg_b), omega0))
-    _, t_ba = stack_scatter(LayerStack((seg_b, spacer, seg_a), omega0))
+    (_, t_ab), (_, t_ba) = _scatter((LayerStack((seg_a, spacer, seg_b), omega0),
+                                     LayerStack((seg_b, spacer, seg_a), omega0)))
     d_prob = abs(t_ab.norm2() - t_ba.norm2())
     d_amp = max(abs(t_ab.alpha - t_ba.alpha), abs(t_ab.beta - t_ba.beta))
     return OrderingReport(t_ab, t_ba, d_prob, d_amp)

@@ -1,6 +1,6 @@
 """End-to-end verification suite.
 
-Nine independent checks cross-validate the solvers against each other and
+Ten independent checks cross-validate the solvers against each other and
 against frozen expectations.  Each check returns a CheckResult; the command
 line prints them as a table and the acceptance tests assert them one by one.
 All tolerances are pinned here as constants.
@@ -29,6 +29,8 @@ from .multilayer import (
     ordering_report,
     segment_transfer,
     stack_scatter,
+    stack_smatrix,
+    transfer_smatrix,
 )
 from .wavefield import continuity_residuals
 
@@ -66,6 +68,14 @@ FIXTURE_TOL = 1e-10
 FIDELITY_SPECS = 100
 FIDELITY_TOL = 1e-13
 FIDELITY_MIN_SIN = 0.1
+
+STACK_DEEP_PAIRS = 1000
+STACK_DEEP_COUNT = 10
+STACK_HUGE_PAIRS = 10_000     # one such stack, full mode only
+STACK_UNITARITY_TOL = 1e-12
+STACK_SHORT_MAX_PAIRS = 20
+STACK_SHORT_COUNT = 100
+STACK_ORACLE_TOL = 1e-10
 
 # Regression fixture: orthogonal-direction barriers, recorded on first run.
 # Lengths 1.0 each, V0 = 0.3, omega0 = 1, gap 2.0; A along theta = pi/2,
@@ -105,6 +115,24 @@ def random_specs(rng: np.random.Generator, count: int) -> list[BarrierSpec]:
             phi=rng.uniform(0.0, 2.0 * math.pi),
         ))
     return specs
+
+
+def random_stack(rng: np.random.Generator, pairs: int) -> LayerStack:
+    """Barrier + gap stack of the given depth at one omega0 on [0.5, 2].
+
+    Each barrier is drawn like a random_specs spec at that omega0, and each
+    is followed by a free gap of length uniform on [0, 20).
+    """
+    omega0 = rng.uniform(0.5, 2.0)
+    columns = (20.0 * (1.0 - rng.random(pairs)),
+               0.9 * omega0 * (1.0 - rng.random(pairs)),
+               rng.uniform(0.0, math.pi, pairs),
+               rng.uniform(0.0, 2.0 * math.pi, pairs),
+               rng.uniform(0.0, 20.0, pairs))
+    segments = []
+    for a, v0, theta, phi, gap in zip(*(col.tolist() for col in columns)):
+        segments += (Segment(a, v0, theta, phi), free_gap(gap))
+    return LayerStack(tuple(segments), omega0)
 
 
 def check_oracle_equivalence(quick: bool = False, perturb: float = 0.0) -> CheckResult:
@@ -390,6 +418,42 @@ def check_determinism(quick: bool = False) -> CheckResult:
     return CheckResult(9, "determinism", passed, ", ".join(details), elapsed)
 
 
+def check_stack_unitarity(quick: bool = False) -> CheckResult:
+    """Criterion 10: deep stacks keep S unitary; short ones match the transfer route.
+
+    S^H S = I and S S^H = I are checked on STACK_DEEP_PAIRS-pair stacks
+    (plus one STACK_HUGE_PAIRS-pair stack in full mode).  On stacks of 1 to
+    STACK_SHORT_MAX_PAIRS pairs, stack_scatter is held against the incident
+    column of transfer_smatrix, moved to the global coordinate.
+    """
+    rng = np.random.default_rng(SEED + 5)
+    start = time.perf_counter()
+    depths = [STACK_DEEP_PAIRS] * (2 if quick else STACK_DEEP_COUNT)
+    if not quick:
+        depths.append(STACK_HUGE_PAIRS)
+    eye = np.eye(4)
+    worst_unitary = 0.0
+    for pairs in depths:
+        s = stack_smatrix(random_stack(rng, pairs))
+        worst_unitary = max(worst_unitary, np.abs(s.conj().T @ s - eye).max(),
+                            np.abs(s @ s.conj().T - eye).max())
+    count = 20 if quick else STACK_SHORT_COUNT
+    worst_oracle = 0.0
+    for _ in range(count):
+        stack = random_stack(rng, int(rng.integers(1, STACK_SHORT_MAX_PAIRS + 1)))
+        refl, trans = stack_scatter(stack)
+        ref = transfer_smatrix(stack)[:, 0]
+        ref[2:] *= np.exp(-1j * stack.omega0 * stack.total_length())
+        got = np.array([refl.alpha, refl.beta, trans.alpha, trans.beta])
+        worst_oracle = max(worst_oracle, np.abs(got - ref).max())
+    elapsed = time.perf_counter() - start
+    passed = worst_unitary <= STACK_UNITARITY_TOL and worst_oracle <= STACK_ORACLE_TOL
+    return CheckResult(10, "stack-unitarity", passed,
+                       f"unitarity {worst_unitary:.3e} to {max(depths)} pairs, "
+                       f"transfer route {worst_oracle:.3e} over {count} stacks",
+                       elapsed)
+
+
 def run_all(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
     """Run every check in order and collect the results."""
     return [
@@ -402,4 +466,5 @@ def run_all(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
         check_ordering_sanity(quick),
         check_matrix_fidelity(quick),
         check_determinism(quick),
+        check_stack_unitarity(quick),
     ]

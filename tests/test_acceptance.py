@@ -13,6 +13,7 @@ import pytest
 from qkg import verify
 from qkg.closedform import amplitudes_closed
 from qkg.model import BarrierSpec
+from qkg.quaternion import SymplecticPair
 from qkg.verify import run_all
 
 
@@ -92,6 +93,33 @@ def test_criterion_8_trips_on_a_moved_production_entry(monkeypatch, field, index
 def test_criterion_9_parallel_sweep_deterministic(results):
     res = gate(results, 9)
     assert not res.skipped
+
+
+def test_criterion_10_deep_stacks_unitary_short_stacks_match_transfer(results):
+    gate(results, 10)
+
+
+def _moved_smatrix(smatrix):
+    def moved(stack):
+        s = smatrix(stack)
+        s[1, 2] += 1e-11
+        return s
+    return moved
+
+
+def _moved_scatter(scatter):
+    def moved(stack):
+        refl, trans = scatter(stack)
+        return refl, SymplecticPair(trans.alpha, trans.beta + 1e-9)
+    return moved
+
+
+@pytest.mark.parametrize("name, move", [
+    ("stack_smatrix", _moved_smatrix), ("stack_scatter", _moved_scatter),
+], ids=("unitarity", "transfer route"))
+def test_criterion_10_trips_on_a_moved_answer(monkeypatch, name, move):
+    monkeypatch.setattr(verify, name, move(getattr(verify, name)))
+    assert not verify.check_stack_unitarity(quick=True).passed
 
 
 def test_full_suite_runtime_budget(results):

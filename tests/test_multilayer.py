@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qkg.errors import DegenerateWavenumberError
+from qkg import cli, multilayer
+from qkg.errors import DegenerateWavenumberError, SingularSystemError
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec
 from qkg.multilayer import (
+    HARD_MIRROR_FLOOR,
     LayerStack,
     Segment,
     compose,
@@ -15,8 +17,11 @@ from qkg.multilayer import (
     ordering_report,
     segment_transfer,
     stack_scatter,
+    stack_smatrix,
     stack_transfer,
+    transfer_smatrix,
 )
+from qkg.verify import random_stack
 
 # Orthogonal-direction regression fixture: two unit-width barriers with
 # V0 = 0.3 at theta = pi/2, one along phi = 0 and one along phi = pi/2,
@@ -74,6 +79,25 @@ class TestSegments:
             segment_transfer(seg, omega0)
         for value in (seg.length, seg.v0, omega0):
             assert str(value) in str(info.value)
+
+    def test_first_bad_segment_named(self):
+        # the third and fifth segments both leave the float range; the
+        # error is the one segment_transfer gives for the third
+        segs = (Segment(1.0, 0.3, 1.0, 0.0), free_gap(2.0),
+                Segment(1e308, 0.25, 1.0, 0.0), free_gap(2.0),
+                Segment(1e308, 0.35, 1.0, 0.0))
+        with pytest.raises(ValueError) as expect:
+            segment_transfer(segs[2], 10.0)
+        with pytest.raises(ValueError) as info:
+            stack_scatter(LayerStack(segs, 10.0))
+        assert str(info.value) == str(expect.value)
+        assert "v0 = 0.25" in str(info.value)
+
+    def test_first_degenerate_segment_named(self):
+        segs = (free_gap(1.0), Segment(1.0, 2.0, 1.0, 0.0),
+                Segment(1.0, 2.0 * (1 + 1e-12), 0.5, 0.0))
+        with pytest.raises(DegenerateWavenumberError, match="v0 = 2.0 "):
+            stack_smatrix(LayerStack(segs, 2.0))
 
     def test_total_phase_out_of_float_range_named(self):
         stack = LayerStack((free_gap(1e308), free_gap(1e308)), 1.0)
@@ -176,6 +200,21 @@ class TestStackScattering:
 
 
 class TestOrdering:
+    def test_batch_equals_separate_scatters(self, rng):
+        for _ in range(20):
+            omega0 = rng.uniform(0.5, 2.0)
+            seg_a, seg_b = (Segment(rng.uniform(0.2, 3), omega0 * rng.uniform(0.05, 0.9),
+                                    rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                            for _ in range(2))
+            gap = rng.uniform(0, 4)
+            report = ordering_report(seg_a, seg_b, gap, omega0)
+            _, t_ab = stack_scatter(LayerStack((seg_a, free_gap(gap), seg_b), omega0))
+            _, t_ba = stack_scatter(LayerStack((seg_b, free_gap(gap), seg_a), omega0))
+            for got, want in ((report.transmission_ab, t_ab),
+                              (report.transmission_ba, t_ba)):
+                assert abs(got.alpha - want.alpha) <= 1e-15
+                assert abs(got.beta - want.beta) <= 1e-15
+
     def test_identical_segments_commute(self):
         seg = Segment(1.0, 0.45, 1.1, 0.7)
         report = ordering_report(seg, seg, 1.5, 1.0)
@@ -213,3 +252,163 @@ class TestOrdering:
         seg_a, seg_b = fixture_segments()
         with pytest.raises(ValueError):
             ordering_report(seg_a, seg_b, -0.5, 1.0)
+
+
+def branch_t2(stack):
+    """Smallest |t|^2 of any segment branch, from the scalar slab formula."""
+    k0 = stack.omega0
+    worst = 1.0
+    for seg in stack.segments:
+        for q in (abs(k0 - seg.v0), k0 + seg.v0):
+            s, c = math.sin(q * seg.length), math.cos(q * seg.length)
+            worst = min(worst, 1.0 / abs(c - 0.5j * s * (k0 / q + q / k0)) ** 2)
+    return worst
+
+
+def transfer_scatter(stack):
+    """Incident column of transfer_smatrix, transmission moved to global x."""
+    col = transfer_smatrix(stack)[:, 0]
+    col[2:] *= cmath.exp(-1j * stack.omega0 * stack.total_length())
+    return col
+
+
+def scatter_column(stack):
+    refl, trans = stack_scatter(stack)
+    return np.array([refl.alpha, refl.beta, trans.alpha, trans.beta])
+
+
+def flux_defect(stack):
+    refl, trans = stack_scatter(stack)
+    return abs(refl.norm2() + trans.norm2() - 1.0)
+
+
+class TestStarProductRoute:
+    @pytest.mark.parametrize("pairs, count", [(200, 5), (1000, 3), (10_000, 1)])
+    def test_deep_stacks_conserve_flux(self, rng, pairs, count):
+        for _ in range(count):
+            assert flux_defect(random_stack(rng, pairs)) <= 1e-13
+
+    def test_smatrix_is_unitary(self, rng):
+        for _ in range(5):
+            s = stack_smatrix(random_stack(rng, 300))
+            assert np.abs(s.conj().T @ s - np.eye(4)).max() < 1e-12
+            assert np.abs(s @ s.conj().T - np.eye(4)).max() < 1e-12
+
+    def test_short_stacks_match_transfer_route(self, rng):
+        for _ in range(200):
+            stack = random_stack(rng, int(rng.integers(1, 21)))
+            ref = transfer_scatter(stack)
+            diff = np.abs(scatter_column(stack) - ref).max()
+            assert diff <= 1e-10 * np.abs(ref).max()
+
+    def test_hard_mirror_floor_on_both_sides(self, rng):
+        # small omega0 under V0 ~ 0.5 makes every barrier a strong mirror;
+        # log-uniform omega0 puts the weakest branch on both sides of the floor
+        sides = {True: 0, False: 0}
+        for _ in range(300):
+            omega0 = 10.0 ** rng.uniform(-10.0, -6.5)
+            segs = []
+            for _ in range(int(rng.integers(1, 4))):
+                segs += (Segment(rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.9),
+                                 rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+                         free_gap(rng.uniform(0.5, 1.5)))
+            stack = LayerStack(tuple(segs), omega0)
+            below = branch_t2(stack) < HARD_MIRROR_FLOOR
+            sides[below] += 1
+            if below:
+                assert np.array_equal(stack_smatrix(stack), transfer_smatrix(stack))
+            ref = transfer_scatter(stack)
+            diff = np.abs(scatter_column(stack) - ref).max()
+            assert diff <= 1e-10 * np.abs(ref).max()
+        assert min(sides.values()) >= 50
+
+    def test_cavity_between_strong_mirrors_takes_the_transfer_route(self):
+        # no hard mirror, but the star products lose 1.6e-7 of flux on this
+        # resonance, so the answer comes from the transfer route
+        params = ((0.6109658761730266, 0.4635846166409403, 3.135230962881112,
+                   5.015359981093782, 1.3265381408324592),
+                  (1.3084644467873208, 0.6009776304793354, 1.0652818436320164,
+                   2.6573969496444128, 1.0039764151740311),
+                  (0.9493374784051268, 0.673136598567345, 0.8728181673527842,
+                   1.1138439587914561, 1.014670368296219),
+                  (0.5313317455565554, 0.8875403065062789, 2.5960453927776284,
+                   0.5128794276609915, 0.9894614297680226))
+        segs = []
+        for length, v0, theta, phi, gap in params:
+            segs += (Segment(length, v0, theta, phi), free_gap(gap))
+        stack = LayerStack(tuple(segs), 3.0418761233297003e-08)
+        assert branch_t2(stack) >= HARD_MIRROR_FLOOR
+        s = stack_smatrix(stack)
+        assert np.array_equal(s, transfer_smatrix(stack))
+        assert np.abs(s.conj().T @ s - np.eye(4)).max() < 1e-12
+
+    def test_strong_mirrors_at_large_v0_stay_on_star_products(self, rng):
+        # V0 = 1e4 omega0: the transfer route loses all flux from about
+        # five pairs on, the star products keep it
+        segs = []
+        for _ in range(20):
+            segs += (Segment(rng.uniform(0.5, 1.5), 1e4 * rng.uniform(0.5, 1.0),
+                             rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+                     free_gap(rng.uniform(0.5, 1.5)))
+        stack = LayerStack(tuple(segs), 1.0)
+        assert branch_t2(stack) >= HARD_MIRROR_FLOOR
+        assert flux_defect(stack) <= 1e-13
+        ref = transfer_smatrix(stack)
+        assert np.abs((abs(ref) ** 2).sum(axis=0) - 1.0).max() > 1.0
+
+    def test_tiny_omega0_takes_the_transfer_route(self):
+        # 1 - |t|^2 rounds |r| to 1 here; the answer matches a 60-digit
+        # transfer solve to all printed digits
+        seg_a = Segment(1.0, 0.3, 1.0, 0.0)
+        seg_b = Segment(1.0, 0.3, 1.0, 1.0)
+        report = ordering_report(seg_a, seg_b, 0.0, 1e-300)
+        assert report.transmission_ab.alpha == 1.1806881311251503e-299j
+
+    def test_theta_zero_keeps_beta_exactly_zero(self, rng):
+        segs = []
+        for _ in range(100):
+            segs += (Segment(rng.uniform(0.5, 1.5), rng.uniform(0.05, 0.9), 0.0, 0.0),
+                     free_gap(rng.uniform(0.0, 2.0)))
+        stack = LayerStack(tuple(segs), 1.0)
+        refl, trans = stack_scatter(stack)
+        assert refl.beta == 0.0 and trans.beta == 0.0
+        s = stack_smatrix(stack)
+        assert not s[0::2, 1::2].any() and not s[1::2, 0::2].any()
+
+
+def leaky(func):
+    """func with its transmission block scaled by 1 + 1e-9."""
+    def wrapper(*args):
+        s = func(*args)
+        s[2:, :2] *= 1.0 + 1e-9
+        return s
+    return wrapper
+
+
+class TestFluxGate:
+    @pytest.fixture
+    def leaky_routes(self, monkeypatch):
+        monkeypatch.setattr(multilayer, "_star", leaky(multilayer._star))
+        monkeypatch.setattr(multilayer, "transfer_smatrix",
+                            leaky(multilayer.transfer_smatrix))
+
+    @pytest.mark.parametrize("call", [
+        lambda segs: stack_scatter(LayerStack(segs, 1.0)),
+        lambda segs: stack_smatrix(LayerStack(segs, 1.0)),
+        lambda segs: ordering_report(segs[0], segs[2], 1.0, 1.0),
+    ], ids=("stack_scatter", "stack_smatrix", "ordering_report"))
+    def test_lost_flux_raises(self, leaky_routes, call):
+        seg_a, seg_b = fixture_segments()
+        with pytest.raises(SingularSystemError, match="flux"):
+            call((seg_a, free_gap(1.0), seg_b))
+
+    def test_cli_exits_1(self, leaky_routes, capsys):
+        code = cli.main(["ordering", "--seg-a", "1:0.3:1:0", "--seg-b", "1:0.3:1:1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: stack scattering loses flux")
+
+    def test_leaky_star_products_fall_back_to_transfer_route(self, monkeypatch):
+        monkeypatch.setattr(multilayer, "_star", leaky(multilayer._star))
+        seg_a, seg_b = fixture_segments()
+        stack = LayerStack((seg_a, free_gap(1.0), seg_b), 1.0)
+        assert np.array_equal(stack_smatrix(stack), transfer_smatrix(stack))
