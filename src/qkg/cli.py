@@ -8,9 +8,9 @@ Subcommands:
   ordering  transmission change when two barriers are swapped
   verify    run the built-in verification suite
 
-Floats are printed with 17 significant digits so output is reproducible
-bit for bit.  A sweep evaluates its whole grid with one array call in one
-process; sweep's --workers is accepted and ignored.
+Floats print with 17 significant digits, reproducible bit for bit.  A sweep
+is one array call in one process, which rejects the first invalid grid point;
+sweep's --workers is ignored.  --format is checked before --out is opened.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .closedform import (
 )
 from .errors import SingularSystemError, UndefinedFractionError
 from .matcher import solve_spec
-from .model import BarrierSpec, check_nondegenerate, wavenumbers
+from .model import BarrierSpec, wavenumbers
 from .multilayer import Segment, ordering_report
 from .verify import run_all
 from .wavefield import sample_field
@@ -214,10 +214,9 @@ def cmd_solve(args, config) -> int:
                      zip(amps.as_array(), closed.as_array()))
     fraction = quaternionic_fraction(closed)
     magnitude = exterior_magnitude_sum(closed)
-    fmt = _setting(args, config, "format", str, "text")
     names = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
     with _output(args.out) as fh:
-        if fmt == "text":
+        if args.format == "text":
             table = _spec_table(spec)
             fh.write("barrier " + " ".join(f"{k}={_fmt(v)}"
                                            for k, v in table.items()) + "\n")
@@ -232,7 +231,7 @@ def cmd_solve(args, config) -> int:
             fh.write(f"condition estimate {amps.condition:.3e}\n")
             fh.write(f"quaternionic fraction {_fmt(fraction)}\n")
             fh.write(f"exterior magnitude sum {_fmt(magnitude)}\n")
-        elif fmt == "json":
+        elif args.format == "json":
             payload = {
                 "config": _spec_table(spec),
                 "wavenumbers": {"k0": disp.k0, "k_plus": disp.k_plus,
@@ -245,31 +244,13 @@ def cmd_solve(args, config) -> int:
                 "exterior_magnitude_sum": magnitude,
             }
             fh.write(_json_dump(payload) + "\n")
-        elif fmt == "csv":
+        else:
             rows = [[name, s.real, s.imag, c.real, c.imag]
                     for name, s, c in zip(names, amps.as_array(),
                                           closed.as_array())]
             _write_csv(fh, ["amplitude", "re_solve", "im_solve",
                             "re_closed", "im_closed"], rows)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
     return 0
-
-
-def _check_grid(base: dict[str, float], names, axes) -> None:
-    """Raise what the first invalid grid point, in row order, raises.
-
-    Each check reads one parameter, except the float-range (a, v0, omega0)
-    and degeneracy (v0, omega0) checks.  Unless both swept parameters are
-    among those three, the first invalid point is in the first row or column,
-    and only those points are built."""
-    points = itertools.product(*axes)
-    if len(axes) == 2 and not set(names) <= {"a", "v0", "omega0"}:
-        outer, inner = axes
-        points = itertools.chain(itertools.product(outer[:1], inner),
-                                 itertools.product(outer[1:], inner[:1]))
-    for point in points:
-        check_nondegenerate(BarrierSpec(**dict(base, **dict(zip(names, point)))))
 
 
 def cmd_sweep(args, config) -> int:
@@ -283,7 +264,6 @@ def cmd_sweep(args, config) -> int:
         raise ValueError("swept parameters must differ")
 
     base = _params(args, config)
-    _check_grid(base, names, values)
     mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
     c1, c2, c7, c8 = np.abs(
         exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
@@ -293,17 +273,14 @@ def cmd_sweep(args, config) -> int:
 
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
-    fmt = _setting(args, config, "format", str, "csv")
     with _output(args.out) as fh:
-        if fmt == "csv":
+        if args.format == "csv":
             # one row at a time, so the formatted grid is never held whole
             _write_csv(fh, columns, (row.tolist() for row in table))
-        elif fmt == "json":
+        else:
             payload = {"config": dict(base, sweep=list(sweeps)),
                        "columns": columns, "rows": table.tolist()}
             fh.write(_json_dump(payload) + "\n")
-        else:
-            raise ValueError("sweep supports csv or json output")
     return 0
 
 
@@ -322,16 +299,13 @@ def cmd_field(args, config) -> int:
                "im_psi_beta", "abs_psi", "region"]
     rows = [[s.x, s.psi.alpha.real, s.psi.alpha.imag, s.psi.beta.real,
              s.psi.beta.imag, s.psi.norm(), s.region] for s in samples]
-    fmt = _setting(args, config, "format", str, "csv")
     with _output(args.out) as fh:
-        if fmt == "csv":
+        if args.format == "csv":
             _write_csv(fh, columns, rows)
-        elif fmt == "json":
+        else:
             payload = {"config": _spec_table(spec), "columns": columns,
                        "rows": rows}
             fh.write(_json_dump(payload) + "\n")
-        else:
-            raise ValueError("field supports csv or json output")
     return 0
 
 
@@ -345,9 +319,8 @@ def cmd_ordering(args, config) -> int:
     gap = _setting(args, config, "gap", float, 0.0)
     omega0 = _setting(args, config, "omega0", float, DEFAULTS["omega0"])
     report = ordering_report(seg_a, seg_b, gap, omega0)
-    fmt = _setting(args, config, "format", str, "text")
     with _output(args.out) as fh:
-        if fmt == "text":
+        if args.format == "text":
             fh.write(f"gap={_fmt(gap)} omega0={_fmt(omega0)}\n")
             fh.write("transmission a-then-b "
                      f"alpha={_fmt_complex(report.transmission_ab.alpha)} "
@@ -357,7 +330,7 @@ def cmd_ordering(args, config) -> int:
                      f"beta={_fmt_complex(report.transmission_ba.beta)}\n")
             fh.write(f"d_prob {_fmt(report.d_prob)}\n")
             fh.write(f"d_amp {_fmt(report.d_amp)}\n")
-        elif fmt == "json":
+        else:
             payload = {
                 "config": {"seg_a": seg_a_text, "seg_b": seg_b_text,
                            "gap": gap, "omega0": omega0},
@@ -369,13 +342,11 @@ def cmd_ordering(args, config) -> int:
                 "d_amp": report.d_amp,
             }
             fh.write(_json_dump(payload) + "\n")
-        else:
-            raise ValueError("ordering supports text or json output")
     return 0
 
 
 def cmd_verify(args, config) -> int:
-    results = run_all(quick=args.quick, perturb=args.inject_perturbation)
+    results = run_all(quick=args.quick)
     for result in results:
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -395,11 +366,12 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
                         help="azimuthal angle of the imaginary direction")
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, formats) -> None:
+def _add_io_flags(parser: argparse.ArgumentParser, formats, bad_format_error: str) -> None:
     parser.add_argument("--format", choices=formats,
                         help="output format (default: %s)" % formats[0])
     parser.add_argument("--out", help="write output to this file")
     parser.add_argument("--config", help="key=value defaults file")
+    parser.set_defaults(formats=formats, bad_format_error=bad_format_error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="amplitudes for a single barrier")
     _add_spec_flags(p_solve)
-    _add_io_flags(p_solve, ("text", "csv", "json"))
+    _add_io_flags(p_solve, ("text", "csv", "json"), "unknown format {}")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="scan one or two parameters")
@@ -419,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="axis to scan; repeat once for a 2-d grid")
     p_sweep.add_argument("--workers", type=int,
                          help="ignored: a sweep runs in one process")
-    _add_io_flags(p_sweep, ("csv", "json"))
+    _add_io_flags(p_sweep, ("csv", "json"), "sweep supports csv or json output")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_field = sub.add_parser("field", help="sample the wavefunction")
@@ -428,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--xmax", type=float,
                          help="right edge of the grid (default: a + 2)")
     p_field.add_argument("--points", type=int, help="number of samples")
-    _add_io_flags(p_field, ("csv", "json"))
+    _add_io_flags(p_field, ("csv", "json"), "field supports csv or json output")
     p_field.set_defaults(func=cmd_field)
 
     p_order = sub.add_parser("ordering",
@@ -439,15 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="second barrier")
     p_order.add_argument("--gap", type=float, help="free gap between them")
     p_order.add_argument("--omega0", type=float, help="incident frequency")
-    _add_io_flags(p_order, ("text", "json"))
+    _add_io_flags(p_order, ("text", "json"), "ordering supports text or json output")
     p_order.set_defaults(func=cmd_ordering)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller samples, skip the subprocess check")
-    p_verify.add_argument("--inject-perturbation", type=float, nargs="?",
-                          const=1e-3, default=0.0,
-                          help="corrupt one amplitude to prove the gate trips")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -459,6 +428,10 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")    # warnings to stderr
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
+        if hasattr(args, "formats"):    # before any work or --out is opened
+            args.format = _setting(args, config, "format", str, args.formats[0])
+            if args.format not in args.formats:
+                raise ValueError(args.bad_format_error.format(repr(args.format)))
         return args.func(args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,6 +52,8 @@ from .model import (
     check_nondegenerate,
     interior_pairs,
     mode_ratios,
+    require_each,
+    slab_rules,
     wavenumbers,
 )
 
@@ -108,8 +110,9 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     """amplitudes_closed's (c1, c2, c7, c8), in numpy over broadcast arrays.
 
     The same formulas with numpy's sin, cos and exp: the two agree to
-    rounding, and c2 = c8 = 0 exactly at theta = 0.  Every point must be a
-    BarrierSpec that passes check_nondegenerate."""
+    rounding, and c2 = c8 = 0 exactly at theta = 0.  Raises what BarrierSpec
+    and check_nondegenerate raise at the first invalid point in C order."""
+    require_each(slab_rules, a, v0, theta, phi, omega0, solvable=True)
     n1 = np.cos(theta)
     wp, wm = (1.0 + n1) / 2.0, (n1 - 1.0) / 2.0
     wx = 0.5j * np.sin(theta) * np.exp(-1j * phi)
@@ -155,6 +158,6 @@ def quaternionic_fraction(amps: Amplitudes) -> float:
 
 
 def exterior_magnitude_sum(amps: Amplitudes) -> float:
-    """|c1|^2 + |c2|^2 + |c7|^2 + |c8|^2, reported but not asserted."""
+    """|c1|^2 + |c2|^2 + |c7|^2 + |c8|^2, 1 by flux conservation (verify gates it)."""
     return (abs(amps.c1) ** 2 + abs(amps.c2) ** 2
             + abs(amps.c7) ** 2 + abs(amps.c8) ** 2)

@@ -35,12 +35,18 @@ finite for all angles, and only these are kept:
     w_cross = r_plus r_minus / (r_plus - r_minus) = (i/2) sin(theta) e^{-i phi}
 
 Outside the barrier the field is free and k0 = omega0.
+
+Input rules live here, once.  A rule function calls check(holds, message,
+*values) per rule; holds is written in plain operators and the isfinite handed
+in, a bool on floats (check = require) or a mask on arrays (require_each).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -57,20 +63,64 @@ EPS_THETA = 1e-9
 EPS_K_REL = 1e-9
 
 
-def check_layer(width: float, v0: float, theta: float, phi: float) -> None:
-    """Reject a constant-potential slab outside the valid parameter ranges.
+def require(holds, message: str, *values, error=ValueError) -> None:
+    if not holds:
+        raise error(message.format(*values))
 
-    Raises ValueError unless width >= 0 and v0 >= 0 are finite, theta lies
-    in [0, pi] and phi in [0, 2 pi).  NaN fails every check.
-    """
-    if not (width >= 0.0 and math.isfinite(width)):
-        raise ValueError(f"width must be finite and >= 0, got {width}")
-    if not (v0 >= 0.0 and math.isfinite(v0)):
-        raise ValueError(f"potential must satisfy v0 >= 0, got {v0}")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2 pi), got {phi}")
+
+def require_each(rules, *arrays, **options) -> None:
+    """rules(require, *point, **options) at each point of the broadcast arrays,
+    every one of which some rule reads; the first invalid point in C order raises."""
+    masks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        rules(lambda holds, *_, **__: masks.append(holds),
+              *(np.asarray(x, dtype=float) for x in arrays), isfinite=np.isfinite, **options)
+    ok = functools.reduce(operator.and_, masks)
+    if not ok.all():
+        point = (x.flat[ok.argmin()].item() for x in np.broadcast_arrays(*arrays))
+        rules(require, *point, **options)
+
+
+def frequency_rule(check, omega0, isfinite=math.isfinite):
+    check((omega0 > 0.0) & isfinite(omega0), "frequency must satisfy omega0 > 0, got {}", omega0)
+
+
+def nondegenerate(v0, omega0):
+    """Whether the slow branch propagates: |omega0 - V0| >= EPS_K_REL omega0."""
+    return abs(omega0 - v0) >= EPS_K_REL * omega0
+
+
+def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite, solvable=False):
+    """Rules of Segment; given omega0, of BarrierSpec; solvable adds check_nondegenerate's."""
+    check((width >= 0.0) & isfinite(width), "width must be finite and >= 0, got {}", width)
+    check((v0 >= 0.0) & isfinite(v0), "potential must satisfy v0 >= 0, got {}", v0)
+    check((0.0 <= theta) & (theta <= math.pi), "theta must lie in [0, pi], got {}", theta)
+    check((0.0 <= phi) & (phi < 2.0 * math.pi), "phi must lie in [0, 2 pi), got {}", phi)
+    if omega0 is None:
+        return
+    frequency_rule(check, omega0, isfinite)
+    # Past these bounds the closed form overflows, or divides by a term that
+    # underflows to zero.
+    k = omega0 + v0
+    check(isfinite(2.0 * width * k) & isfinite(16.0 * k * k)
+          & (omega0 * omega0 >= sys.float_info.min),
+          "a = {}, v0 = {}, omega0 = {} leave the float range: 2 a (omega0 + v0) and 16 "
+          "(omega0 + v0)^2 must be finite and omega0^2 a normal float", width, v0, omega0)
+    if solvable:
+        check(nondegenerate(v0, omega0), "k_minus ~ 0 for v0 = {}, omega0 = {}; the four-"
+              "plane-wave interior basis degenerates", v0, omega0, error=DegenerateWavenumberError)
+
+
+def stack_rules(check, omega0, length=0.0, v0=0.0, gap=0.0, total=0.0, isfinite=math.isfinite):
+    """Rules of a segment at omega0, a gap and a stack's total length; the defaults pass."""
+    check((gap >= 0.0) & isfinite(gap), "gap must be >= 0, got {}", gap)
+    frequency_rule(check, omega0, isfinite)
+    check(isfinite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
+          "{}: length * (omega0 + v0) leaves the float range", length, v0, omega0)
+    check(nondegenerate(v0, omega0), "segment with v0 = {} at omega0 = {} has k_minus ~ 0",
+          v0, omega0, error=DegenerateWavenumberError)
+    check(isfinite(omega0 * total), "stack of total length {} at omega0 = {}: omega0 * total "
+          "length leaves the float range", total, omega0)
 
 
 @dataclass(frozen=True)
@@ -99,18 +149,7 @@ class BarrierSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        check_layer(self.a, self.v0, self.theta, self.phi)
-        if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
-            raise ValueError(f"frequency must satisfy omega0 > 0, got {self.omega0}")
-        # Past these bounds the closed form overflows, or divides by a term
-        # that underflows to zero.
-        k = self.omega0 + self.v0
-        if not (math.isfinite(2.0 * self.a * k) and math.isfinite(16.0 * k * k)
-                and self.omega0 * self.omega0 >= sys.float_info.min):
-            raise ValueError(
-                f"a = {self.a}, v0 = {self.v0}, omega0 = {self.omega0} leave "
-                "the float range: 2 a (omega0 + v0) and 16 (omega0 + v0)^2 "
-                "must be finite and omega0^2 a normal float")
+        slab_rules(require, self.a, self.v0, self.theta, self.phi, self.omega0)
 
     def direction(self) -> UnitImaginaryDirection:
         return UnitImaginaryDirection.from_angles(self.theta, self.phi)
@@ -143,10 +182,8 @@ def check_nondegenerate(spec: BarrierSpec) -> None:
 
     Raises DegenerateWavenumberError when |omega0 - V0| < EPS_K_REL * omega0.
     """
-    if abs(spec.omega0 - spec.v0) < EPS_K_REL * spec.omega0:
-        raise DegenerateWavenumberError(
-            f"k_minus ~ 0 for v0 = {spec.v0}, omega0 = {spec.omega0}; the "
-            "four-plane-wave interior basis degenerates")
+    if not nondegenerate(spec.v0, spec.omega0):
+        slab_rules(require, spec.a, spec.v0, spec.theta, spec.phi, spec.omega0, solvable=True)
 
 
 @dataclass(frozen=True)

@@ -40,19 +40,20 @@ STACK_FLUX_TOL, are scattered by the 4x4 transfer product instead,
 
 over s = (psi_alpha, psi_beta, psi_alpha', psi_beta'), composed by left
 multiplication in traversal order, and one 4x4 boundary solve.  Its answer
-must meet STACK_FLUX_TOL too.
+must meet STACK_FLUX_TOL too; an overflowing product is a numerical failure.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import cos, isfinite, sin
+from math import cos, sin
 
 import numpy as np
 
-from .errors import DegenerateWavenumberError, SingularSystemError
-from .model import EPS_K_REL, BarrierSpec, check_layer, direction_coupling
+from .errors import SingularSystemError
+from .model import (BarrierSpec, direction_coupling, frequency_rule, require, require_each,
+                    slab_rules, stack_rules)
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
@@ -74,7 +75,7 @@ class Segment:
     phi: float
 
     def __post_init__(self) -> None:
-        check_layer(self.length, self.v0, self.theta, self.phi)
+        slab_rules(require, self.length, self.v0, self.theta, self.phi)
 
     @classmethod
     def from_barrier(cls, spec: BarrierSpec) -> "Segment":
@@ -96,8 +97,7 @@ class LayerStack:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("stack needs at least one segment")
-        if not (self.omega0 > 0.0 and np.isfinite(self.omega0)):
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        frequency_rule(require, self.omega0)
 
     def total_length(self) -> float:
         return sum(seg.length for seg in self.segments)
@@ -105,15 +105,9 @@ class LayerStack:
 
 def segment_transfer(seg: Segment, omega0: float) -> np.ndarray:
     """(4, 4) transfer matrix of one segment at frequency omega0."""
+    stack_rules(require, omega0, seg.length, seg.v0)
     kp = abs(omega0 + seg.v0)
     km = abs(omega0 - seg.v0)
-    if not isfinite(seg.length * kp):
-        raise ValueError(
-            f"segment with length = {seg.length}, v0 = {seg.v0} at omega0 = "
-            f"{omega0}: length * (omega0 + v0) leaves the float range")
-    if km < EPS_K_REL * omega0:
-        raise DegenerateWavenumberError(
-            f"segment with v0 = {seg.v0} at omega0 = {omega0} has k_minus ~ 0")
     n = UnitImaginaryDirection.from_angles(seg.theta, seg.phi)
     coupling = direction_coupling(n)
     eye = np.eye(2, dtype=complex)
@@ -149,15 +143,16 @@ def transfer_smatrix(stack: LayerStack) -> np.ndarray:
     The transfer product maps the left state to the right one; the solve
     returns the outgoing (b, c) for each incoming unit column of (a, d).
     """
-    t = stack_transfer(stack)
     k0 = stack.omega0
     eye = np.eye(2, dtype=complex)
     right_going = np.vstack([eye, 1j * k0 * eye])
     left_going = np.vstack([eye, -1j * k0 * eye])
-    m4 = np.hstack([t @ left_going, -right_going])
-    rhs = np.hstack([-(t @ right_going), left_going])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = stack_transfer(stack)
+        m4 = np.hstack([t @ left_going, -right_going])
+        rhs = np.hstack([-(t @ right_going), left_going])
     if not (np.isfinite(m4).all() and np.isfinite(rhs).all()):
-        raise ValueError("stack boundary system must not contain infs or NaNs")
+        raise SingularSystemError("stack transfer product overflows")
     try:
         return np.linalg.solve(m4, rhs)
     except np.linalg.LinAlgError as exc:
@@ -261,19 +256,14 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> tuple[np.ndarray, list[float]]
     """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0.
 
     Also returns each stack's total length, summed in segment order.
-    Raises the error of segment_transfer for the first segment, stack by
-    stack, whose phase leaves the float range or whose k_minus vanishes.
+    Raises the error of stack_rules for the first segment, stack by stack,
+    that breaks one.
     """
     k0 = stacks[0].omega0
     table = np.fromiter((x for stack in stacks for seg in stack.segments
                          for x in (seg.length, seg.v0, seg.theta, seg.phi)), float)
     length, v0, theta, phi = table.reshape(len(stacks), -1, 4).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(length * np.abs(k0 + v0)) | (np.abs(k0 - v0) < EPS_K_REL * k0)
-    if bad.any():
-        # segment_transfer raises the error for the first bad segment
-        i, j = np.argwhere(bad.T)[0]
-        segment_transfer(stacks[i].segments[j], k0)
+    require_each(stack_rules, k0, length.T, v0.T)
     s = _segment_smatrices(k0, length, v0, theta, phi)
     if s is not None:
         s = _star_tree(s)
@@ -295,10 +285,7 @@ def _scatter(stacks: tuple[LayerStack, ...]) -> list[tuple[SymplecticPair, Sympl
     s, totals = _smatrices(stacks)
     out = []
     for col, total_length in zip(s[:, 0].T.tolist(), totals):
-        if not isfinite(k0 * total_length):
-            raise ValueError(
-                f"stack of total length {total_length} at omega0 = {k0}: "
-                "omega0 * total length leaves the float range")
+        stack_rules(require, k0, total=total_length)
         back = cmath.exp(-1j * k0 * total_length)
         out.append((SymplecticPair(col[0], col[1]),
                     SymplecticPair(col[2] * back, col[3] * back)))
@@ -347,8 +334,7 @@ def ordering_report(seg_a: Segment, seg_b: Segment, gap: float,
     barriers with non-commuting directions generally give d_amp > 0.  Both
     orders are scattered as one batch.
     """
-    if not (gap >= 0.0 and np.isfinite(gap)):
-        raise ValueError(f"gap must be >= 0, got {gap}")
+    stack_rules(require, omega0, gap=gap)
     spacer = free_gap(gap)
     (_, t_ab), (_, t_ba) = _scatter((LayerStack((seg_a, spacer, seg_b), omega0),
                                      LayerStack((seg_b, spacer, seg_a), omega0)))

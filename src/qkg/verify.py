@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .closedform import amplitudes_closed, amplitudes_taylor, exterior_amplitudes_grid
+from .closedform import (amplitudes_closed, amplitudes_taylor, exterior_amplitudes_grid,
+                         exterior_magnitude_sum)
 from .matcher import build_system, solve, solve_spec
 from .model import BarrierSpec, wavenumbers
 from .multilayer import (
@@ -39,6 +40,7 @@ SEED = 20260823
 # Pinned tolerances and sizes, one block per check.
 ORACLE_SPECS = 1000
 ORACLE_TOL = 1e-9
+ORACLE_FLUX_TOL = 1e-12
 ORACLE_SECONDS = 5.0
 
 BACKSUB_SPECS = 300
@@ -135,24 +137,24 @@ def random_stack(rng: np.random.Generator, pairs: int) -> LayerStack:
     return LayerStack(tuple(segments), omega0)
 
 
-def check_oracle_equivalence(quick: bool = False, perturb: float = 0.0) -> CheckResult:
-    """Criterion 1: linear solve and closed forms agree on random specs."""
+def check_oracle_equivalence(quick: bool = False) -> CheckResult:
+    """Criterion 1: linear solve and closed forms agree, and both conserve flux."""
     count = 100 if quick else ORACLE_SPECS
     rng = np.random.default_rng(SEED)
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_flux = 0.0
     for spec in random_specs(rng, count):
-        solved = solve_spec(spec).as_array()
-        closed = amplitudes_closed(spec).as_array()
-        if perturb:
-            solved = solved.copy()
-            solved[6] += perturb
-        rel = float(np.abs(solved - closed).max() / np.abs(closed).max())
-        worst = max(worst, rel)
+        routes = (solve_spec(spec), amplitudes_closed(spec))
+        solved, closed = (amps.as_array() for amps in routes)
+        worst = max(worst, float(np.abs(solved - closed).max() / np.abs(closed).max()))
+        worst_flux = max(worst_flux, *(abs(exterior_magnitude_sum(amps) - 1.0)
+                                       for amps in routes))
     elapsed = time.perf_counter() - start
-    passed = worst <= ORACLE_TOL and (quick or elapsed < ORACLE_SECONDS)
+    passed = (worst <= ORACLE_TOL and worst_flux <= ORACLE_FLUX_TOL
+              and (quick or elapsed < ORACLE_SECONDS))
     return CheckResult(1, "oracle-equivalence", passed,
-                       f"max rel diff {worst:.3e} over {count} specs", elapsed)
+                       f"max rel diff {worst:.3e}, flux defect {worst_flux:.3e} "
+                       f"over {count} specs", elapsed)
 
 
 def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> float:
@@ -454,10 +456,10 @@ def check_stack_unitarity(quick: bool = False) -> CheckResult:
                        elapsed)
 
 
-def run_all(quick: bool = False, perturb: float = 0.0) -> list[CheckResult]:
+def run_all(quick: bool = False) -> list[CheckResult]:
     """Run every check in order and collect the results."""
     return [
-        check_oracle_equivalence(quick, perturb),
+        check_oracle_equivalence(quick),
         check_back_substitution(quick),
         check_complex_limit(quick),
         check_taylor_regime(quick),

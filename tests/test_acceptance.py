@@ -5,6 +5,7 @@ The whole suite is executed once per test session through qkg.verify.run_all
 pass/fail line so `pytest -s` shows the same table the command line does.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,30 @@ def gate(results, index):
 def test_criterion_1_closed_form_matches_linear_solve(results):
     res = gate(results, 1)
     assert res.seconds < 5.0
+
+
+def _scaled_c7(route, factor):
+    def moved(spec):
+        amps = route(spec)
+        return dataclasses.replace(amps, c7=amps.c7 * factor)
+    return moved
+
+
+def test_criterion_1_trips_on_a_moved_amplitude(monkeypatch):
+    monkeypatch.setattr(verify, "solve_spec", _scaled_c7(verify.solve_spec, 1.0 + 1e-3))
+    res = verify.check_oracle_equivalence(quick=True)
+    assert not res.passed
+    assert float(res.detail.split()[3].rstrip(",")) > verify.ORACLE_TOL
+
+
+def test_criterion_1_trips_on_lost_flux(monkeypatch):
+    # both routes move together, so they still agree; only flux is lost
+    for name in ("solve_spec", "amplitudes_closed"):
+        monkeypatch.setattr(verify, name, _scaled_c7(getattr(verify, name), 1.0 + 1e-9))
+    res = verify.check_oracle_equivalence(quick=True)
+    assert not res.passed
+    assert float(res.detail.split()[3].rstrip(",")) <= verify.ORACLE_TOL
+    assert float(res.detail.split()[6]) > verify.ORACLE_FLUX_TOL
 
 
 def test_criterion_2_solutions_satisfy_matching_and_continuity(results):

@@ -307,10 +307,11 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert "unrecognized arguments: --config" in proc.stderr
 
-    def test_injected_perturbation_trips_gate(self):
+    def test_inject_perturbation_flag_rejected(self):
+        # the gate's trip test lives in test_acceptance, on a monkeypatch
         proc = run_cli("verify", "--quick", "--inject-perturbation")
-        assert proc.returncode == 1
-        assert "[FAIL] 1 oracle-equivalence" in proc.stdout
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --inject-perturbation" in proc.stderr
 
 
 class TestConfigAndOutput:
@@ -335,6 +336,30 @@ class TestConfigAndOutput:
     def test_missing_config_exits_2(self):
         proc = run_cli("solve", "--config", "/nonexistent/qkg.conf")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command, error", [
+        (("solve",), "unknown format 'xml'"),
+        (("sweep", "--sweep", "theta:0:1:0.5"), "sweep supports csv or json output"),
+        (("field",), "field supports csv or json output"),
+        (("ordering", "--seg-a", "1:0.3:1:0", "--seg-b", "1:0.3:1:1"),
+         "ordering supports text or json output"),
+    ], ids=("solve", "sweep", "field", "ordering"))
+    def test_bad_config_format_leaves_out_file_alone(self, tmp_path, command, error):
+        conf = tmp_path / "xml.conf"
+        conf.write_text("format = xml\n")
+        out = tmp_path / "kept.txt"
+        out.write_bytes(b"old bytes")
+        proc = run_cli(*command, "--config", str(conf), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {error}\n"
+        assert out.read_bytes() == b"old bytes"
+
+    def test_config_format_used(self, tmp_path):
+        conf = tmp_path / "json.conf"
+        conf.write_text("format = json\n")
+        proc = run_cli("solve", "--config", str(conf))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["config"]["a"] == 1
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"

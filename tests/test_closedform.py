@@ -193,6 +193,36 @@ class TestGrid:
         _, c2, _, c8 = exterior_amplitudes_grid(*self.columns(specs))
         assert (c2 == 0).all() and (c8 == 0).all()
 
+    @pytest.mark.parametrize("point", [
+        (1, 1, 1, 1, 0),            # degenerate: V0 = omega0
+        (-1, 0.3, 1, 1, 0),         # negative width
+        (1, 0.3, 1, 5, 0),          # theta beyond pi
+        (1, 0.3, -1, 1, 0),         # negative frequency
+        (1e308, 0.3, 10, 1, 0),     # 2 a (omega0 + V0) overflows
+    ], ids=str)
+    def test_invalid_point_raises_the_scalar_error(self, point):
+        with pytest.raises(ValueError) as scalar:
+            amplitudes_closed(BarrierSpec(*point))
+        with pytest.raises(ValueError) as grid:
+            exterior_amplitudes_grid(*point)
+        assert type(grid.value) is type(scalar.value)
+        assert str(grid.value) == str(scalar.value)
+
+    def test_first_invalid_point_in_c_order_raises(self):
+        a = np.array([[1.0, 2.0, -1.0], [1.0, -2.0, 1.0]])
+        v0 = np.array([[0.3, 0.3, 0.3], [1.0, 0.3, 0.3]])
+        theta = np.array([0.5, 9.0, 0.5])
+        # (0, 1) has a bad theta, (0, 2) a bad width, (1, 0) is degenerate
+        # and (1, 1) has both a bad width and a bad theta
+        with pytest.raises(ValueError, match="theta must lie in"):
+            exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
+        theta[1] = 0.5
+        with pytest.raises(ValueError, match="width must be finite and >= 0, got -1.0"):
+            exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
+        a[0, 2] = 1.0
+        with pytest.raises(DegenerateWavenumberError, match="v0 = 1.0, omega0 = 1.0"):
+            exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
+
     def test_broadcasts_to_common_shape(self):
         # only phi varies, yet c1 and c7 (independent of phi) come out full
         phi = np.linspace(0.0, 6.0, 7)

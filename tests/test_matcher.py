@@ -136,6 +136,15 @@ class TestSolveFailureModes:
         with pytest.raises(SingularSystemError):
             solve(system)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_matrix_reported(self, spec_point, entry):
+        # build_system never makes one, as BarrierSpec keeps a * k finite;
+        # a hand-made one fails the condition gate, with no RuntimeWarning
+        system = build_system(spec_point)
+        system.matrix[3, 4] = entry
+        with pytest.raises(SingularSystemError, match="cond_1 nan"):
+            solve(system)
+
     def test_near_singular_matrix_reported(self, spec_point):
         # nonzero smallest pivot, about 6e-15 of the largest entry: below
         # the pivot floor, so the condition gate must reject it too

@@ -17,6 +17,10 @@ from qkg.model import (
     free_matrix,
     interior_matrix,
     mode_ratios,
+    require,
+    require_each,
+    slab_rules,
+    stack_rules,
     wavenumbers,
 )
 from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
@@ -42,13 +46,66 @@ class TestBarrierSpec:
         {"v0": -0.2}, {"v0": math.nan},
         {"omega0": 0.0}, {"omega0": -1.0},
         {"theta": -0.1}, {"theta": 3.2},
-        {"phi": -0.1}, {"phi": 7.0},
+        {"phi": -0.1}, {"phi": 7.0}, {"phi": 2.0 * math.pi},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         base = {"a": 1.0, "v0": 0.3, "omega0": 1.0, "theta": 0.5, "phi": 0.5}
         base.update(kwargs)
         with pytest.raises(ValueError):
             BarrierSpec(**base)
+
+
+class TestInputRules:
+    """The rules run on floats and, elementwise, on arrays."""
+
+    @staticmethod
+    def first_scalar_error(rules, points, **options):
+        for point in points:
+            try:
+                rules(require, *point, **options)
+            except ValueError as exc:
+                return type(exc), str(exc)
+        return None
+
+    @staticmethod
+    def array_error(rules, columns, **options):
+        try:
+            require_each(rules, *columns, **options)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_barrier_grids_agree_with_the_scalar_loop(self, rng):
+        # points near every boundary: V0 near omega0, huge widths and
+        # frequencies, angles around their limits, NaN and infinity
+        pool = {"a": [1.0, 0.0, -1e-300, 1e306, 1e308, math.inf],
+                "v0": [0.3, 1.0, 1.0 + 1e-10, 0.0, -0.1, math.nan],
+                "theta": [0.0, math.pi, 0.5, -1e-12, math.pi + 1e-12],
+                "phi": [0.0, 6.28, 2.0 * math.pi, -0.1],
+                "omega0": [1.0, 1e-155, 1e-150, 1e153, 1e154, 0.0, math.nan]}
+        for _ in range(300):
+            # mostly the first, valid value, so that faults come one by one
+            columns = [np.where(rng.random(6) < 0.8, values[0], rng.choice(values, size=6))
+                       for values in pool.values()]
+            points = list(zip(*(col.tolist() for col in columns)))
+            want = self.first_scalar_error(slab_rules, points, solvable=True)
+            assert self.array_error(slab_rules, columns, solvable=True) == want
+
+    def test_segment_tables_agree_with_the_scalar_loop(self, rng):
+        pool_length = [1.0, 0.0, 1e300, 1e308]
+        pool_v0 = [0.3, 2.0, 2.0 * (1.0 + 1e-12), 1e308, 0.0]
+        for omega0 in (2.0, 10.0, 1e-300):
+            for _ in range(100):
+                length = rng.choice(pool_length, size=(3, 4))
+                v0 = rng.choice(pool_v0, size=(3, 4))
+                points = [(omega0, x, y) for x, y in zip(length.ravel().tolist(),
+                                                          v0.ravel().tolist())]
+                want = self.first_scalar_error(stack_rules, points)
+                assert self.array_error(stack_rules, (omega0, length, v0)) == want
+
+    def test_defaults_of_stack_rules_pass(self):
+        stack_rules(require, 1e-300)
+        stack_rules(require, 1e300)
 
 
 class TestDispersion:

@@ -66,8 +66,19 @@ class TestSegments:
     def test_stack_validation(self):
         with pytest.raises(ValueError):
             LayerStack((), 1.0)
-        with pytest.raises(ValueError):
+        # the same rule and message as BarrierSpec's frequency
+        with pytest.raises(ValueError, match=r"^frequency must satisfy omega0 > 0, got 0.0$"):
             LayerStack((free_gap(1.0),), 0.0)
+
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
+    def test_segment_transfer_checks_the_frequency(self, omega0):
+        with pytest.raises(ValueError, match="frequency must satisfy omega0 > 0"):
+            segment_transfer(free_gap(1.0), omega0)
+
+    def test_negative_gap_rejected(self):
+        seg_a, seg_b = fixture_segments()
+        with pytest.raises(ValueError, match=r"^gap must be >= 0, got -1.0$"):
+            ordering_report(seg_a, seg_b, -1.0, 1.0)
 
     @pytest.mark.parametrize("seg, omega0", [
         (Segment(1e308, 0.3, 1.0, 0.0), 10.0),
@@ -92,6 +103,13 @@ class TestSegments:
             stack_scatter(LayerStack(segs, 10.0))
         assert str(info.value) == str(expect.value)
         assert "v0 = 0.25" in str(info.value)
+
+    def test_batch_checked_stack_by_stack(self):
+        # the first stack's second segment wins over the second stack's first
+        far, near = Segment(1e308, 0.25, 1.0, 0.0), Segment(1e308, 0.35, 1.0, 0.0)
+        stacks = (LayerStack((free_gap(1.0), far), 10.0), LayerStack((near, free_gap(1.0)), 10.0))
+        with pytest.raises(ValueError, match="v0 = 0.25"):
+            multilayer._smatrices(stacks)
 
     def test_first_degenerate_segment_named(self):
         segs = (free_gap(1.0), Segment(1.0, 2.0, 1.0, 0.0),
@@ -406,6 +424,20 @@ class TestFluxGate:
         code = cli.main(["ordering", "--seg-a", "1:0.3:1:0", "--seg-b", "1:0.3:1:1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: stack scattering loses flux")
+
+    @pytest.mark.parametrize("pairs", [40, 100])
+    def test_overflowing_transfer_product_is_a_numerical_failure(self, pairs):
+        # hard mirrors (V0 = 1e9 omega0) take the transfer route, whose
+        # product overflows; the segments are valid, so this is exit 1, and
+        # the overflow emits no RuntimeWarning (pytest makes those errors)
+        rng = np.random.default_rng(3)
+        segments = []
+        for _ in range(pairs):
+            segments += (Segment(rng.uniform(0.5, 1.5), 1e9 * rng.uniform(0.5, 1.0),
+                                 rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
+                         free_gap(rng.uniform(0.5, 1.5)))
+        with pytest.raises(SingularSystemError, match="transfer product overflows"):
+            stack_scatter(LayerStack(tuple(segments), 1.0))
 
     def test_leaky_star_products_fall_back_to_transfer_route(self, monkeypatch):
         monkeypatch.setattr(multilayer, "_star", leaky(multilayer._star))
