@@ -77,8 +77,10 @@ from .verify import CheckResult, run_all
 from .wavefield import (
     BARRIER,
     LEFT,
+    REGIONS,
     RIGHT,
     FieldSample,
+    FieldSamples,
     continuity_residuals,
     dpsi,
     psi,
@@ -101,6 +103,7 @@ __all__ = [
     "DispersionData",
     "EXACT",
     "FieldSample",
+    "FieldSamples",
     "I",
     "InvalidDirectionError",
     "J",
@@ -112,6 +115,7 @@ __all__ = [
     "ONE",
     "OrderingReport",
     "Quaternion",
+    "REGIONS",
     "REGULARIZED",
     "RIGHT",
     "Segment",

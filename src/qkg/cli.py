@@ -37,7 +37,7 @@ from .matcher import solve_spec
 from .model import BarrierSpec, wavenumbers
 from .multilayer import Segment, ordering_report
 from .verify import run_all
-from .wavefield import sample_field
+from .wavefield import REGIONS, sample_field
 
 DEFAULTS = {
     "a": 1.0,
@@ -173,7 +173,10 @@ def _grid_values(start: float, stop: float, step: float) -> list[float]:
         raise ValueError("sweep step must be positive")
     if stop < start:
         raise ValueError("sweep stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"sweep span (stop - start) / step = {span} leaves the float range")
+    count = int(math.floor(span + 1e-9)) + 1
     if count > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
     return [start + i * step for i in range(count)]
@@ -294,11 +297,18 @@ def cmd_field(args, config) -> int:
     points = int(_setting(args, config, "points", int, DEFAULTS["points"]))
     if points > _MAX_GRID:
         raise ValueError(f"field grid exceeds {_MAX_GRID} points")
-    samples = sample_field(spec, amps, x_min, x_max, points)
+    field = sample_field(spec, amps, x_min, x_max, points)
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
-    rows = [[s.x, s.psi.alpha.real, s.psi.alpha.imag, s.psi.beta.real,
-             s.psi.beta.imag, s.psi.norm(), s.region] for s in samples]
+    alpha, beta = field.values[:2]
+    # abs_psi as SymplecticPair.norm() rounds it: np.hypot matches Python's
+    # abs(complex), but numpy's square can differ from Python's ** 2
+    norm = [math.sqrt(u ** 2 + v ** 2) for u, v in
+            zip(np.hypot(alpha.real, alpha.imag).tolist(),
+                np.hypot(beta.real, beta.imag).tolist())]
+    rows = list(zip(field.x.tolist(), alpha.real.tolist(), alpha.imag.tolist(),
+                    beta.real.tolist(), beta.imag.tolist(), norm,
+                    [REGIONS[i] for i in field.region.tolist()]))
     with _output(args.out) as fh:
         if args.format == "csv":
             _write_csv(fh, columns, rows)

@@ -85,6 +85,14 @@ def frequency_rule(check, omega0, isfinite=math.isfinite):
     check((omega0 > 0.0) & isfinite(omega0), "frequency must satisfy omega0 > 0, got {}", omega0)
 
 
+def window_rule(check, x_min, x_max, n_points, isfinite=math.isfinite):
+    """Rules of a sample grid: n_points >= 2 positions ascending from x_min to x_max."""
+    check(n_points >= 2, "n_points must be >= 2, got {}", n_points)
+    span = x_max - x_min
+    check((span > 0.0) & isfinite(span), "need x_min < x_max with x_max - x_min in the "
+          "float range, got [{}, {}]", x_min, x_max)
+
+
 def nondegenerate(v0, omega0):
     """Whether the slow branch propagates: |omega0 - V0| >= EPS_K_REL omega0."""
     return abs(omega0 - v0) >= EPS_K_REL * omega0

@@ -8,22 +8,29 @@ i k.  _waves lists them as (k, alpha, beta): left (k0, 1, 0) and
 pairs (finite at every angle) at +k_plus, -k_plus, +k_minus, -k_minus.
 _eval sums the table, with cmath.exp at one position or with np.exp on all
 the grid points of a region at once.
+
+sample_field returns one FieldSamples record of arrays over an ascending
+grid.  Each region is a contiguous slice of it, found by binary search, and
+is evaluated in one array pass; FieldSample objects are built only when the
+record is indexed or iterated.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Amplitudes, BarrierSpec
+from .model import Amplitudes, BarrierSpec, require, window_rule
 from .quaternion import SymplecticPair
 
 LEFT = "left"
 BARRIER = "barrier"
 RIGHT = "right"
-_REGIONS = (LEFT, BARRIER, RIGHT)
+REGIONS = (LEFT, BARRIER, RIGHT)
 
 
 @dataclass(frozen=True)
@@ -34,13 +41,48 @@ class FieldSample:
     region: str
 
 
+def _sample(x, region, psi_a, psi_b, dpsi_a, dpsi_b) -> FieldSample:
+    return FieldSample(x, SymplecticPair(psi_a, psi_b),
+                       SymplecticPair(dpsi_a, dpsi_b), REGIONS[region])
+
+
+@dataclass(frozen=True, eq=False)
+class FieldSamples(Sequence):
+    """psi and psi' on a grid, held as arrays.
+
+    x has shape (N,); region, shape (N,), indexes REGIONS; values, shape
+    (4, N) complex, holds the rows psi.alpha, psi.beta, psi'.alpha and
+    psi'.beta.  As a sequence its items are FieldSample objects, built when
+    indexed or iterated; a slice is a FieldSamples.
+    """
+
+    x: np.ndarray
+    region: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FieldSamples(self.x[index], self.region[index],
+                                self.values[:, index])
+        index = operator.index(index)
+        return _sample(self.x[index].item(), self.region[index],
+                       *self.values[:, index].tolist())
+
+    def __iter__(self):
+        return map(_sample, self.x.tolist(), self.region.tolist(),
+                   *self.values.tolist())
+
+
 def _region_index(x, a):
-    """Index into _REGIONS of x (a float or an array) for barrier width a."""
+    """Index into REGIONS of x (a float or an array) for barrier width a."""
     return 1 - (x < 0.0) + (x > a)
 
 
 def region_of(x: float, spec: BarrierSpec) -> str:
-    return _REGIONS[_region_index(x, spec.a)]
+    return REGIONS[_region_index(x, spec.a)]
 
 
 def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
@@ -96,23 +138,20 @@ def continuity_residuals(spec: BarrierSpec,
 
 
 def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
-                 x_max: float, n_points: int) -> list[FieldSample]:
+                 x_max: float, n_points: int) -> FieldSamples:
     """Sample psi and psi' on a uniform grid of n_points positions.
 
     Only regions the grid reaches are evaluated (Taylor amplitudes have no
     barrier waves)."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-        raise ValueError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
+    window_rule(require, x_min, x_max, n_points)
     xs = np.linspace(x_min, x_max, n_points)
-    index = _region_index(xs, spec.a)
+    # the grid ascends, so each region is the slice between two cuts
+    cuts = (0, int(np.searchsorted(xs, 0.0, "left")),
+            int(np.searchsorted(xs, spec.a, "right")), n_points)
     values = np.empty((4, n_points), dtype=complex)
-    for i in np.unique(index).tolist():
-        at = index == i
-        value, slope = _eval(xs[at], amps, _REGIONS[i], np.exp)
-        values[:, at] = value.alpha, value.beta, slope.alpha, slope.beta
-    return [FieldSample(x, SymplecticPair(pa, pb), SymplecticPair(da, db),
-                        _REGIONS[i])
-            for x, i, pa, pb, da, db in zip(xs.tolist(), index.tolist(),
-                                            *values.tolist())]
+    for name, lo, hi in zip(REGIONS, cuts, cuts[1:]):
+        if lo < hi:
+            value, slope = _eval(xs[lo:hi], amps, name, np.exp)
+            values[:, lo:hi] = value.alpha, value.beta, slope.alpha, slope.beta
+    region = np.repeat(np.arange(len(REGIONS)), np.diff(cuts))
+    return FieldSamples(xs, region, values)

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+
+from qkg.cli import main
 
 
 def run_cli(*args):
@@ -77,6 +80,9 @@ def test_import_leaves_out_scipy():
     ("field", "--omega0", "1e200"),
     # each axis is in range on its own; a * omega0 overflows inside the grid
     ("sweep", "--sweep", "a:1e307:1e307:1", "--sweep", "omega0:1:20:1"),
+    # each bound is finite; the grid's span overflows
+    ("sweep", "--sweep=theta:-1e308:1e308:1e307"),
+    ("field", "--xmin=-1e308", "--xmax", "1e308", "--points", "5"),
     ("solve", "--omega0", "1e-300", "--v0", "0"),
 ], ids=" ".join)
 def test_out_of_float_range_exits_2_with_one_line(args):
@@ -182,6 +188,42 @@ class TestSweep:
         assert len(data["rows"][0]) == 6
 
 
+# sha256 of the stdout of `qkg field ARGS`, recorded from the per-point
+# FieldSample formatting that preceded the array record: both poles, grid
+# points on x = 0 and x = a (also a = 0), one-region windows, the Klein zone
+# (v0 > omega0) and a 100k-point grid, in CSV and JSON.
+FIELD_DIGESTS = {
+    "":
+        "3dd76a63fe13e07cb3fb8a1fd2937f160fd2abdc5ed96f2beb769454a788734a",
+    "--format json":
+        "77c95ef545361da8da6d598be8e9faafdab24aa645a36af8525c8d9557734142",
+    "--theta 0":
+        "6819882d05c1975bbe16ef6b3773b9500388269599589f71726012286630adc7",
+    "--theta 0 --format json":
+        "71c460b22b8a4c5d2679e2380ea052934afbc2d0f9e792e29b9c8f6ad2866cec",
+    "--theta 3.141592653589793":
+        "7ada55a0aa1e3bf7897086ca8b80da93a6b8ebe68fcd8cdf3b9a59bc75f4069a",
+    "--theta 3.141592653589793 --format json":
+        "52f63d1143e716408cb0e3ef97528d0db0e70df6d01969459a5fa8411e79a7f3",
+    "--a 2 --xmin -2 --xmax 4 --points 7":
+        "acb52de4244e1a737f11b5c233291704ee2d59e3613487a8e8509af9416ef5ab",
+    "--a 2 --xmin -2 --xmax 4 --points 7 --format json":
+        "5a03e83841d97f67861b58aa6bdc942af81a57b0931d547ead0ae9f59c2c533e",
+    "--a 0 --xmin -1 --xmax 1 --points 5":
+        "e92a1a83e0038061704491d43b0b289acf39ecdea598140ed739e490ea8a9d69",
+    "--v0 2.5 --theta 1 --phi 4 --xmin -5 --xmax 0 --points 11":
+        "2a7869da121dbd7ad7dc750a43e995e8fbb89643860c5ab0e02d2d3788447e5a",
+    "--xmin 1.5 --xmax 9 --points 13 --format json":
+        "b5b8f56de5dbf3f620af9e15a2feb2256e615757c7952174c413dafa0ec85177",
+    "--xmin 0.25 --xmax 0.75 --points 9":
+        "4764889caa814059ae61d76965abea866f2acdd2ae83cc5de4b373c331b975a3",
+    "--points 100000":
+        "bfd4aada10a8fdb61c091d7587a9db175bfbf657c692d52fb198dadde0eeba58",
+    "--points 100000 --format json":
+        "61cc0c132d3db518490fb09531fe1189383cd5a429309450de52114bc95d6b58",
+}
+
+
 class TestField:
     def test_csv_bounds_and_regions(self):
         proc = run_cli("field", "--a", "1", "--xmin", "-1", "--xmax", "2",
@@ -205,6 +247,12 @@ class TestField:
     def test_bad_point_count_exits_2(self):
         proc = run_cli("field", "--points", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("args", FIELD_DIGESTS, ids=lambda args: args or "defaults")
+    def test_output_bytes_pinned(self, tmp_path, args):
+        out = tmp_path / "field.out"
+        assert main(["field", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_DIGESTS[args]
 
     def test_point_count_capped_like_sweep_grids(self):
         proc = run_cli("field", "--points", "1000001")

@@ -12,7 +12,11 @@ from qkg.verify import random_specs
 from qkg.wavefield import (
     BARRIER,
     LEFT,
+    REGIONS,
     RIGHT,
+    FieldSamples,
+    _eval,
+    _region_index,
     continuity_residuals,
     dpsi,
     psi,
@@ -70,8 +74,10 @@ class TestFieldValues:
         samples = sample_field(spec, taylor, -3.0, -1.0, 9)
         assert [s.region for s in samples] == [LEFT] * 9
         assert (samples[0].psi - psi(-3.0, spec, taylor)).norm() < 1e-14
-        with pytest.raises(ValueError):
-            sample_field(spec, taylor, -1.0, 2.0, 7)    # reaches x = 0
+        # windows that reach the barrier: across it, ending on x = 0, inside
+        for window in ((-1.0, 2.0, 7), (-1.0, 0.0, 5), (2e-4, 8e-4, 3)):
+            with pytest.raises(ValueError, match="interior"):
+                sample_field(spec, taylor, *window)
 
 
 class TestContinuity:
@@ -143,9 +149,88 @@ class TestSampling:
         (2.0, 1.0, 5),
         (math.nan, 1.0, 5),
         (0.0, math.inf, 5),
+        (-1e308, 1e308, 5),     # each end finite, the span overflows
     ])
     def test_grid_validation(self, spec_point, bounds):
         amps = solve_spec(spec_point)
         x_min, x_max, n = bounds
         with pytest.raises(ValueError):
             sample_field(spec_point, amps, x_min, x_max, n)
+
+
+def _masked_reference(spec, amps, xs):
+    """The field by boolean region masks: one np.exp pass per region present."""
+    index = _region_index(xs, spec.a)
+    values = np.empty((4, len(xs)), dtype=complex)
+    for i in np.unique(index).tolist():
+        at = index == i
+        value, slope = _eval(xs[at], amps, REGIONS[i], np.exp)
+        values[:, at] = value.alpha, value.beta, slope.alpha, slope.beta
+    return values
+
+
+class TestFieldSamples:
+    def test_arrays(self, spec_point):
+        field = sample_field(spec_point, solve_spec(spec_point), -1.0, 2.0, 7)
+        assert isinstance(field, FieldSamples)
+        assert field.x.shape == field.region.shape == (7,)
+        assert field.x.dtype == np.float64
+        assert field.region.dtype.kind == "i"
+        assert field.values.shape == (4, 7)
+        assert field.values.dtype == np.complex128
+        assert field.region.tolist() == _region_index(field.x, spec_point.a).tolist()
+
+    def test_values_bit_identical_to_masked_evaluation(self):
+        specs = random_specs(np.random.default_rng(31), 60)
+        specs += [dataclasses.replace(specs[0], theta=0.0),
+                  dataclasses.replace(specs[1], theta=math.pi),
+                  dataclasses.replace(specs[2], a=0.0)]
+        for spec in specs:
+            amps = amplitudes_closed(spec)
+            for window in ((-2.0, spec.a + 2.0, 401), (0.0, spec.a, 9),
+                           (-1.0, 0.0, 5), (spec.a, spec.a + 1.0, 4)):
+                if window[0] == window[1]:      # the zero-width barrier
+                    continue
+                field = sample_field(spec, amps, *window)
+                expect = _masked_reference(spec, amps, field.x)
+                assert field.values.tobytes() == expect.tobytes()
+
+    def test_sequence_items_match_scalar_evaluation(self, spec_point):
+        amps = solve_spec(spec_point)
+        field = sample_field(spec_point, amps, -1.0, 2.0, 7)
+        tol = 1e-14 * (1.0 + amps.dispersion.k0)
+        items = list(field)
+        assert len(field) == len(items) == 7
+        assert field[-1] == items[-1] == field[6]
+        assert field[-1].x == 2.0 and field[-1].region == RIGHT
+        for i, s in enumerate(items):
+            assert s == field[i]
+            assert s.x == field.x[i]
+            assert s.region == region_of(s.x, spec_point)
+            assert (s.psi - psi(s.x, spec_point, amps)).norm() <= tol
+            assert (s.dpsi - dpsi(s.x, spec_point, amps)).norm() <= tol
+        with pytest.raises(IndexError):
+            field[7]
+        with pytest.raises(TypeError):
+            field[1.0]
+
+    def test_slice_is_a_record(self, spec_point):
+        field = sample_field(spec_point, solve_spec(spec_point), -1.0, 2.0, 7)
+        part = field[2:6:2]
+        assert isinstance(part, FieldSamples)
+        assert part.values.shape == (4, 2)
+        assert list(part) == [field[2], field[4]]
+        assert list(field[::-1]) == list(reversed(field)) == list(field)[::-1]
+
+    @pytest.mark.parametrize("window, region", [
+        ((-3.0, -1.0, 9), LEFT),
+        ((0.0, 1.0, 9), BARRIER),
+        ((1.5, 4.0, 9), RIGHT),
+    ])
+    def test_one_region_windows(self, spec_point, window, region):
+        amps = amplitudes_closed(spec_point)
+        field = sample_field(spec_point, amps, *window)
+        assert [s.region for s in field] == [region] * 9
+        tol = 1e-14 * (1.0 + amps.dispersion.k0)
+        for s in field:
+            assert (s.psi - psi(s.x, spec_point, amps)).norm() <= tol
