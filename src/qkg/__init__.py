@@ -42,9 +42,6 @@ from .model import (
     ModeRatios,
     check_nondegenerate,
     direction_coupling,
-    dispersion_residual,
-    free_matrix,
-    interior_matrix,
     mode_ratios,
     wavenumbers,
 )
@@ -70,7 +67,6 @@ from .quaternion import (
     SymplecticPair,
     UnitImaginaryDirection,
     join,
-    left_n_right_i,
     split,
 )
 from .verify import CheckResult, run_all
@@ -131,15 +127,11 @@ __all__ = [
     "compose",
     "continuity_residuals",
     "direction_coupling",
-    "dispersion_residual",
     "dpsi",
     "exterior_amplitudes_grid",
     "exterior_magnitude_sum",
     "free_gap",
-    "free_matrix",
-    "interior_matrix",
     "join",
-    "left_n_right_i",
     "mode_ratios",
     "ordering_report",
     "psi",

@@ -28,6 +28,13 @@ satisfy U^-1 = M^-1 P^T L with every |L_ij| <= 1, so cond_1 >= 1 / (8 rho)
 where rho is the smallest pivot over the largest matrix entry.  Rejecting
 cond_1 >= 1 / (8 _PIVOT_FLOOR) therefore rejects every matrix whose pivot
 ratio falls below _PIVOT_FLOOR.
+
+Both gates read their matrix norms from one |M|: its largest column sum is
+||M||_1 for the condition number and its largest row sum ||M||_inf for the
+backward error, which also needs only ||rhs||_inf = max(1, k0).  These are
+the float operations np.linalg.norm performs, so every gate and every answer
+is bit-identical to a norm-by-norm evaluation; qkg.verify keeps one for its
+backward-error criterion.
 """
 
 from __future__ import annotations
@@ -61,6 +68,10 @@ _COND_WARN = 1e8
 
 REGULARIZED = "regularized"
 
+# the ufunc reductions behind np.linalg.norm, called without the ndarray
+# method wrappers, which cost a few microseconds per scalar solve
+_sum, _max = np.add.reduce, np.maximum.reduce
+
 
 @dataclass(frozen=True, eq=False)
 class MatchingSystem:
@@ -89,27 +100,23 @@ def build_system(spec: BarrierSpec) -> MatchingSystem:
     e0 = np.exp(1j * spec.a * k0)
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
 
-    m = np.zeros((8, 8), dtype=complex)
-    m[0] = [1, 0, -wm, -wm, -wp, -wp, 0, 0]
-    m[1] = [0, 1, -1, -1, -1, -1, 0, 0]
-    m[2] = [-k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0]
-    m[3] = [0, -k0, -kp, kp, -km, km, 0, 0]
-    m[4] = [0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0]
-    m[5] = [0, 0, ep, 1 / ep, em, 1 / em, 0, -e0]
-    m[6] = [0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0]
-    m[7] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0]
+    # one flat fill; the entries keep their scalar arithmetic, so every bit
+    # matches a row-by-row assembly
+    m = np.array((
+        1, 0, -wm, -wm, -wp, -wp, 0, 0,
+        0, 1, -1, -1, -1, -1, 0, 0,
+        -k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0,
+        0, -k0, -kp, kp, -km, km, 0, 0,
+        0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0,
+        0, 0, ep, 1 / ep, em, 1 / em, 0, -e0,
+        0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0,
+        0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0,
+    ), dtype=complex).reshape(8, 8)
     column_scale = np.array([1, wx, wm, wm, wp, wp, 1, wx], dtype=complex)
 
     rhs = -np.array([1, 0, k0, 0, 0, 0, 0, 0], dtype=complex)
     return MatchingSystem(matrix=m, rhs=rhs, column_scale=column_scale,
                           spec=spec, dispersion=disp, ratios=ratios)
-
-
-def _backward_error(m: np.ndarray, u: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    r = rhs - m @ u
-    denom = (np.linalg.norm(m, np.inf) * np.linalg.norm(u, np.inf)
-             + np.linalg.norm(rhs, np.inf))
-    return r, float(np.linalg.norm(r, np.inf) / denom)
 
 
 def solve(system: MatchingSystem) -> Amplitudes:
@@ -124,15 +131,24 @@ def solve(system: MatchingSystem) -> Amplitudes:
         inverse = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"matching matrix is singular: {exc}") from exc
-    condition = float(np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1))
+    abs_m = np.abs(m)
+    condition = float(_max(_sum(abs_m, 0)) * _max(_sum(np.abs(inverse), 0)))
     if not condition < _COND_REJECT:
         raise SingularSystemError(
             f"matching matrix is numerically singular (cond_1 {condition:.3e})")
+    # backward error ||r|| / (||M|| ||u|| + ||rhs||) in the infinity norm;
+    # ||rhs|| = max(1, k0), as rhs = -(1, 0, k0, 0, ...)
+    norm_m = float(_max(_sum(abs_m, 1)))
+    norm_rhs = max(1.0, system.dispersion.k0)
     u = inverse @ rhs
-    r, err = _backward_error(m, u, rhs)
+    r = rhs - m @ u
+    residual = float(_max(np.abs(r)))
+    err = residual / (norm_m * float(_max(np.abs(u))) + norm_rhs)
     if err > _REFINE_TRIGGER:
         u = u + inverse @ r
-        r, err = _backward_error(m, u, rhs)
+        r = rhs - m @ u
+        residual = float(_max(np.abs(r)))
+        err = residual / (norm_m * float(_max(np.abs(u))) + norm_rhs)
     if err > _RESIDUAL_ACCEPT:
         raise SingularSystemError(
             f"matching solve did not converge: backward error {err:.3e}")
@@ -140,12 +156,11 @@ def solve(system: MatchingSystem) -> Amplitudes:
         log.warning("matching matrix badly conditioned: cond_1 = %.3e "
                     "(theta=%.6g)", condition, system.spec.theta)
 
-    c = system.column_scale * u
+    c1, c2, c3, c4, c5, c6, c7, c8 = (system.column_scale * u).tolist()
     return Amplitudes(
-        c1=complex(c[0]), c2=complex(c[1]), c3=complex(c[2]), c4=complex(c[3]),
-        c5=complex(c[4]), c6=complex(c[5]), c7=complex(c[6]), c8=complex(c[7]),
+        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         dispersion=system.dispersion, ratios=system.ratios, route=REGULARIZED,
-        interior=interior_pairs(system.ratios, u[2:6]), residual=float(np.linalg.norm(r, np.inf)),
+        interior=interior_pairs(system.ratios, u[2:6].tolist()), residual=residual,
         condition=condition, solution=u)
 
 

@@ -228,38 +228,12 @@ def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
     N = [[n1, n3 - i n2], [n3 + i n2, -n1]] satisfies N^2 = I.  Its +1
     eigenvectors are the k_minus modes (ratio r_minus) and its -1
     eigenvectors the k_plus modes (ratio r_plus).  The Hamilton product
-    n * (alpha + j beta) * i of quaternion.left_n_right_i acts on
-    (alpha, beta) as -sz N sz, sz = diag(1, -1).
+    n * (alpha + j beta) * i acts on (alpha, beta) as -sz N sz,
+    sz = diag(1, -1); tests/test_quaternion.py checks this against the
+    full quaternion product.
     """
     off = complex(n.n3, -n.n2)
     return np.array([[n.n1, off], [off.conjugate(), -n.n1]], dtype=complex)
-
-
-def interior_matrix(k: float, spec: BarrierSpec) -> np.ndarray:
-    """2x2 mode matrix of the interior equation at wavenumber k.
-
-    (omega0^2 + V0^2 - k^2) I - 2 omega0 V0 N; singular exactly at k_plus
-    and k_minus.
-    """
-    w0, v0 = spec.omega0, spec.v0
-    base = w0 * w0 + v0 * v0 - k * k
-    return base * np.eye(2, dtype=complex) - (2.0 * w0 * v0) * direction_coupling(spec.direction())
-
-
-def free_matrix(k: float, spec: BarrierSpec) -> np.ndarray:
-    """2x2 mode matrix outside the barrier: (omega0^2 - k^2) I."""
-    return (spec.omega0 ** 2 - k * k) * np.eye(2, dtype=complex)
-
-
-def dispersion_residual(k: float, spec: BarrierSpec, c: SymplecticPair,
-                        inside: bool = True) -> float:
-    """Euclidean norm of the mode-equation residual for amplitude pair c.
-
-    Zero exactly when (k, c) is a valid plane-wave mode of the region.
-    """
-    m = interior_matrix(k, spec) if inside else free_matrix(k, spec)
-    vec = np.array([c.alpha, c.beta], dtype=complex)
-    return float(np.linalg.norm(m @ vec))
 
 
 def interior_pairs(ratios: ModeRatios, d) -> tuple[SymplecticPair, ...]:

@@ -129,22 +129,3 @@ class UnitImaginaryDirection:
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.n1, self.n2, self.n3)
-
-
-def left_n_right_i(n: UnitImaginaryDirection, c: SymplecticPair) -> SymplecticPair:
-    """Symplectic components of n * (alpha + j beta) * i.
-
-    Expanding with j c = conj(c) j gives
-
-        alpha' = -n1 alpha + (n3 - i n2) beta
-        beta'  = (n3 + i n2) alpha + n1 beta
-
-    The +n1 beta sign is fixed by the Hamilton product (check i j i = j); the
-    brute-force product route is the oracle for this function.  As a 2x2
-    matrix on (alpha, beta) this is -sz N sz, with sz = diag(1, -1) and N
-    the coupling matrix model.direction_coupling(n) that the solvers use.
-    """
-    a, b = c.alpha, c.beta
-    off = complex(n.n3, -n.n2)
-    return SymplecticPair(-n.n1 * a + off * b,
-                          off.conjugate() * a + n.n1 * b)

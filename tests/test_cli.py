@@ -14,6 +14,44 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+# sha256 of the stdout of `qkg solve ARGS`, recorded from the matcher that
+# evaluated its condition and backward-error gates norm by norm with
+# np.linalg.norm: the default spec, both poles, V0 = 0 and a = 0, as text,
+# CSV and JSON.
+SOLVE_DIGESTS = {
+    "":
+        "587f07ecffae4e1437cd2d8023a788a20b43221fd425ca5ff69f5e9baa4106b4",
+    "--format csv":
+        "b71915c5e147fb3e4b5b0fd40e835309baca237849a3149c9d92efdf44a854ad",
+    "--format json":
+        "17772aeadc204878a3b8abfe96fd7ed58602043c34b5756aff099a75657c683e",
+    "--theta 0":
+        "a0691f566a9c7c4a84f1ea6e1dc50c81f53bb839cf5eab2082e9c88523279c7e",
+    "--theta 0 --format csv":
+        "c72a00761dba53285d5763d637ece5aafcf9721f010459db54e62dbfea24ad36",
+    "--theta 0 --format json":
+        "68bd8084a0859a8ca09eddc3aad57a47a97fdaba3479bb23eb99c23490d2fc34",
+    "--theta 3.141592653589793":
+        "2d3230c50a30bcbd1ee0f10e6a41546c3d6cc6fae73fe8960dc1167e6c8d2748",
+    "--theta 3.141592653589793 --format csv":
+        "1bb183fa5291b3033338c8e2f12d58318b6898f5bff51e77ca9bd37bfcfe5862",
+    "--theta 3.141592653589793 --format json":
+        "b1e2d3345c5c4b8d4ede1769c91c2421e4e9d5025864bef81e9d8f7a62b16cfc",
+    "--v0 0":
+        "3b4b16443bdd90f51452938e3fdd077377205a11ddc6984b72246879abff5e77",
+    "--v0 0 --format csv":
+        "36117656d25d19f1ce3284bb4056a1c9ce47694b3c0f86301ceb064c78eb3775",
+    "--v0 0 --format json":
+        "8e74045f0c6ed443ea9acaa5c3d46fc1ed4480d7f1e0d3583dd50712951d99c5",
+    "--a 0":
+        "c748c7f269edd3fdaa46a5df5efc2790afb8044e499f576791c82542773c9324",
+    "--a 0 --format csv":
+        "1956a9cbb64f7dda4b735a232109feaab95266f0981696b69252b00f278536e0",
+    "--a 0 --format json":
+        "d4f946087392f62a8a32dd7ae253fd43e523603b9a03dd72f6273bb57832ff58",
+}
+
+
 class TestSolve:
     def test_text_output(self):
         proc = run_cli("solve", "--a", "1", "--v0", "0.3")
@@ -48,15 +86,24 @@ class TestSolve:
         assert proc.returncode == 2
 
     def test_non_finite_matrix_exits_2(self):
-        # a * k overflows, so the matching matrix holds NaNs
+        # a * k would overflow; BarrierSpec's float-range rule exits 2
+        # before any matching matrix is built
         proc = run_cli("solve", "--a", "1e308", "--omega0", "10")
         assert proc.returncode == 2
 
     def test_badly_conditioned_warning_printed(self):
         proc = run_cli("solve", "--omega0", "1e8")
         assert proc.returncode == 0
-        assert proc.stderr.startswith("matching matrix badly conditioned")
-        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr == ("matching matrix badly conditioned: "
+                               "cond_1 = 6.820e+08 (theta=1.5708)\n")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "c8669199e5ef12dd281b3a5e22121a850b20b4d1870d620a5ceddcf4fc17c0ea"
+
+    @pytest.mark.parametrize("args", SOLVE_DIGESTS, ids=lambda args: args or "defaults")
+    def test_output_bytes_pinned(self, tmp_path, args):
+        out = tmp_path / "solve.out"
+        assert main(["solve", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SOLVE_DIGESTS[args]
 
     def test_unknown_subcommand_exits_2(self):
         proc = run_cli("granulate")

@@ -5,6 +5,7 @@ import pytest
 
 from qkg.closedform import amplitudes_closed
 from qkg.errors import DegenerateWavenumberError, SingularSystemError
+from qkg import matcher
 from qkg.matcher import (
     REGULARIZED,
     build_system,
@@ -13,8 +14,10 @@ from qkg.matcher import (
     solve_spec,
     transmission,
 )
-from qkg.model import BarrierSpec, dispersion_residual, mode_ratios, wavenumbers
-from qkg.verify import _transcribed_matrix
+from qkg.model import BarrierSpec, interior_pairs, mode_ratios, wavenumbers
+from qkg.verify import _transcribed_matrix, random_specs
+
+from mode_equations import dispersion_residual
 
 
 class TestBuildSystem:
@@ -152,3 +155,78 @@ class TestSolveFailureModes:
         system.matrix[:, 0] = system.matrix[:, 1] + 1e-15 * np.arange(1, 9)
         with pytest.raises(SingularSystemError):
             solve(system)
+
+
+def _reference_matrix(spec):
+    """The matching matrix assembled row by row into a zeroed array."""
+    disp, ratios = wavenumbers(spec), mode_ratios(spec.theta, spec.phi)
+    k0, kp, km = disp.k0, disp.k_plus, disp.k_minus
+    ep, em, e0 = (np.exp(1j * spec.a * k) for k in (kp, km, k0))
+    wp, wm = ratios.w_plus, ratios.w_minus
+    m = np.zeros((8, 8), dtype=complex)
+    m[0] = [1, 0, -wm, -wm, -wp, -wp, 0, 0]
+    m[1] = [0, 1, -1, -1, -1, -1, 0, 0]
+    m[2] = [-k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0]
+    m[3] = [0, -k0, -kp, kp, -km, km, 0, 0]
+    m[4] = [0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0]
+    m[5] = [0, 0, ep, 1 / ep, em, 1 / em, 0, -e0]
+    m[6] = [0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0]
+    m[7] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0]
+    return m
+
+
+def _reference_solve(system, refine_trigger):
+    """The solver's gate arithmetic written norm by norm with np.linalg.norm.
+
+    Returns (condition, residual, u) as the matcher must report them.
+    """
+    m, rhs = system.matrix, system.rhs
+    inverse = np.linalg.inv(m)
+    condition = float(np.linalg.norm(m, 1) * np.linalg.norm(inverse, 1))
+
+    def backward_error(u):
+        r = rhs - m @ u
+        denom = (np.linalg.norm(m, np.inf) * np.linalg.norm(u, np.inf)
+                 + np.linalg.norm(rhs, np.inf))
+        return r, float(np.linalg.norm(r, np.inf) / denom)
+
+    u = inverse @ rhs
+    r, err = backward_error(u)
+    if err > refine_trigger:
+        u = u + inverse @ r
+        r, err = backward_error(u)
+    return condition, float(np.linalg.norm(r, np.inf)), u
+
+
+def _edge_specs():
+    base = dict(a=1.7, v0=0.5, omega0=1.0, phi=0.9)
+    yield BarrierSpec(theta=0.0, **base)
+    yield BarrierSpec(theta=math.pi, **base)
+    yield BarrierSpec(a=2.0, v0=0.0, omega0=1.0, theta=1.1, phi=0.4)
+    yield BarrierSpec(a=0.0, v0=0.7, omega0=1.0, theta=1.0, phi=2.0)
+    yield BarrierSpec(a=1e-8, v0=0.5e8, omega0=1e8, theta=1.0, phi=0.3)
+
+
+class TestBitIdentity:
+    """The lean gates reproduce the norm-by-norm arithmetic bit for bit."""
+
+    # 4e-17 is near the median backward error of these specs, so about half
+    # of them refine: a slip in the error's arithmetic flips some decisions
+    @pytest.mark.parametrize("trigger", [matcher._REFINE_TRIGGER, 4e-17, 0.0],
+                             ids=["as-shipped", "half-refine", "always-refine"])
+    def test_matches_norm_by_norm_reference(self, monkeypatch, trigger):
+        monkeypatch.setattr(matcher, "_REFINE_TRIGGER", trigger)
+        specs = [*random_specs(np.random.default_rng(2024), 500), *_edge_specs()]
+        for spec in specs:
+            system = build_system(spec)
+            assert system.matrix.tobytes() == _reference_matrix(spec).tobytes()
+            amps = solve(system)
+            condition, residual, u = _reference_solve(system, trigger)
+            assert amps.condition == condition
+            assert amps.residual == residual
+            assert amps.solution.tobytes() == u.tobytes()
+            assert amps.as_array().tobytes() == (system.column_scale * u).tobytes()
+            want = interior_pairs(system.ratios, u[2:6])
+            for got, pair in zip(amps.interior, want):
+                assert np.array([got.alpha, got.beta]).tobytes() == \
+                    np.array([pair.alpha, pair.beta]).tobytes()

@@ -13,9 +13,6 @@ from qkg.model import (
     BarrierSpec,
     check_nondegenerate,
     direction_coupling,
-    dispersion_residual,
-    free_matrix,
-    interior_matrix,
     mode_ratios,
     require,
     require_each,
@@ -24,6 +21,8 @@ from qkg.model import (
     wavenumbers,
 )
 from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
+
+from mode_equations import dispersion_residual, free_matrix, interior_matrix
 
 angles = st.tuples(st.floats(0.1, math.pi - 0.1),
                    st.floats(0.0, 2.0 * math.pi, exclude_max=True))

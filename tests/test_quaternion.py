@@ -16,7 +16,6 @@ from qkg.quaternion import (
     SymplecticPair,
     UnitImaginaryDirection,
     join,
-    left_n_right_i,
     split,
 )
 
@@ -120,6 +119,25 @@ class TestUnitImaginaryDirection:
     def test_poles(self):
         north = UnitImaginaryDirection.from_angles(0.0, 0.3)
         assert (north.n1, north.n2, north.n3) == (1.0, 0.0, 0.0)
+
+
+def left_n_right_i(n: UnitImaginaryDirection, c: SymplecticPair) -> SymplecticPair:
+    """Symplectic components of n * (alpha + j beta) * i.
+
+    Expanding with j c = conj(c) j gives
+
+        alpha' = -n1 alpha + (n3 - i n2) beta
+        beta'  = (n3 + i n2) alpha + n1 beta
+
+    The +n1 beta sign is fixed by the Hamilton product (check i j i = j); the
+    brute-force product route is the oracle for this function.  As a 2x2
+    matrix on (alpha, beta) this is -sz N sz, with sz = diag(1, -1) and N
+    the coupling matrix model.direction_coupling(n) that the solvers use.
+    """
+    a, b = c.alpha, c.beta
+    off = complex(n.n3, -n.n2)
+    return SymplecticPair(-n.n1 * a + off * b,
+                          off.conjugate() * a + n.n1 * b)
 
 
 def brute_left_n_right_i(n: UnitImaginaryDirection, c: SymplecticPair) -> SymplecticPair:
