@@ -30,10 +30,8 @@ from .matcher import (
     REGULARIZED,
     MatchingSystem,
     build_system,
-    reflection,
     solve,
     solve_spec,
-    transmission,
 )
 from .model import (
     Amplitudes,
@@ -136,7 +134,6 @@ __all__ = [
     "ordering_report",
     "psi",
     "quaternionic_fraction",
-    "reflection",
     "region_of",
     "run_all",
     "sample_field",
@@ -148,6 +145,5 @@ __all__ = [
     "stack_smatrix",
     "stack_transfer",
     "transfer_smatrix",
-    "transmission",
     "wavenumbers",
 ]

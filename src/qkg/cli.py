@@ -179,7 +179,8 @@ def _grid_values(start: float, stop: float, step: float) -> list[float]:
     count = int(math.floor(span + 1e-9)) + 1
     if count > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
-    return [start + i * step for i in range(count)]
+    # start + i * step can round one ulp past stop
+    return [min(start + i * step, stop) for i in range(count)]
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:

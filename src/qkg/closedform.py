@@ -1,32 +1,32 @@
 """Closed-form scattering amplitudes of the quaternionic barrier.
 
 The matching system factorizes into two ordinary complex barrier problems,
-one per interior branch.  For a scalar barrier of width a with interior
-wavenumber q and exterior wavenumber k0, matching a unit incident wave gives
+one per interior branch.  On the branch with interior wavenumber q the
+barrier is a symmetric lossless slab of width a in the free waves of k0,
+and one formula, slab_rt, gives its r and its t (referenced to the slab's
+far end); the interior amplitudes A, B need q > 0 (check_nondegenerate):
 
-    S(q)   = (q^2 + k0^2) sin(aq) + 2 i k0 q cos(aq)
-    r(q)   = (k0^2 - q^2) sin(aq) / S(q)                 (reflection)
-    t(q)   = 2 i k0 q e^{-i a k0} / S(q)                 (transmission)
-    D(q)   = -(q + k0)^2 + (q - k0)^2 e^{2 i a q}
-    A(q)   = -2 k0 (q + k0) / D(q)                       (interior forward)
-    B(q)   = -2 k0 (q - k0) e^{2 i a q} / D(q)           (interior backward)
+    sigma = sin(aq) / 2                     D(q) = -(q + k0)^2 + (q - k0)^2 e^{2 i a q}
+    t(q) = 1 / (cos(aq) - i (sigma k0/q + sigma q/k0))    A(q) = -2 k0 (q + k0) / D(q)
+    r(q) = i (sigma q/k0 - sigma k0/q) t(q)               B(q) = -2 k0 (q - k0) e^{2 i a q} / D(q)
 
-S and D never vanish for positive wavenumbers (their real and imaginary
-parts cannot be zero simultaneously), so there is no exponential damping in
-the barrier: both branches propagate for any width.
+r and t are entire in q: sigma k0/q = k0 a / 2 at q = 0, where
+r = k0 a / (k0 a + 2i).  No denominator vanishes for q > 0, so there is no
+exponential damping in the barrier: both branches propagate for any width.
 
-The quaternionic amplitudes are angle-weighted superpositions of the two
-branch problems, with all direction dependence carried by the regular
-combinations w_plus, w_minus, w_cross:
+Each 2x2 block of the barrier is f(N) = (f- + f+)/2 I + (f- - f+)/2 N, N the
+direction involution, f- on the k_minus and f+ on the k_plus branch
+(coupled).  c1, c2 and c7, c8 are the incident columns of r(N) and t(N); the
+transmitted wave picks up e^{-i a k0} once:
 
-    c1 = w_plus r(k-) - w_minus r(k+)      c7 = w_plus t(k-) - w_minus t(k+)
-    c2 = w_cross (r(k-) - r(k+))           c8 = w_cross (t(k-) - t(k+))
+    c1 = w_plus r(k-) - w_minus r(k+)      c7 = e^{-i a k0} (w_plus t(k-) - w_minus t(k+))
+    c2 = w_cross (r(k-) - r(k+))           c8 = e^{-i a k0} w_cross (t(k-) - t(k+))
     c3 = -w_minus A(k+)                    c5 = w_plus A(k-)
     c4 = -w_minus B(k+)                    c6 = w_plus B(k-)
 
 In the complex limit theta -> 0 this collapses to the scalar k_minus
-problem: c2 = c8 = 0, c1 = r(k-), c7 = t(k-), and |c1|^2 + |c7|^2 = 1.
-A first-order expansion in small (theta, a, V0) gives the leading behavior
+problem: c2 = c8 = 0 and |c1|^2 + |c7|^2 = 1.  A first-order expansion in
+small (theta, a, V0) gives the leading behavior
 
     c1 = -i a V0                 c5 = 1 + V0 / (2 omega0)
     c2 = a theta e^{-i phi} V0   c6 = -V0 / (2 omega0) - i a V0
@@ -62,23 +62,40 @@ COMPLEX_LIMIT = "complex-limit"
 TAYLOR = "taylor"
 
 
-def _branch(q, k0, a, sin=math.sin, cos=math.cos, exp=cmath.exp):
-    """Scalar barrier amplitudes (r, t, A, B) for interior wavenumber q."""
-    sq = sin(a * q)
-    cq = cos(a * q)
-    s = (q * q + k0 * k0) * sq + 2j * k0 * q * cq
-    r = (k0 * k0 - q * q) * sq / s
-    t = 2j * k0 * q * exp(-1j * a * k0) / s
-    ph2 = exp(2j * a * q)
+def slab_rt(q, k0, length, sin=math.sin, cos=math.cos):
+    """The module's (r, t) of a slab; q^2 is never formed, so any finite q length works.
+
+    Scalar callers pass math's sin and cos and keep q > 0; with numpy's, any
+    argument may be an array, and sigma k0/q is k0 length / 2 where q = 0.
+    """
+    phase = q * length
+    sigma = 0.5 * sin(phase)
+    up = sigma * q / k0
+    if sin is math.sin or q.all():
+        down = sigma * k0 / q
+    else:
+        with np.errstate(invalid="ignore"):
+            down = np.where(q == 0, 0.5 * k0 * length, sigma * k0 / q)
+    t = 1.0 / (cos(phase) - 1j * (down + up))
+    return 1j * (up - down) * t, t
+
+
+def coupled(f_minus, f_plus, n1, cross):
+    """Entries (f00, f10, f01, f11) of f(N) = (f- + f+)/2 I + (f- - f+)/2 N.
+
+    N = [[n1, conj(cross)], [cross, -n1]], cross = n3 + i n2; the arguments
+    may be numbers or broadcasting arrays.
+    """
+    mean = 0.5 * (f_minus + f_plus)
+    half = 0.5 * (f_minus - f_plus)
+    return mean + half * n1, half * cross, half * cross.conjugate(), mean - half * n1
+
+
+def _interior(q, k0, a):
+    """The module's interior amplitudes (A, B), for q > 0."""
+    ph2 = cmath.exp(2j * a * q)
     d = -((q + k0) ** 2) + ((q - k0) ** 2) * ph2
-    fwd = -2.0 * k0 * (q + k0) / d
-    bwd = -2.0 * k0 * (q - k0) * ph2 / d
-    return r, t, fwd, bwd
-
-
-def _exterior(wp, wm, wx, rp, tp, rm, tm):
-    """(c1, c2, c7, c8) from the k_plus and k_minus branch amplitudes."""
-    return wp * rm - wm * rp, wx * (rm - rp), wp * tm - wm * tp, wx * (tm - tp)
+    return -2.0 * k0 * (q + k0) / d, -2.0 * k0 * (q - k0) * ph2 / d
 
 
 def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
@@ -86,22 +103,28 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
 
     Valid for every theta in [0, pi]; only the regular angle combinations
     enter, so the poles need no special casing.  The route is
-    "complex-limit" at a pole and "exact" elsewhere.
+    "complex-limit" at a pole and "exact" elsewhere; c3..c6 need k_minus > 0.
     """
     check_nondegenerate(spec)
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
-    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-    rp, tp, ap, bp = _branch(disp.k_plus, disp.k0, spec.a)
-    rm, tm, am, bm = _branch(disp.k_minus, disp.k0, spec.a)
-    c1, c2, c7, c8 = _exterior(wp, wm, wx, rp, tp, rm, tm)
+    k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
+    rp, tp = slab_rt(kp, k0, a)
+    rm, tm = slab_rt(km, k0, a)
+    n1, cross = math.cos(spec.theta), 2.0 * ratios.w_cross
+    c1, c2, _, _ = coupled(rm, rp, n1, cross)
+    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    back = cmath.exp(-1j * a * k0)
+    ap, bp = _interior(kp, k0, a)
+    am, bm = _interior(km, k0, a)
 
     # Pre-scaled interior coefficients shared with the matching solver.
     d3, d4, d5, d6 = -ap, -bp, am, bm
+    wp, wm = ratios.w_plus, ratios.w_minus
     route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
     return Amplitudes(
         c1=c1, c2=c2, c3=wm * d3, c4=wm * d4, c5=wp * d5, c6=wp * d6,
-        c7=c7, c8=c8,
+        c7=c7 * back, c8=c8 * back,
         dispersion=disp, ratios=ratios, route=route,
         interior=interior_pairs(ratios, (d3, d4, d5, d6)))
 
@@ -110,15 +133,17 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     """amplitudes_closed's (c1, c2, c7, c8), in numpy over broadcast arrays.
 
     The same formulas with numpy's sin, cos and exp: the two agree to
-    rounding, and c2 = c8 = 0 exactly at theta = 0.  Raises what BarrierSpec
-    and check_nondegenerate raise at the first invalid point in C order."""
-    require_each(slab_rules, a, v0, theta, phi, omega0, solvable=True)
-    n1 = np.cos(theta)
-    wp, wm = (1.0 + n1) / 2.0, (n1 - 1.0) / 2.0
-    wx = 0.5j * np.sin(theta) * np.exp(-1j * phi)
-    rp, tp, _, _ = _branch(np.abs(omega0 + v0), omega0, a, np.sin, np.cos, np.exp)
-    rm, tm, _, _ = _branch(np.abs(omega0 - v0), omega0, a, np.sin, np.cos, np.exp)
-    return np.broadcast_arrays(*_exterior(wp, wm, wx, rp, tp, rm, tm))
+    rounding, and c2 = c8 = 0 exactly at theta = 0.  Only the exterior is
+    formed, so V0 = omega0 answers.  Raises what BarrierSpec raises at the
+    first invalid point in C order."""
+    require_each(slab_rules, a, v0, theta, phi, omega0)
+    rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a, np.sin, np.cos)
+    rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a, np.sin, np.cos)
+    n1, cross = np.cos(theta), 1j * np.sin(theta) * np.exp(-1j * phi)
+    c1, c2, _, _ = coupled(rm, rp, n1, cross)
+    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    back = np.exp(-1j * a * omega0)
+    return np.broadcast_arrays(c1, c2, c7 * back, c8 * back)
 
 
 def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:

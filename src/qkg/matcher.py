@@ -55,7 +55,6 @@ from .model import (
     mode_ratios,
     wavenumbers,
 )
-from .quaternion import SymplecticPair
 
 log = logging.getLogger(__name__)
 
@@ -168,12 +167,3 @@ def solve_spec(spec: BarrierSpec) -> Amplitudes:
     """Convenience wrapper: build and solve in one call."""
     return solve(build_system(spec))
 
-
-def reflection(amps: Amplitudes) -> SymplecticPair:
-    """Reflected amplitude (c1, c2)."""
-    return SymplecticPair(amps.c1, amps.c2)
-
-
-def transmission(amps: Amplitudes) -> SymplecticPair:
-    """Transmitted amplitude (c7, c8)."""
-    return SymplecticPair(amps.c7, amps.c8)

@@ -59,7 +59,7 @@ from .quaternion import SymplecticPair, UnitImaginaryDirection
 # complex-limit route.
 EPS_THETA = 1e-9
 
-# Relative half-width of the rejected band around V0 = omega0.
+# Relative half-width of the band around V0 = omega0 that check_nondegenerate rejects.
 EPS_K_REL = 1e-9
 
 
@@ -68,17 +68,17 @@ def require(holds, message: str, *values, error=ValueError) -> None:
         raise error(message.format(*values))
 
 
-def require_each(rules, *arrays, **options) -> None:
-    """rules(require, *point, **options) at each point of the broadcast arrays,
-    every one of which some rule reads; the first invalid point in C order raises."""
+def require_each(rules, *arrays) -> None:
+    """rules(require, *point) at each point of the broadcast arrays, every one
+    of which some rule reads; the first invalid point in C order raises."""
     masks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        rules(lambda holds, *_, **__: masks.append(holds),
-              *(np.asarray(x, dtype=float) for x in arrays), isfinite=np.isfinite, **options)
+        rules(lambda holds, *_: masks.append(holds),
+              *(np.asarray(x, dtype=float) for x in arrays), isfinite=np.isfinite)
     ok = functools.reduce(operator.and_, masks)
     if not ok.all():
         point = (x.flat[ok.argmin()].item() for x in np.broadcast_arrays(*arrays))
-        rules(require, *point, **options)
+        rules(require, *point)
 
 
 def frequency_rule(check, omega0, isfinite=math.isfinite):
@@ -93,13 +93,8 @@ def window_rule(check, x_min, x_max, n_points, isfinite=math.isfinite):
           "float range, got [{}, {}]", x_min, x_max)
 
 
-def nondegenerate(v0, omega0):
-    """Whether the slow branch propagates: |omega0 - V0| >= EPS_K_REL omega0."""
-    return abs(omega0 - v0) >= EPS_K_REL * omega0
-
-
-def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite, solvable=False):
-    """Rules of Segment; given omega0, of BarrierSpec; solvable adds check_nondegenerate's."""
+def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite):
+    """Rules of Segment; given omega0, of BarrierSpec."""
     check((width >= 0.0) & isfinite(width), "width must be finite and >= 0, got {}", width)
     check((v0 >= 0.0) & isfinite(v0), "potential must satisfy v0 >= 0, got {}", v0)
     check((0.0 <= theta) & (theta <= math.pi), "theta must lie in [0, pi], got {}", theta)
@@ -114,9 +109,6 @@ def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite
           & (omega0 * omega0 >= sys.float_info.min),
           "a = {}, v0 = {}, omega0 = {} leave the float range: 2 a (omega0 + v0) and 16 "
           "(omega0 + v0)^2 must be finite and omega0^2 a normal float", width, v0, omega0)
-    if solvable:
-        check(nondegenerate(v0, omega0), "k_minus ~ 0 for v0 = {}, omega0 = {}; the four-"
-              "plane-wave interior basis degenerates", v0, omega0, error=DegenerateWavenumberError)
 
 
 def stack_rules(check, omega0, length=0.0, v0=0.0, gap=0.0, total=0.0, isfinite=math.isfinite):
@@ -125,8 +117,6 @@ def stack_rules(check, omega0, length=0.0, v0=0.0, gap=0.0, total=0.0, isfinite=
     frequency_rule(check, omega0, isfinite)
     check(isfinite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
           "{}: length * (omega0 + v0) leaves the float range", length, v0, omega0)
-    check(nondegenerate(v0, omega0), "segment with v0 = {} at omega0 = {} has k_minus ~ 0",
-          v0, omega0, error=DegenerateWavenumberError)
     check(isfinite(omega0 * total), "stack of total length {} at omega0 = {}: omega0 * total "
           "length leaves the float range", total, omega0)
 
@@ -188,10 +178,12 @@ def wavenumbers(spec: BarrierSpec) -> DispersionData:
 def check_nondegenerate(spec: BarrierSpec) -> None:
     """Reject specs whose slow interior branch stops propagating.
 
-    Raises DegenerateWavenumberError when |omega0 - V0| < EPS_K_REL * omega0.
+    Raises DegenerateWavenumberError when |omega0 - V0| < EPS_K_REL * omega0;
+    only the routes that form the interior plane waves call it.
     """
-    if not nondegenerate(spec.v0, spec.omega0):
-        slab_rules(require, spec.a, spec.v0, spec.theta, spec.phi, spec.omega0, solvable=True)
+    require(abs(spec.omega0 - spec.v0) >= EPS_K_REL * spec.omega0, "k_minus ~ 0 for v0 = {}, "
+            "omega0 = {}; the four-plane-wave interior basis degenerates", spec.v0, spec.omega0,
+            error=DegenerateWavenumberError)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ angles.
 Stacks are scattered with S-matrices in the free-wave basis of k0 = omega0,
 each side referenced to its own end.  One array pass builds every segment's
 S = [[r, t], [t, r]]: on each branch q the segment is a symmetric lossless
-slab with
+slab, whose r and t closedform.slab_rt gives,
 
-    t = 1 / (cos qL - (i/2) sin qL (k0/q + q/k0)),
-    r = (i/2) sin qL (q/k0 - k0/q) t,
+    t = 1 / (cos qL - i (sigma k0/q + sigma q/k0)),   r = i (sigma q/k0 - sigma k0/q) t,
 
-so no per-segment inverse is needed.  The Redheffer star product composes
+with sigma = sin(qL) / 2.  Both are entire in q, so V0 = omega0 needs no
+special case.  closedform.coupled fills the f(N) blocks, and no per-segment
+inverse is needed.  The Redheffer star product composes
 the segments; it is associative, so the stack is reduced as a balanced tree
 in log2(n) batched steps, with the 2x2 products and inverses written out on
 (2, 2, n, m) arrays.  Every S-matrix is unitary, so no entry grows with
@@ -36,7 +37,7 @@ flux defect.  Stacks with a hard mirror, and stacks whose star products miss
 STACK_FLUX_TOL, are scattered by the 4x4 transfer product instead,
 
     T(L) = [ C(L)   S(L) ]      C = cos(k- L) P + cos(k+ L) Q
-           [ -K^2 S(L)  C(L) ]  S = sin(k- L)/k- P + sin(k+ L)/k+ Q
+           [ -K^2 S(L)  C(L) ]  S = sin(k- L)/k- P + sin(k+ L)/k+ Q   (L at k- = 0)
 
 over s = (psi_alpha, psi_beta, psi_alpha', psi_beta'), composed by left
 multiplication in traversal order, and one 4x4 boundary solve.  Its answer
@@ -51,6 +52,7 @@ from math import cos, sin
 
 import numpy as np
 
+from .closedform import coupled, slab_rt
 from .errors import SingularSystemError
 from .model import (BarrierSpec, direction_coupling, frequency_rule, require, require_each,
                     slab_rules, stack_rules)
@@ -115,7 +117,8 @@ def segment_transfer(seg: Segment, omega0: float) -> np.ndarray:
     p_plus = 0.5 * (eye - coupling)      # k_plus branch
     length = seg.length
     c_block = cos(km * length) * p_minus + cos(kp * length) * p_plus
-    s_block = (sin(km * length) / km) * p_minus + (sin(kp * length) / kp) * p_plus
+    s_block = ((sin(km * length) / km if km else length) * p_minus
+               + (sin(kp * length) / kp) * p_plus)
     ks_block = (km * sin(km * length)) * p_minus + (kp * sin(kp * length)) * p_plus
     return np.block([[c_block, s_block], [-ks_block, c_block]])
 
@@ -192,47 +195,23 @@ def _star(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_slabs(k0: float, length, v0) -> tuple[np.ndarray, np.ndarray] | None:
-    """r and t of each branch q = k_minus, k_plus as a symmetric slab.
-
-    Arrays of shape (2, n, m) for (n, m) valid segments, or None when a
-    branch is a hard mirror.  q / k0 may overflow; |t|^2 then fails the
-    floor.
-    """
-    q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = q * length
-        sin_half = 0.5 * np.sin(phase)
-        up, down = q / k0, k0 / q
-        t = 1.0 / (np.cos(phase) - 1j * (sin_half * (down + up)))
-        r = (1j * sin_half * (up - down)) * t
-        t2 = t.real ** 2 + t.imag ** 2
-    return (r, t) if t2.min() >= HARD_MIRROR_FLOOR else None
-
-
 def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray | None:
-    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment; None on a hard mirror.
-
-    Each 2x2 block is f(N) = (f- + f+)/2 I + (f- - f+)/2 N.
-    """
-    slabs = _branch_slabs(k0, length, v0)
-    if slabs is None:
-        return None
+    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment; None on a hard mirror."""
+    q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
+    with np.errstate(over="ignore", invalid="ignore"):    # q / k0 fails the floor
+        r, t = slab_rt(q, k0, length, np.sin, np.cos)
+        if not (t.real ** 2 + t.imag ** 2).min() >= HARD_MIRROR_FLOOR:
+            return None
+    rt = np.array((r, t))
     sin_theta = np.sin(theta)
-    off = np.empty(theta.shape, dtype=complex)     # n3 - i n2
-    off.real = sin_theta * np.sin(phi)
-    off.imag = sin_theta * -np.cos(phi)
-    n1 = np.cos(theta)
-    rt = np.array(slabs)
-    mean = 0.5 * (rt[:, 0] + rt[:, 1])
-    half_diff = 0.5 * (rt[:, 0] - rt[:, 1])
+    cross = np.empty(theta.shape, dtype=complex)     # n3 + i n2
+    cross.real = sin_theta * np.sin(phi)
+    cross.imag = sin_theta * np.cos(phi)
     # s[out side, i, in side, j] = [[r, t], [t, r]]: fill the left row,
     # then mirror it into the right one
     s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
-    s[0, 0, :, 0] = mean + half_diff * n1
-    s[0, 1, :, 1] = mean - half_diff * n1
-    s[0, 0, :, 1] = half_diff * off
-    s[0, 1, :, 0] = half_diff * off.conj()
+    s[0, 0, :, 0], s[0, 1, :, 0], s[0, 0, :, 1], s[0, 1, :, 1] = coupled(
+        rt[:, 0], rt[:, 1], np.cos(theta), cross)
     s[1] = s[0, :, ::-1]
     return s.reshape((4, 4) + theta.shape)
 

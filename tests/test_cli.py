@@ -14,29 +14,29 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
-# sha256 of the stdout of `qkg solve ARGS`, recorded from the matcher that
-# evaluated its condition and backward-error gates norm by norm with
-# np.linalg.norm: the default spec, both poles, V0 = 0 and a = 0, as text,
-# CSV and JSON.
+# sha256 of the stdout of `qkg solve ARGS`: the default spec, both poles,
+# V0 = 0 and a = 0, as text, CSV and JSON.  The matcher column was recorded
+# from the matcher that evaluated its gates norm by norm with np.linalg.norm;
+# the closed-form column from the single slab kernel, closedform.slab_rt.
 SOLVE_DIGESTS = {
     "":
-        "587f07ecffae4e1437cd2d8023a788a20b43221fd425ca5ff69f5e9baa4106b4",
+        "00a3cf8ecb9cbe679a24328689a6f459a93a16ae2de7ae221bdc099dd55d1448",
     "--format csv":
-        "b71915c5e147fb3e4b5b0fd40e835309baca237849a3149c9d92efdf44a854ad",
+        "9c51ceaecfddeac6368518abb83ab5448226a60b09da31b04b06a2c4ece97827",
     "--format json":
-        "17772aeadc204878a3b8abfe96fd7ed58602043c34b5756aff099a75657c683e",
+        "a184cecda4de586bd0660fe7a62304587d3a80313049fdb293fd7574f16a6e56",
     "--theta 0":
-        "a0691f566a9c7c4a84f1ea6e1dc50c81f53bb839cf5eab2082e9c88523279c7e",
+        "98646c7a488e55f2569333776d2f50fb5f60161af3546218a4ebeb40110a8b08",
     "--theta 0 --format csv":
-        "c72a00761dba53285d5763d637ece5aafcf9721f010459db54e62dbfea24ad36",
+        "36ce70fc8795c855e6328aa773fc6a707f779f3831643dbbc19ed530fde358dc",
     "--theta 0 --format json":
-        "68bd8084a0859a8ca09eddc3aad57a47a97fdaba3479bb23eb99c23490d2fc34",
+        "4853a31e20a48bca74dd7e7b9178d31d446c8bb771e24ca97eb923a9079ac288",
     "--theta 3.141592653589793":
-        "2d3230c50a30bcbd1ee0f10e6a41546c3d6cc6fae73fe8960dc1167e6c8d2748",
+        "4d971c3bd24c57df6cc30d90ffeb59b09f4a995f204fa9d8ca1b67f5c4053902",
     "--theta 3.141592653589793 --format csv":
-        "1bb183fa5291b3033338c8e2f12d58318b6898f5bff51e77ca9bd37bfcfe5862",
+        "12dd117ac66ef066fad409f72864e116c0e5c36152c483b1bc9887645d99ba6f",
     "--theta 3.141592653589793 --format json":
-        "b1e2d3345c5c4b8d4ede1769c91c2421e4e9d5025864bef81e9d8f7a62b16cfc",
+        "bf81c97fb3c899d5c8b9c7af09dfe3456cae1850be4a35556099f430b1ec0fa4",
     "--v0 0":
         "3b4b16443bdd90f51452938e3fdd077377205a11ddc6984b72246879abff5e77",
     "--v0 0 --format csv":
@@ -82,8 +82,12 @@ class TestSolve:
         assert "theta" in proc.stderr
 
     def test_degenerate_potential_exits_2(self):
-        proc = run_cli("solve", "--v0", "1", "--omega0", "1")
-        assert proc.returncode == 2
+        # solve and field form the interior plane waves, which degenerate
+        for command in ("solve", "field"):
+            proc = run_cli(command, "--v0", "1", "--omega0", "1")
+            assert proc.returncode == 2
+            assert proc.stderr == ("error: k_minus ~ 0 for v0 = 1.0, omega0 = 1.0; "
+                                   "the four-plane-wave interior basis degenerates\n")
 
     def test_non_finite_matrix_exits_2(self):
         # a * k would overflow; BarrierSpec's float-range rule exits 2
@@ -97,7 +101,7 @@ class TestSolve:
         assert proc.stderr == ("matching matrix badly conditioned: "
                                "cond_1 = 6.820e+08 (theta=1.5708)\n")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-            "c8669199e5ef12dd281b3a5e22121a850b20b4d1870d620a5ceddcf4fc17c0ea"
+            "716dc14131464a1cdeb9254f14e491bb3f2843828727498ef81ae3333155b0e8"
 
     @pytest.mark.parametrize("args", SOLVE_DIGESTS, ids=lambda args: args or "defaults")
     def test_output_bytes_pinned(self, tmp_path, args):
@@ -198,11 +202,22 @@ class TestSweep:
         proc = run_cli("sweep", "--sweep", "a:1:2:1", "--sweep", "a:3:4:1")
         assert proc.returncode == 2
 
-    def test_degenerate_point_exits_2(self):
+    def test_degenerate_point_answered(self):
+        # the grid forms only the exterior, which is entire in k_minus
         proc = run_cli("sweep", "--sweep", "v0:0.5:1.5:0.25", "--omega0", "1")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: k_minus ~ 0 for v0 = 1.0, "
-                                      "omega0 = 1.0")
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [[float(x) for x in line.split(",")] for line in proc.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.5, 0.75, 1.0, 1.25, 1.5]
+        for row in rows:
+            assert abs(sum(c * c for c in row[1:5]) - 1.0) <= 1e-12
+
+    def test_last_point_clamped_to_stop(self):
+        # 25 steps of pi/25 round one ulp past pi
+        proc = run_cli("sweep", "--sweep", "theta:0:3.141592653589793:0.12566370614359174")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 27
+        assert lines[-1].startswith("3.1415926535897931,")
 
     def test_out_of_range_angle_named(self):
         proc = run_cli("sweep", "--sweep", "theta:0:4:1")
@@ -235,39 +250,39 @@ class TestSweep:
         assert len(data["rows"][0]) == 6
 
 
-# sha256 of the stdout of `qkg field ARGS`, recorded from the per-point
-# FieldSample formatting that preceded the array record: both poles, grid
-# points on x = 0 and x = a (also a = 0), one-region windows, the Klein zone
+# sha256 of the stdout of `qkg field ARGS`, recorded from the array record
+# over the closed form of the single slab kernel: both poles, grid points on
+# x = 0 and x = a (also a = 0), one-region windows, the Klein zone
 # (v0 > omega0) and a 100k-point grid, in CSV and JSON.
 FIELD_DIGESTS = {
     "":
-        "3dd76a63fe13e07cb3fb8a1fd2937f160fd2abdc5ed96f2beb769454a788734a",
+        "55c8526404e5ab4659a1bfafad679faba15d32da5c828e06a56520a0452ced13",
     "--format json":
-        "77c95ef545361da8da6d598be8e9faafdab24aa645a36af8525c8d9557734142",
+        "65b39688185e349fc167e2fe60c0a20addfb97ee5db56afa598a1dd5ba8dc1fa",
     "--theta 0":
-        "6819882d05c1975bbe16ef6b3773b9500388269599589f71726012286630adc7",
+        "73a68b1ec0a3ec2552bedfa658f3e0c4380fb95f70404d65cb1e29e31d8657dc",
     "--theta 0 --format json":
-        "71c460b22b8a4c5d2679e2380ea052934afbc2d0f9e792e29b9c8f6ad2866cec",
+        "a0b2f3b24e932c6dcd6dd0c2d9f8bcbdcd47eae4d09912a33c0361e3e281d6a0",
     "--theta 3.141592653589793":
-        "7ada55a0aa1e3bf7897086ca8b80da93a6b8ebe68fcd8cdf3b9a59bc75f4069a",
+        "62497e2f051f5c5ef69740c34aa256d12ec23acab9b1bd451298444665f2e9b9",
     "--theta 3.141592653589793 --format json":
-        "52f63d1143e716408cb0e3ef97528d0db0e70df6d01969459a5fa8411e79a7f3",
+        "bc9615164731247215eefd75f57681592fa926313dd694b5a8ff4022a1797ecc",
     "--a 2 --xmin -2 --xmax 4 --points 7":
-        "acb52de4244e1a737f11b5c233291704ee2d59e3613487a8e8509af9416ef5ab",
+        "580d867e6c06ed6e1221d1856ebe9711eb25e51f7e4b3f6246a7e8af2c558705",
     "--a 2 --xmin -2 --xmax 4 --points 7 --format json":
-        "5a03e83841d97f67861b58aa6bdc942af81a57b0931d547ead0ae9f59c2c533e",
+        "a3ae0d179476eb2c65c2c84cf42a014d2795a500d411a0eef66bb7f9fc814f04",
     "--a 0 --xmin -1 --xmax 1 --points 5":
         "e92a1a83e0038061704491d43b0b289acf39ecdea598140ed739e490ea8a9d69",
     "--v0 2.5 --theta 1 --phi 4 --xmin -5 --xmax 0 --points 11":
-        "2a7869da121dbd7ad7dc750a43e995e8fbb89643860c5ab0e02d2d3788447e5a",
+        "66cc2f2c5322b26cfb2f56556322ae79302aaae9e954adff027d910cdc7018bb",
     "--xmin 1.5 --xmax 9 --points 13 --format json":
-        "b5b8f56de5dbf3f620af9e15a2feb2256e615757c7952174c413dafa0ec85177",
+        "4fe6d35c13cd9ebbf9be565f27325d8d92dfe005cd26c99c709c0a309bc26f39",
     "--xmin 0.25 --xmax 0.75 --points 9":
         "4764889caa814059ae61d76965abea866f2acdd2ae83cc5de4b373c331b975a3",
     "--points 100000":
-        "bfd4aada10a8fdb61c091d7587a9db175bfbf657c692d52fb198dadde0eeba58",
+        "6fe841d97dd5a2255d1092cbb8d24dfbc3c4a9d1eeaca66a2428f5479a2e154b",
     "--points 100000 --format json":
-        "61cc0c132d3db518490fb09531fe1189383cd5a429309450de52114bc95d6b58",
+        "35c596a1d80d9ad0cffb9077082351d699c0d5a5b4c50313848da31ea47cbe26",
 }
 
 
@@ -328,6 +343,17 @@ class TestOrdering:
         assert abs(data["transmission_ab"]["beta"]["re"]
                    - 0.27279746344137201) < 1e-10
 
+    def test_degenerate_segment_answered(self):
+        # seg-a sits at V0 = omega0; stacks form no interior plane waves
+        proc = run_cli("ordering", "--seg-a", "1:1:0.5:0", "--seg-b", "1:0.5:2:1",
+                       "--gap", "0.5", "--format", "json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        data = json.loads(proc.stdout)
+        for key in ("transmission_ab", "transmission_ba"):
+            pair = data[key]
+            norm2 = sum(pair[c]["re"] ** 2 + pair[c]["im"] ** 2 for c in ("alpha", "beta"))
+            assert 0.0 < norm2 <= 1.0
+
     def test_missing_segment_exits_2(self):
         proc = run_cli("ordering", "--seg-a", "1:0.3:0:0")
         assert proc.returncode == 2
@@ -368,12 +394,12 @@ class TestOrdering:
          "d_amp 0\n"),
         (("--gap", "1e308", "--omega0", "1"),
          "gap=1e+308 omega0=1\n"
-         "transmission a-then-b alpha=-0.06679089495379964+0.83066492439172501j"
-         " beta=0.0068558363170150849+0.34711969209914922j\n"
-         "transmission b-then-a alpha=-0.14405594862242199+0.85586121328931986j"
-         " beta=0.05013697524267019+0.38789273906930832j\n"
-         "d_prob 0.091220702657693664\n"
-         "d_amp 0.081269560676960437\n"),
+         "transmission a-then-b alpha=-0.066790894953800084+0.83066492439172523j"
+         " beta=0.0068558363170149184+0.34711969209914928j\n"
+         "transmission b-then-a alpha=-0.1440559486224223+0.85586121328931997j"
+         " beta=0.050136975242670051+0.38789273906930832j\n"
+         "d_prob 0.09122070265769322\n"
+         "d_amp 0.08126956067696027\n"),
     ], ids=("omega0 1e-300", "gap 1e308"))
     def test_extreme_in_range_inputs_answer(self, args, expect):
         proc = run_cli("ordering", "--seg-a", "1:0.3:1:0",

@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkg.closedform import (
     COMPLEX_LIMIT,
@@ -14,6 +16,7 @@ from qkg.closedform import (
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
+    slab_rt,
 )
 from qkg.errors import DegenerateWavenumberError, UndefinedFractionError
 from qkg.matcher import solve_spec
@@ -73,8 +76,28 @@ class TestFreeAndDegenerate:
         assert amps.c3 + amps.c5 == pytest.approx(1.0, abs=1e-13)
 
     def test_degenerate_rejected(self):
+        # the interior coefficients c3..c6 need k_minus > 0
         with pytest.raises(DegenerateWavenumberError):
             amplitudes_closed(BarrierSpec(1.0, 2.0, 2.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize("a, omega0", [(1.0, 1.0), (2.5, 0.7), (1e-3, 40.0)])
+    def test_degenerate_exterior_answered(self, a, omega0):
+        # at theta = 0 only the slow branch, q = 0, is seen from outside
+        c1, c2, c7, c8 = (complex(c) for c in
+                          exterior_amplitudes_grid(a, omega0, omega0, 0.0, 0.0))
+        ka = omega0 * a
+        assert abs(c1 - ka / (ka + 2j)) <= 1e-15
+        assert c2 == 0 and c8 == 0
+        assert abs(abs(c1) ** 2 + abs(c7) ** 2 - 1.0) <= 1e-15
+
+    def test_degenerate_edge_is_continuous(self):
+        # the exterior is entire in k_minus; stepping V0 off omega0 moves it
+        # at first order, through the fast branch
+        theta = np.linspace(0.0, math.pi, 9)
+        at = np.array(exterior_amplitudes_grid(1.0, 1.0, 1.0, theta, 0.7))
+        for v0 in (1.0 - 1e-8, 1.0 + 1e-8):
+            near = np.array(exterior_amplitudes_grid(1.0, v0, 1.0, theta, 0.7))
+            assert np.abs(near - at).max() <= 1e-7
 
 
 class TestTaylorRegime:
@@ -194,7 +217,6 @@ class TestGrid:
         assert (c2 == 0).all() and (c8 == 0).all()
 
     @pytest.mark.parametrize("point", [
-        (1, 1, 1, 1, 0),            # degenerate: V0 = omega0
         (-1, 0.3, 1, 1, 0),         # negative width
         (1, 0.3, 1, 5, 0),          # theta beyond pi
         (1, 0.3, -1, 1, 0),         # negative frequency
@@ -210,18 +232,22 @@ class TestGrid:
 
     def test_first_invalid_point_in_c_order_raises(self):
         a = np.array([[1.0, 2.0, -1.0], [1.0, -2.0, 1.0]])
-        v0 = np.array([[0.3, 0.3, 0.3], [1.0, 0.3, 0.3]])
+        v0 = np.array([[0.3, 0.3, 0.3], [-1.0, 0.3, 0.3]])
         theta = np.array([0.5, 9.0, 0.5])
-        # (0, 1) has a bad theta, (0, 2) a bad width, (1, 0) is degenerate
-        # and (1, 1) has both a bad width and a bad theta
+        # (0, 1) has a bad theta, (0, 2) a bad width, (1, 0) a negative
+        # potential and (1, 1) both a bad width and a bad theta
         with pytest.raises(ValueError, match="theta must lie in"):
             exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
         theta[1] = 0.5
         with pytest.raises(ValueError, match="width must be finite and >= 0, got -1.0"):
             exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
         a[0, 2] = 1.0
-        with pytest.raises(DegenerateWavenumberError, match="v0 = 1.0, omega0 = 1.0"):
+        with pytest.raises(ValueError, match="v0 >= 0, got -1.0"):
             exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)
+        # V0 = omega0 is no longer an invalid point here
+        v0[1, 0] = 1.0
+        a[1, 1] = 2.0
+        assert np.isfinite(exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)).all()
 
     def test_broadcasts_to_common_shape(self):
         # only phi varies, yet c1 and c7 (independent of phi) come out full
@@ -229,3 +255,36 @@ class TestGrid:
         amps = exterior_amplitudes_grid(1.0, 0.3, 1.0, 1.2, phi)
         assert [c.shape for c in amps] == [(7,)] * 4
         assert (amps[0] == amps[0][0]).all()
+
+
+# q log-uniform from 1e-300 up, plus exact zeros; L and k0 over twelve decades
+_q = st.one_of(st.just(0.0), st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e))
+_wide = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+class TestSlabKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_q, _wide, _wide), min_size=1, max_size=8))
+    def test_lossless_and_finite_on_scalars_and_arrays(self, points):
+        q, length, k0 = (np.array(col) for col in zip(*points))
+        r, t = slab_rt(q, k0, length, np.sin, np.cos)
+        assert np.isfinite(r).all() and np.isfinite(t).all()
+        flux = r.real ** 2 + r.imag ** 2 + t.real ** 2 + t.imag ** 2
+        assert np.abs(flux - 1.0).max() <= 1e-14
+        assert np.abs((r * t.conj()).real).max() <= 1e-15
+        for i, (qi, li, ki) in enumerate(points):
+            if qi > 0.0:
+                want = slab_rt(qi, ki, li)
+                assert abs(want[0] - r[i]) <= 1e-15 and abs(want[1] - t[i]) <= 1e-15
+
+    def test_zero_wavenumber_limit(self):
+        # r = k0 L / (k0 L + 2i) at q = 0, approached as q^2
+        k0, length = 1.3, 0.9
+        r0, t0 = slab_rt(np.zeros(1), k0, length, np.sin, np.cos)
+        assert abs(r0[0] - k0 * length / (k0 * length + 2j)) <= 1e-16
+        r, t = slab_rt(1e-6, k0, length)
+        assert 0.0 < max(abs(r - r0[0]), abs(t - t0[0])) <= 1e-11
+
+    def test_zero_wavenumber_does_not_warn(self):
+        with np.errstate(all="raise"):
+            slab_rt(np.array([0.0, 1.0]), 1.0, np.array([2.0, 0.0]), np.sin, np.cos)

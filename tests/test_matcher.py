@@ -9,10 +9,8 @@ from qkg import matcher
 from qkg.matcher import (
     REGULARIZED,
     build_system,
-    reflection,
     solve,
     solve_spec,
-    transmission,
 )
 from qkg.model import BarrierSpec, interior_pairs, mode_ratios, wavenumbers
 from qkg.verify import _transcribed_matrix, random_specs
@@ -122,13 +120,6 @@ class TestSolveProperties:
         assert amps.residual < 1e-12
         assert amps.condition >= 1.0
         assert amps.solution.shape == (8,)
-
-    def test_reflection_transmission_helpers(self, spec_point):
-        amps = solve_spec(spec_point)
-        assert reflection(amps).alpha == amps.c1
-        assert reflection(amps).beta == amps.c2
-        assert transmission(amps).alpha == amps.c7
-        assert transmission(amps).beta == amps.c8
 
 
 class TestSolveFailureModes:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkg import cli, multilayer
-from qkg.errors import DegenerateWavenumberError, SingularSystemError
+from qkg.errors import SingularSystemError
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec
 from qkg.multilayer import (
@@ -21,7 +21,7 @@ from qkg.multilayer import (
     stack_transfer,
     transfer_smatrix,
 )
-from qkg.verify import random_stack
+from qkg.verify import STACK_ORACLE_TOL, random_stack
 
 # Orthogonal-direction regression fixture: two unit-width barriers with
 # V0 = 0.3 at theta = pi/2, one along phi = 0 and one along phi = pi/2,
@@ -59,9 +59,15 @@ class TestSegments:
         seg = Segment.from_barrier(spec)
         assert (seg.length, seg.v0, seg.theta, seg.phi) == (1.5, 0.4, 0.7, 0.2)
 
-    def test_degenerate_segment_rejected(self):
-        with pytest.raises(DegenerateWavenumberError):
-            segment_transfer(Segment(1.0, 1.0, 0.5, 0.0), 1.0)
+    def test_degenerate_segment_answered(self):
+        # at k_minus = 0 the slow branch's sin(qL)/q block is L
+        t = segment_transfer(Segment(1.0, 1.0, 0.0, 0.0), 1.0)
+        assert np.isfinite(t).all()
+        assert t[0, 2] == 1.0 and t[0, 0] == 1.0 and t[2, 0] == 0.0
+        # the transfer product of two halves is the whole segment
+        half = segment_transfer(Segment(0.5, 1.0, 0.5, 0.0), 1.0)
+        whole = segment_transfer(Segment(1.0, 1.0, 0.5, 0.0), 1.0)
+        assert np.abs(half @ half - whole).max() <= 1e-15
 
     def test_stack_validation(self):
         with pytest.raises(ValueError):
@@ -111,11 +117,14 @@ class TestSegments:
         with pytest.raises(ValueError, match="v0 = 0.25"):
             multilayer._smatrices(stacks)
 
-    def test_first_degenerate_segment_named(self):
+    def test_degenerate_segments_match_transfer_route(self):
+        # V0 = omega0 exactly and just inside the old band both answer
         segs = (free_gap(1.0), Segment(1.0, 2.0, 1.0, 0.0),
                 Segment(1.0, 2.0 * (1 + 1e-12), 0.5, 0.0))
-        with pytest.raises(DegenerateWavenumberError, match="v0 = 2.0 "):
-            stack_smatrix(LayerStack(segs, 2.0))
+        stack = LayerStack(segs, 2.0)
+        assert np.abs(scatter_column(stack) - transfer_scatter(stack)).max() \
+            <= STACK_ORACLE_TOL
+        assert flux_defect(stack) <= 1e-15
 
     def test_total_phase_out_of_float_range_named(self):
         stack = LayerStack((free_gap(1e308), free_gap(1e308)), 1.0)
