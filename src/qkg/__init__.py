@@ -56,17 +56,7 @@ from .multilayer import (
     stack_transfer,
     transfer_smatrix,
 )
-from .quaternion import (
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    SymplecticPair,
-    UnitImaginaryDirection,
-    join,
-    split,
-)
+from .quaternion import SymplecticPair, UnitImaginaryDirection
 from .verify import CheckResult, run_all
 from .wavefield import (
     BARRIER,
@@ -76,9 +66,6 @@ from .wavefield import (
     FieldSample,
     FieldSamples,
     continuity_residuals,
-    dpsi,
-    psi,
-    region_of,
     sample_field,
 )
 
@@ -98,17 +85,12 @@ __all__ = [
     "EXACT",
     "FieldSample",
     "FieldSamples",
-    "I",
     "InvalidDirectionError",
-    "J",
-    "K",
     "LayerStack",
     "LEFT",
     "MatchingSystem",
     "ModeRatios",
-    "ONE",
     "OrderingReport",
-    "Quaternion",
     "REGIONS",
     "REGULARIZED",
     "RIGHT",
@@ -125,22 +107,17 @@ __all__ = [
     "compose",
     "continuity_residuals",
     "direction_coupling",
-    "dpsi",
     "exterior_amplitudes_grid",
     "exterior_magnitude_sum",
     "free_gap",
-    "join",
     "mode_ratios",
     "ordering_report",
-    "psi",
     "quaternionic_fraction",
-    "region_of",
     "run_all",
     "sample_field",
     "segment_transfer",
     "solve",
     "solve_spec",
-    "split",
     "stack_scatter",
     "stack_smatrix",
     "stack_transfer",

@@ -266,6 +266,8 @@ def cmd_sweep(args, config) -> int:
     names, values = zip(*map(_parse_sweep, sweeps))
     if len(set(names)) != len(names):
         raise ValueError("swept parameters must differ")
+    if math.prod(map(len, values)) > _MAX_GRID:
+        raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
     base = _params(args, config)
     mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]

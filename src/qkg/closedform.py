@@ -50,7 +50,6 @@ from .model import (
     Amplitudes,
     BarrierSpec,
     check_nondegenerate,
-    interior_pairs,
     mode_ratios,
     require_each,
     slab_rules,
@@ -120,13 +119,13 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
 
     # Pre-scaled interior coefficients shared with the matching solver.
     d3, d4, d5, d6 = -ap, -bp, am, bm
-    wp, wm = ratios.w_plus, ratios.w_minus
+    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
     return Amplitudes(
         c1=c1, c2=c2, c3=wm * d3, c4=wm * d4, c5=wp * d5, c6=wp * d6,
         c7=c7 * back, c8=c8 * back,
         dispersion=disp, ratios=ratios, route=route,
-        interior=interior_pairs(ratios, (d3, d4, d5, d6)))
+        interior_beta=(wx * d3, wx * d4, wx * d5, wx * d6))
 
 
 def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
@@ -166,7 +165,7 @@ def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
         c6=-v0 / (2.0 * w0) - 1j * a * v0,
         c7=1.0 - 1j * a * v0,
         c8=cross,
-        dispersion=disp, ratios=ratios, route=TAYLOR, interior=None)
+        dispersion=disp, ratios=ratios, route=TAYLOR, interior_beta=None)
 
 
 def quaternionic_fraction(amps: Amplitudes) -> float:

@@ -51,7 +51,6 @@ from .model import (
     DispersionData,
     ModeRatios,
     check_nondegenerate,
-    interior_pairs,
     mode_ratios,
     wavenumbers,
 )
@@ -156,10 +155,12 @@ def solve(system: MatchingSystem) -> Amplitudes:
                     "(theta=%.6g)", condition, system.spec.theta)
 
     c1, c2, c3, c4, c5, c6, c7, c8 = (system.column_scale * u).tolist()
+    wx = system.ratios.w_cross
+    d3, d4, d5, d6 = u[2:6].tolist()
     return Amplitudes(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         dispersion=system.dispersion, ratios=system.ratios, route=REGULARIZED,
-        interior=interior_pairs(system.ratios, u[2:6].tolist()), residual=residual,
+        interior_beta=(wx * d3, wx * d4, wx * d5, wx * d6), residual=residual,
         condition=condition, solution=u)
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWavenumberError
-from .quaternion import SymplecticPair, UnitImaginaryDirection
+from .quaternion import UnitImaginaryDirection
 
 # At or below this value of sin(theta) the closed form takes its
 # complex-limit route.
@@ -228,31 +228,22 @@ def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
     return np.array([[n.n1, off], [off.conjugate(), -n.n1]], dtype=complex)
 
 
-def interior_pairs(ratios: ModeRatios, d) -> tuple[SymplecticPair, ...]:
-    """Symplectic (alpha, beta) coefficients of the four interior modes.
-
-    d holds the pre-scaled interior unknowns d3..d6 of the regularized
-    matching system (c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5,
-    c6 = w_plus d6).  The pairs come in the order (+k_plus, -k_plus,
-    +k_minus, -k_minus); their beta entries use w_cross, never the raw
-    ratios, so they stay finite at every theta.
-    """
-    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-    return tuple(SymplecticPair(complex(w * di), complex(wx * di))
-                 for w, di in zip((wm, wm, wp, wp), d))
-
-
 @dataclass(frozen=True, eq=False)
 class Amplitudes:
     """Scattering amplitudes c1..c8 of one barrier, from any route.
 
     route names the formula used: "regularized" (matching solve), "exact"
     or, at a pole, "complex-limit" (closed forms), "taylor"
-    (small-parameter expansion).  interior holds the pairs of
-    interior_pairs, None on the Taylor route.  The matching solve also
-    reports residual (infinity norm of rhs - M u), condition (1-norm
-    condition number of M) and solution (the solved unknowns u); the other
-    routes leave them None.
+    (small-parameter expansion).
+
+    c3..c6 are the alpha parts of the interior modes (+k_plus, -k_plus,
+    +k_minus, -k_minus).  Their beta parts are interior_beta: w_cross times
+    the pre-scaled unknowns d3..d6 of the regularized matching system
+    (c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5, c6 = w_plus d6), so
+    they stay finite at every theta; None on the Taylor route.  The matching
+    solve also reports residual (infinity norm of rhs - M u), condition
+    (1-norm condition number of M) and solution (the solved unknowns u); the
+    other routes leave them None.
     """
 
     c1: complex
@@ -266,7 +257,7 @@ class Amplitudes:
     dispersion: DispersionData
     ratios: ModeRatios
     route: str
-    interior: tuple[SymplecticPair, ...] | None
+    interior_beta: tuple[complex, complex, complex, complex] | None
     residual: float | None = None
     condition: float | None = None
     solution: np.ndarray | None = None

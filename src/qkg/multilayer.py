@@ -54,8 +54,8 @@ import numpy as np
 
 from .closedform import coupled, slab_rt
 from .errors import SingularSystemError
-from .model import (BarrierSpec, direction_coupling, frequency_rule, require, require_each,
-                    slab_rules, stack_rules)
+from .model import (direction_coupling, frequency_rule, require, require_each, slab_rules,
+                    stack_rules)
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
@@ -78,10 +78,6 @@ class Segment:
 
     def __post_init__(self) -> None:
         slab_rules(require, self.length, self.v0, self.theta, self.phi)
-
-    @classmethod
-    def from_barrier(cls, spec: BarrierSpec) -> "Segment":
-        return cls(spec.a, spec.v0, spec.theta, spec.phi)
 
 
 def free_gap(length: float) -> Segment:

@@ -273,7 +273,7 @@ def check_transfer_oracle(quick: bool = False) -> CheckResult:
     worst_gap = 0.0
     for spec in random_specs(rng, count):
         amps = solve_spec(spec)
-        seg = Segment.from_barrier(spec)
+        seg = Segment(spec.a, spec.v0, spec.theta, spec.phi)
         refl, trans = stack_scatter(LayerStack((seg,), spec.omega0))
         worst_scatter = max(worst_scatter,
                             abs(refl.alpha - amps.c1), abs(refl.beta - amps.c2),

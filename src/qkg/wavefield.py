@@ -4,8 +4,9 @@ Regions are named "left" (x < 0), "barrier" (0 <= x <= a) and "right"
 (x > a).  In each region the field is a sum of plane waves
 (alpha + j beta) e^{i k x}, and psi' is the same sum with each wave scaled by
 i k.  _waves lists them as (k, alpha, beta): left (k0, 1, 0) and
-(-k0, c1, c2), right (k0, c7, c8), barrier the amplitudes' four interior
-pairs (finite at every angle) at +k_plus, -k_plus, +k_minus, -k_minus.
+(-k0, c1, c2), right (k0, c7, c8), barrier (+k_plus, c3, b3),
+(-k_plus, c4, b4), (+k_minus, c5, b5) and (-k_minus, c6, b6) with
+(b3, b4, b5, b6) the amplitudes' interior_beta (finite at every angle).
 _eval sums the table, with cmath.exp at one position or with np.exp on all
 the grid points of a region at once.
 
@@ -76,15 +77,6 @@ class FieldSamples(Sequence):
                    *self.values.tolist())
 
 
-def _region_index(x, a):
-    """Index into REGIONS of x (a float or an array) for barrier width a."""
-    return 1 - (x < 0.0) + (x > a)
-
-
-def region_of(x: float, spec: BarrierSpec) -> str:
-    return REGIONS[_region_index(x, spec.a)]
-
-
 def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
     """The (k, alpha, beta) plane waves that make up the field in region."""
     d = amps.dispersion
@@ -92,11 +84,12 @@ def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
         return ((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
     if region == RIGHT:
         return ((d.k0, amps.c7, amps.c8),)
-    if amps.interior is None:
+    if amps.interior_beta is None:
         raise ValueError("amplitudes carry no interior coefficients "
                          "(Taylor-route values cannot drive a field evaluation)")
-    ks = (d.k_plus, -d.k_plus, d.k_minus, -d.k_minus)
-    return tuple((k, pair.alpha, pair.beta) for k, pair in zip(ks, amps.interior))
+    b3, b4, b5, b6 = amps.interior_beta
+    return ((d.k_plus, amps.c3, b3), (-d.k_plus, amps.c4, b4),
+            (d.k_minus, amps.c5, b5), (-d.k_minus, amps.c6, b6))
 
 
 def _eval(x, amps: Amplitudes, region: str,
@@ -110,16 +103,6 @@ def _eval(x, amps: Amplitudes, region: str,
         dpsi_a += 1j * k * alpha * phase
         dpsi_b += 1j * k * beta * phase
     return SymplecticPair(psi_a, psi_b), SymplecticPair(dpsi_a, dpsi_b)
-
-
-def psi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
-    """Field value at x for the solved amplitudes."""
-    return _eval(x, amps, region_of(x, spec))[0]
-
-
-def dpsi(x: float, spec: BarrierSpec, amps: Amplitudes) -> SymplecticPair:
-    """Spatial derivative of the field at x."""
-    return _eval(x, amps, region_of(x, spec))[1]
 
 
 def continuity_residuals(spec: BarrierSpec,

@@ -202,6 +202,13 @@ class TestSweep:
         proc = run_cli("sweep", "--sweep", "a:1:2:1", "--sweep", "a:3:4:1")
         assert proc.returncode == 2
 
+    def test_two_axis_grid_capped_like_one_axis(self):
+        # each axis is within the cap, their 1001 x 1000 product is not
+        proc = run_cli("sweep", "--sweep", "a:0:1000:1", "--sweep", "v0:0:999:1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: sweep grid exceeds 1000000 points\n"
+
     def test_degenerate_point_answered(self):
         # the grid forms only the exterior, which is entire in k_minus
         proc = run_cli("sweep", "--sweep", "v0:0.5:1.5:0.25", "--omega0", "1")

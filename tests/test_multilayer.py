@@ -7,7 +7,6 @@ import pytest
 from qkg import cli, multilayer
 from qkg.errors import SingularSystemError
 from qkg.matcher import solve_spec
-from qkg.model import BarrierSpec
 from qkg.multilayer import (
     HARD_MIRROR_FLOOR,
     LayerStack,
@@ -53,11 +52,6 @@ class TestSegments:
     def test_angles_validated(self, theta, phi):
         with pytest.raises(ValueError):
             Segment(1.0, 0.3, theta, phi)
-
-    def test_from_barrier(self):
-        spec = BarrierSpec(1.5, 0.4, 1.0, 0.7, 0.2)
-        seg = Segment.from_barrier(spec)
-        assert (seg.length, seg.v0, seg.theta, seg.phi) == (1.5, 0.4, 0.7, 0.2)
 
     def test_degenerate_segment_answered(self):
         # at k_minus = 0 the slow branch's sin(qL)/q block is L
@@ -189,14 +183,14 @@ class TestStackScattering:
             spec = spec_factory()
             amps = solve_spec(spec)
             refl, trans = stack_scatter(
-                LayerStack((Segment.from_barrier(spec),), spec.omega0))
+                LayerStack((Segment(spec.a, spec.v0, spec.theta, spec.phi),), spec.omega0))
             assert abs(refl.alpha - amps.c1) < 1e-10
             assert abs(refl.beta - amps.c2) < 1e-10
             assert abs(trans.alpha - amps.c7) < 1e-10
             assert abs(trans.beta - amps.c8) < 1e-10
 
     def test_zero_gap_insertion_is_noop(self, spec_point):
-        seg = Segment.from_barrier(spec_point)
+        seg = Segment(spec_point.a, spec_point.v0, spec_point.theta, spec_point.phi)
         _, bare = stack_scatter(LayerStack((seg,), 1.0))
         _, padded = stack_scatter(LayerStack((seg, free_gap(0.0)), 1.0))
         assert abs(bare.alpha - padded.alpha) < 1e-13

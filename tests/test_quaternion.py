@@ -1,4 +1,12 @@
+"""Symplectic pairs, unit directions, and the Hamilton algebra as an oracle.
+
+qkg works only on (alpha, beta) pairs and never multiplies quaternions.  The
+Hamilton product, the split q = alpha + j beta and its inverse live here, as
+the oracle that model.direction_coupling is checked against.
+"""
+
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,17 +15,73 @@ from hypothesis import strategies as st
 
 from qkg.errors import InvalidDirectionError
 from qkg.model import direction_coupling
-from qkg.quaternion import (
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    SymplecticPair,
-    UnitImaginaryDirection,
-    join,
-    split,
-)
+from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """Real quaternion w + x i + y j + z k."""
+
+    w: float
+    x: float
+    y: float
+    z: float
+
+    def __add__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w + other.w, self.x + other.x,
+                          self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w - other.w, self.x - other.x,
+                          self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "Quaternion":
+        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        """Hamilton product (non-commutative), with i j = k, j k = i, k i = j."""
+        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
+        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        return Quaternion(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    def scaled(self, s: float) -> "Quaternion":
+        return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def norm2(self) -> float:
+        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm2())
+
+
+ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
+I = Quaternion(0.0, 1.0, 0.0, 0.0)
+J = Quaternion(0.0, 0.0, 1.0, 0.0)
+K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+def split(q: Quaternion) -> SymplecticPair:
+    """Symplectic components of q: alpha = w + x i, beta = y - z i."""
+    return SymplecticPair(complex(q.w, q.x), complex(q.y, -q.z))
+
+
+def join(pair: SymplecticPair) -> Quaternion:
+    """Inverse of split: rebuild the quaternion alpha + j beta."""
+    return Quaternion(pair.alpha.real, pair.alpha.imag,
+                      pair.beta.real, -pair.beta.imag)
+
+
+def as_quaternion(n: UnitImaginaryDirection) -> Quaternion:
+    return Quaternion(0.0, n.n1, n.n2, n.n3)
+
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -143,7 +207,7 @@ def left_n_right_i(n: UnitImaginaryDirection, c: SymplecticPair) -> SymplecticPa
 def brute_left_n_right_i(n: UnitImaginaryDirection, c: SymplecticPair) -> SymplecticPair:
     """Oracle: carry out n * (alpha + j beta) * i with the full product."""
     q = join(c)
-    return split(n.as_quaternion() * q * I)
+    return split(as_quaternion(n) * q * I)
 
 
 class TestLeftNRightI:

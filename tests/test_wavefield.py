@@ -8,6 +8,7 @@ import pytest
 from qkg.closedform import amplitudes_closed, amplitudes_taylor
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec
+from qkg.quaternion import SymplecticPair
 from qkg.verify import random_specs
 from qkg.wavefield import (
     BARRIER,
@@ -16,28 +17,71 @@ from qkg.wavefield import (
     RIGHT,
     FieldSamples,
     _eval,
-    _region_index,
     continuity_residuals,
-    dpsi,
-    psi,
-    region_of,
     sample_field,
 )
+
+
+def region_index(x, a):
+    """Index into REGIONS of x (a float or an array) for barrier width a."""
+    return 1 - (x < 0.0) + (x > a)
+
+
+def plane_wave_sum(x, spec, amps):
+    """(psi, psi') at x, summed term by term from the matcher's ansatz.
+
+        x < 0:       e^{i k0 x} + (c1 + j c2) e^{-i k0 x}
+        0 <= x <= a: (c3 + j b3) e^{i k+ x} + (c4 + j b4) e^{-i k+ x}
+                     + (c5 + j b5) e^{i k- x} + (c6 + j b6) e^{-i k- x}
+        x > a:       (c7 + j c8) e^{i k0 x}
+
+    with (b3, b4, b5, b6) = amps.interior_beta.
+    """
+    d = amps.dispersion
+    region = REGIONS[region_index(x, spec.a)]
+    if region == LEFT:
+        waves = ((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
+    elif region == RIGHT:
+        waves = ((d.k0, amps.c7, amps.c8),)
+    else:
+        waves = zip((d.k_plus, -d.k_plus, d.k_minus, -d.k_minus),
+                    (amps.c3, amps.c4, amps.c5, amps.c6), amps.interior_beta)
+    value = slope = SymplecticPair(0j, 0j)
+    for k, alpha, beta in waves:
+        phase = cmath.exp(1j * k * x)
+        value += SymplecticPair(alpha * phase, beta * phase)
+        slope += SymplecticPair(1j * k * alpha * phase, 1j * k * beta * phase)
+    return value, slope
+
+
+def sample_at(spec, amps, x):
+    """sample_field's sample at x, the last point of a window ending there."""
+    return sample_field(spec, amps, x - 1.0, x, 2)[-1]
+
+
+def assert_matches_plane_wave_sum(spec, amps, samples, tol):
+    for s in samples:
+        value, slope = plane_wave_sum(s.x, spec, amps)
+        assert s.region == REGIONS[region_index(s.x, spec.a)]
+        assert (s.psi - value).norm() <= tol
+        assert (s.dpsi - slope).norm() <= tol
 
 
 class TestRegions:
     def test_labels(self):
         spec = BarrierSpec(2.0, 0.3, 1.0, 0.5, 0.0)
-        assert region_of(-0.001, spec) == LEFT
-        assert region_of(0.0, spec) == BARRIER
-        assert region_of(1.0, spec) == BARRIER
-        assert region_of(2.0, spec) == BARRIER
-        assert region_of(2.001, spec) == RIGHT
+        amps = amplitudes_closed(spec)
+        for x, region in ((-0.001, LEFT), (0.0, BARRIER), (1.0, BARRIER),
+                          (2.0, BARRIER), (2.001, RIGHT)):
+            assert sample_at(spec, amps, x).region == region
+            # the first point of a window starting at x is tagged alike
+            assert sample_field(spec, amps, x, x + 1.0, 2)[0].region == region
 
     def test_zero_width_barrier_region(self):
         spec = BarrierSpec(0.0, 0.3, 1.0, 0.5, 0.0)
-        assert region_of(0.0, spec) == BARRIER
-        assert region_of(1e-12, spec) == RIGHT
+        amps = amplitudes_closed(spec)
+        assert sample_at(spec, amps, 0.0).region == BARRIER
+        assert sample_at(spec, amps, 1e-12).region == RIGHT
 
 
 class TestFieldValues:
@@ -45,7 +89,7 @@ class TestFieldValues:
         amps = solve_spec(spec_point)
         x = -3.1
         k0 = amps.dispersion.k0
-        value = psi(x, spec_point, amps)
+        value = sample_at(spec_point, amps, x).psi
         fwd = cmath.exp(1j * k0 * x)
         bwd = cmath.exp(-1j * k0 * x)
         assert value.alpha == pytest.approx(fwd + amps.c1 * bwd, abs=1e-15)
@@ -55,8 +99,7 @@ class TestFieldValues:
         amps = solve_spec(spec_point)
         expect = math.sqrt(abs(amps.c7) ** 2 + abs(amps.c8) ** 2)
         for x in (1.5, 4.0, 17.3):
-            assert psi(x, spec_point, amps).norm() == pytest.approx(expect,
-                                                                    abs=1e-12)
+            assert sample_at(spec_point, amps, x).psi.norm() == pytest.approx(expect, abs=1e-12)
 
     def test_free_potential_unit_magnitude_everywhere(self):
         spec = BarrierSpec(2.0, 0.0, 1.3, 0.8, 0.2)
@@ -67,13 +110,11 @@ class TestFieldValues:
     def test_taylor_amplitudes_cannot_drive_interior(self):
         spec = BarrierSpec(1e-3, 1e-3, 1.0, 1e-3, 0.0)
         taylor = amplitudes_taylor(spec)
-        with pytest.raises(ValueError):
-            psi(5e-4, spec, taylor)
         # exterior evaluation needs no interior coefficients
-        assert psi(-1.0, spec, taylor).alpha != 0
+        assert sample_at(spec, taylor, -1.0).psi.alpha != 0
         samples = sample_field(spec, taylor, -3.0, -1.0, 9)
         assert [s.region for s in samples] == [LEFT] * 9
-        assert (samples[0].psi - psi(-3.0, spec, taylor)).norm() < 1e-14
+        assert (samples[0].psi - plane_wave_sum(-3.0, spec, taylor)[0]).norm() < 1e-14
         # windows that reach the barrier: across it, ending on x = 0, inside
         for window in ((-1.0, 2.0, 7), (-1.0, 0.0, 5), (2e-4, 8e-4, 3)):
             with pytest.raises(ValueError, match="interior"):
@@ -93,16 +134,56 @@ class TestContinuity:
         assert max(continuity_residuals(spec_point, amps)) < 1e-12
 
 
+def current_defect(spec, amps) -> float:
+    """max over 401 samples of |j(x) - omega0 (|c7|^2 + |c8|^2)| / omega0.
+
+    j = Im(conj(psi_a) psi_a' + conj(psi_b) psi_b') is the Klein-Gordon
+    current; it is the same at every x, inside the barrier too, and equals
+    the transmitted flux.
+    """
+    psi_a, psi_b, dpsi_a, dpsi_b = sample_field(spec, amps, -2.0, spec.a + 2.0, 401).values
+    j = (psi_a.conj() * dpsi_a + psi_b.conj() * dpsi_b).imag
+    carried = spec.omega0 * (abs(amps.c7) ** 2 + abs(amps.c8) ** 2)
+    return float(np.abs(j - carried).max()) / spec.omega0
+
+
+class TestCurrent:
+    CURRENT_TOL = 1e-12
+
+    @staticmethod
+    def specs():
+        specs = random_specs(np.random.default_rng(7), 300)
+        # the Klein zone (V0 > omega0) and both poles
+        return specs + [dataclasses.replace(spec, v0=ratio * spec.omega0)
+                        for spec, ratio in zip(specs, (1.5, 3.0, 10.0))] + [
+            dataclasses.replace(specs[3], theta=0.0),
+            dataclasses.replace(specs[4], theta=math.pi)]
+
+    @pytest.mark.parametrize("route", [solve_spec, amplitudes_closed])
+    def test_current_is_transmitted_flux(self, route):
+        for spec in self.specs():
+            assert current_defect(spec, route(spec)) <= self.CURRENT_TOL
+
+    def test_moved_interior_beta_trips(self, spec_point):
+        amps = amplitudes_closed(spec_point)
+        assert current_defect(spec_point, amps) <= self.CURRENT_TOL
+        for i in range(4):
+            beta = list(amps.interior_beta)
+            beta[i] += 1e-9
+            moved = dataclasses.replace(amps, interior_beta=tuple(beta))
+            assert current_defect(spec_point, moved) > self.CURRENT_TOL
+
+
 class TestDerivative:
     def test_matches_central_difference(self, spec_point):
         amps = solve_spec(spec_point)
         h = 1e-6
         # interior points of each region; steps never cross a boundary
         for x in (-1.3, 0.42, spec_point.a + 0.7):
-            fd = (psi(x + h, spec_point, amps) - psi(x - h, spec_point, amps))
-            fd = type(fd)(fd.alpha / (2 * h), fd.beta / (2 * h))
-            exact = dpsi(x, spec_point, amps)
-            assert (fd - exact).norm() < 1e-8 * (1.0 + exact.norm())
+            values = sample_field(spec_point, amps, x - h, x + h, 3).values
+            fd = (values[:2, 2] - values[:2, 0]) / (2 * h)
+            exact = values[2:, 1]
+            assert np.linalg.norm(fd - exact) < 1e-8 * (1.0 + np.linalg.norm(exact))
 
 
 class TestSampling:
@@ -131,10 +212,8 @@ class TestSampling:
         for spec in specs:
             amps = amplitudes_closed(spec)
             tol = 1e-14 * (1.0 + amps.dispersion.k0)
-            for s in sample_field(spec, amps, -2.0, spec.a + 2.0, 61):
-                assert s.region == region_of(s.x, spec)
-                assert (s.psi - psi(s.x, spec, amps)).norm() <= tol
-                assert (s.dpsi - dpsi(s.x, spec, amps)).norm() <= tol
+            field = sample_field(spec, amps, -2.0, spec.a + 2.0, 61)
+            assert_matches_plane_wave_sum(spec, amps, field, tol)
 
     def test_complex_limit_has_no_beta_component(self):
         for spec in random_specs(np.random.default_rng(77), 20):
@@ -160,7 +239,7 @@ class TestSampling:
 
 def _masked_reference(spec, amps, xs):
     """The field by boolean region masks: one np.exp pass per region present."""
-    index = _region_index(xs, spec.a)
+    index = region_index(xs, spec.a)
     values = np.empty((4, len(xs)), dtype=complex)
     for i in np.unique(index).tolist():
         at = index == i
@@ -178,7 +257,7 @@ class TestFieldSamples:
         assert field.region.dtype.kind == "i"
         assert field.values.shape == (4, 7)
         assert field.values.dtype == np.complex128
-        assert field.region.tolist() == _region_index(field.x, spec_point.a).tolist()
+        assert field.region.tolist() == region_index(field.x, spec_point.a).tolist()
 
     def test_values_bit_identical_to_masked_evaluation(self):
         specs = random_specs(np.random.default_rng(31), 60)
@@ -206,9 +285,7 @@ class TestFieldSamples:
         for i, s in enumerate(items):
             assert s == field[i]
             assert s.x == field.x[i]
-            assert s.region == region_of(s.x, spec_point)
-            assert (s.psi - psi(s.x, spec_point, amps)).norm() <= tol
-            assert (s.dpsi - dpsi(s.x, spec_point, amps)).norm() <= tol
+        assert_matches_plane_wave_sum(spec_point, amps, items, tol)
         with pytest.raises(IndexError):
             field[7]
         with pytest.raises(TypeError):
@@ -232,5 +309,4 @@ class TestFieldSamples:
         field = sample_field(spec_point, amps, *window)
         assert [s.region for s in field] == [region] * 9
         tol = 1e-14 * (1.0 + amps.dispersion.k0)
-        for s in field:
-            assert (s.psi - psi(s.x, spec_point, amps)).norm() <= tol
+        assert_matches_plane_wave_sum(spec_point, amps, field, tol)
