@@ -5,7 +5,8 @@ potential whose imaginary part points along an arbitrary unit direction,
 provides the equivalent closed-form amplitudes, samples the wavefunction,
 and scatters stacked barriers through 4x4 S-matrices composed by star
 products, with 4x4 transfer matrices (plain complex ndarrays) as the
-route for hard mirrors and as the check.
+fallback for stacks whose star products miss the flux gate and as the
+check.
 """
 
 import logging

@@ -50,6 +50,9 @@ DEFAULTS = {
 }
 
 _SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
+# every key some command reads from a --config file
+_CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
+                                       "seg_a", "seg_b", "gap"))
 _MAX_GRID = 1_000_000
 
 
@@ -139,7 +142,10 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        table[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        table[key] = value.strip()
     return table
 
 
@@ -273,8 +279,15 @@ def cmd_sweep(args, config) -> int:
     mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
     c1, c2, c7, c8 = np.abs(
         exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
+    den = c7 ** 2 + c8 ** 2
     with np.errstate(invalid="ignore"):    # nan when nothing is transmitted
-        fraction = c8 ** 2 / (c7 ** 2 + c8 ** 2)
+        fraction = c8 ** 2 / den
+    # as quaternionic_fraction: where the squares underflow, rescale first
+    scale = np.maximum(c7, c8)
+    under = (den == 0.0) & (scale > 0.0)
+    if under.any():
+        s7, s8 = c7[under] / scale[under], c8[under] / scale[under]
+        fraction[under] = s8 ** 2 / (s7 ** 2 + s8 ** 2)
     table = np.column_stack([*mesh, c1, c2, c7, c8, fraction])
 
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",

@@ -172,12 +172,17 @@ def quaternionic_fraction(amps: Amplitudes) -> float:
     """Share of the transmitted intensity carried by the j component.
 
     |c8|^2 / (|c7|^2 + |c8|^2); raises UndefinedFractionError when nothing
-    is transmitted at all.
+    is transmitted at all.  Where the squares underflow to 0, both
+    magnitudes are first divided by the larger one.
     """
     num = abs(amps.c8) ** 2
     den = abs(amps.c7) ** 2 + num
     if den == 0.0:
-        raise UndefinedFractionError("total transmission vanishes")
+        scale = max(abs(amps.c7), abs(amps.c8))
+        if scale == 0.0:
+            raise UndefinedFractionError("total transmission vanishes")
+        num = (abs(amps.c8) / scale) ** 2
+        den = (abs(amps.c7) / scale) ** 2 + num
     return num / den
 
 

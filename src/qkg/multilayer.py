@@ -30,11 +30,11 @@ in log2(n) batched steps, with the 2x2 products and inverses written out on
 (2, 2, n, m) arrays.  Every S-matrix is unitary, so no entry grows with
 depth.
 
-A segment branch with |t|^2 below HARD_MIRROR_FLOOR is a hard mirror: its
-|r| rounds to 1 and star products cannot work.  Between strong mirrors above
-the floor they resolve a cavity only to about eps / |t|^2, which shows as a
-flux defect.  Stacks with a hard mirror, and stacks whose star products miss
-STACK_FLUX_TOL, are scattered by the 4x4 transfer product instead,
+Every stack goes through the star products first.  At a cavity between
+strong mirrors they resolve the resonance only to about eps / |t|^2, which
+shows as a flux defect; at omega0 near the smallest float they can divide
+0 by 0.  Stacks whose star answer misses STACK_FLUX_TOL, or is NaN, are
+scattered by the 4x4 transfer product instead,
 
     T(L) = [ C(L)   S(L) ]      C = cos(k- L) P + cos(k+ L) Q
            [ -K^2 S(L)  C(L) ]  S = sin(k- L)/k- P + sin(k+ L)/k+ Q   (L at k- = 0)
@@ -60,11 +60,6 @@ from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
 STACK_FLUX_TOL = 1e-10
-
-# A segment branch with |t|^2 below this is a hard mirror: |r| = sqrt(1 -
-# |t|^2) is within rounding of 1, so star products cannot see its
-# transmission.
-HARD_MIRROR_FLOOR = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,8 @@ def stack_transfer(stack: LayerStack) -> np.ndarray:
 def transfer_smatrix(stack: LayerStack) -> np.ndarray:
     """S-matrix of stack_smatrix from the transfer product and a 4x4 solve.
 
-    This is the route for stacks with a hard mirror, and the oracle that
-    qkg verify holds the star products against on short stacks.
+    This is the fallback for stacks whose star products miss the flux
+    gate, and the oracle that qkg verify holds them against on short stacks.
 
     Left of the stack the field is a e^{i k0 x} + b e^{-i k0 x}; right of
     it, in the local coordinate x' = x - L, c e^{i k0 x'} + d e^{-i k0 x'}.
@@ -191,14 +186,10 @@ def _star(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray | None:
-    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment; None on a hard mirror."""
+def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray:
+    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment."""
     q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
-    with np.errstate(over="ignore", invalid="ignore"):    # q / k0 fails the floor
-        r, t = slab_rt(q, k0, length, np.sin, np.cos)
-        if not (t.real ** 2 + t.imag ** 2).min() >= HARD_MIRROR_FLOOR:
-            return None
-    rt = np.array((r, t))
+    rt = np.array(slab_rt(q, k0, length, np.sin, np.cos))
     sin_theta = np.sin(theta)
     cross = np.empty(theta.shape, dtype=complex)     # n3 + i n2
     cross.real = sin_theta * np.sin(phi)
@@ -227,10 +218,9 @@ def _star_tree(s: np.ndarray) -> np.ndarray:
     return s[:, :, 0]
 
 
-def _smatrices(stacks: tuple[LayerStack, ...]) -> tuple[np.ndarray, list[float]]:
+def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
     """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0.
 
-    Also returns each stack's total length, summed in segment order.
     Raises the error of stack_rules for the first segment, stack by stack,
     that breaks one.
     """
@@ -239,27 +229,28 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> tuple[np.ndarray, list[float]]
                          for x in (seg.length, seg.v0, seg.theta, seg.phi)), float)
     length, v0, theta, phi = table.reshape(len(stacks), -1, 4).T
     require_each(stack_rules, k0, length.T, v0.T)
-    s = _segment_smatrices(k0, length, v0, theta, phi)
-    if s is not None:
-        s = _star_tree(s)
-    if s is None or not _flux_defect(s) <= STACK_FLUX_TOL:
-        # a hard mirror, or a cavity between strong mirrors that the star
-        # products resolve only to about eps / |t|^2
-        s = np.stack([transfer_smatrix(stack) for stack in stacks], axis=-1)
+    # an overflow or a 0 / 0 leaves a NaN, which fails the flux gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _star_tree(_segment_smatrices(k0, length, v0, theta, phi))
         defect = _flux_defect(s)
         if not defect <= STACK_FLUX_TOL:
-            raise SingularSystemError(
-                f"stack scattering loses flux: ||r|^2 + |t|^2 - 1| = "
-                f"{defect:.3e} exceeds {STACK_FLUX_TOL:.0e}")
-    return s, [sum(lengths) for lengths in length.T.tolist()]
+            # a NaN, or a cavity between strong mirrors that the star
+            # products resolve only to about eps / |t|^2
+            s = np.stack([transfer_smatrix(stack) for stack in stacks], axis=-1)
+            defect = _flux_defect(s)
+    if not defect <= STACK_FLUX_TOL:
+        raise SingularSystemError(
+            f"stack scattering loses flux: ||r|^2 + |t|^2 - 1| = "
+            f"{defect:.3e} exceeds {STACK_FLUX_TOL:.0e}")
+    return s
 
 
 def _scatter(stacks: tuple[LayerStack, ...]) -> list[tuple[SymplecticPair, SymplecticPair]]:
     """Reflection and global-coordinate transmission pairs of each stack."""
     k0 = stacks[0].omega0
-    s, totals = _smatrices(stacks)
     out = []
-    for col, total_length in zip(s[:, 0].T.tolist(), totals):
+    for col, stack in zip(_smatrices(stacks)[:, 0].T.tolist(), stacks):
+        total_length = stack.total_length()
         stack_rules(require, k0, total=total_length)
         back = cmath.exp(-1j * k0 * total_length)
         out.append((SymplecticPair(col[0], col[1]),
@@ -275,7 +266,7 @@ def stack_smatrix(stack: LayerStack) -> np.ndarray:
     in channel j.  Each side is referenced to its own end of the stack, so
     S = [[r, t'], [t, r']] is unitary.
     """
-    return _smatrices((stack,))[0][:, :, 0]
+    return _smatrices((stack,))[:, :, 0]
 
 
 def stack_scatter(stack: LayerStack) -> tuple[SymplecticPair, SymplecticPair]:

@@ -4,8 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from qkg import cli
 from qkg.cli import main
 
 
@@ -180,6 +182,29 @@ class TestSweep:
                             "quaternionic_fraction")
         assert len(lines) == 6
         assert lines[1].startswith("0,")
+
+    def test_underflowing_fraction_is_a_number(self):
+        # |c7| = 2.9e-300 squares to 0; the fraction is still defined
+        args = ("sweep", "--a", "1", "--omega0", "1e-150", "--v0", "1e150",
+                "--sweep", "theta:0:1:0.5")
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[2] == "0.5,1,0,2.8959020883846385e-300,0,0"
+        rows = json.loads(run_cli(*args, "--format", "json").stdout)["rows"]
+        assert [row[-1] for row in rows] == [0, 0, 0]
+
+    def test_underflowing_fraction_rescaled(self, monkeypatch, capsys):
+        # both magnitudes nonzero, both squares 0: 4^2 / (3^2 + 4^2)
+        def grid(**params):
+            shape = np.shape(params["theta"])
+            return np.array([np.full(shape, value) for value in (1.0, 0.0, 3e-300, 4e-300)])
+        monkeypatch.setattr(cli, "exterior_amplitudes_grid", grid)
+        assert main(["sweep", "--sweep", "theta:0:1:1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row.split(",")[-1]) == pytest.approx(0.64, rel=1e-15)
 
     def test_two_axes_row_major(self):
         proc = run_cli("sweep", "--sweep", "a:1:2:0.5",
@@ -481,6 +506,27 @@ class TestConfigAndOutput:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {error}\n"
         assert out.read_bytes() == b"old bytes"
+
+    def test_unknown_config_key_leaves_out_file_alone(self, tmp_path):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("# base point\na = 2\nthetaa = 0.1\n")
+        out = tmp_path / "kept.txt"
+        out.write_bytes(b"old bytes")
+        proc = run_cli("solve", "--config", str(conf), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {conf}:3: unknown config key 'thetaa'\n"
+        assert out.read_bytes() == b"old bytes"
+
+    def test_shared_config_file(self, tmp_path):
+        # keys one command ignores are ones another command reads
+        conf = tmp_path / "shared.conf"
+        conf.write_text("a = 2\nomega0 = 1\npoints = 5\nxmax = 3\n"
+                        "seg_a = 1:0.3:1:0\nseg_b = 1:0.3:1:1\ngap = 0.5\n")
+        for command in (("solve",), ("sweep", "--sweep", "theta:0:1:0.5"), ("field",),
+                        ("ordering",)):
+            proc = run_cli(*command, "--config", str(conf))
+            assert proc.returncode == 0, proc.stderr
+        assert run_cli("field", "--config", str(conf)).stdout.count("\n") == 6
 
     def test_config_format_used(self, tmp_path):
         conf = tmp_path / "json.conf"

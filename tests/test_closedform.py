@@ -173,6 +173,10 @@ class TestDerivedQuantities:
         with pytest.raises(UndefinedFractionError):
             quaternionic_fraction(fake)
 
+    def test_fraction_rescales_underflowing_squares(self):
+        fake = types.SimpleNamespace(c7=3e-300 + 0j, c8=4e-300j)
+        assert quaternionic_fraction(fake) == pytest.approx(0.64, rel=1e-15)
+
     def test_exterior_magnitudes_sum_to_one(self, spec_factory):
         for _ in range(50):
             total = exterior_magnitude_sum(amplitudes_closed(spec_factory()))
