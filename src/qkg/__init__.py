@@ -20,6 +20,7 @@ from .closedform import (
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
+    quaternionic_fraction_grid,
 )
 from .errors import (
     DegenerateWavenumberError,
@@ -57,7 +58,7 @@ from .multilayer import (
     stack_transfer,
     transfer_smatrix,
 )
-from .quaternion import SymplecticPair, UnitImaginaryDirection
+from .quaternion import SymplecticPair, UnitImaginaryDirection, magnitude
 from .verify import CheckResult, run_all
 from .wavefield import (
     BARRIER,
@@ -111,9 +112,11 @@ __all__ = [
     "exterior_amplitudes_grid",
     "exterior_magnitude_sum",
     "free_gap",
+    "magnitude",
     "mode_ratios",
     "ordering_report",
     "quaternionic_fraction",
+    "quaternionic_fraction_grid",
     "run_all",
     "sample_field",
     "segment_transfer",

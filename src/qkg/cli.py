@@ -11,6 +11,8 @@ Subcommands:
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
 is one array call in one process, which rejects the first invalid grid point;
 sweep's --workers is ignored.  --format is checked before --out is opened.
+sweep and field share one table writer and no formula of their own: the
+fraction is closedform.quaternionic_fraction_grid, abs_psi quaternion.magnitude.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +34,13 @@ from .closedform import (
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
+    quaternionic_fraction_grid,
 )
 from .errors import SingularSystemError, UndefinedFractionError
 from .matcher import solve_spec
-from .model import BarrierSpec, wavenumbers
+from .model import BarrierSpec
 from .multilayer import Segment, ordering_report
+from .quaternion import magnitude
 from .verify import run_all
 from .wavefield import REGIONS, sample_field
 
@@ -73,16 +78,8 @@ def _json_dump(value) -> str:
 
 def _json_emit(value, out: list[str]) -> None:
     # hand-rolled so floats go through _fmt and stay reproducible
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
+    if isinstance(value, str):
         out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
     elif isinstance(value, float):
         out.append(_fmt(value))
     elif isinstance(value, complex):
@@ -90,10 +87,7 @@ def _json_emit(value, out: list[str]) -> None:
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
+            out.append((", " if i else "") + json.dumps(str(key)) + ": ")
             _json_emit(item, out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
@@ -127,6 +121,15 @@ def _write_csv(handle, columns, rows) -> None:
     line = ",".join("%s" if isinstance(cell, str) else "%.17g"
                     for cell in first) + "\n"
     handle.writelines(line % tuple(row) for row in itertools.chain([first], rows))
+
+
+def _write_table(handle, fmt: str, config: dict, columns, rows) -> None:
+    """The table of sweep and field: CSV streams the rows, JSON lists them."""
+    if fmt == "csv":
+        _write_csv(handle, columns, rows)
+    else:
+        payload = {"config": config, "columns": columns, "rows": list(rows)}
+        handle.write(_json_dump(payload) + "\n")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -165,11 +168,6 @@ def _setting(args, config: dict[str, str], key: str, cast, default):
 def _params(args, config) -> dict[str, float]:
     return {key: _setting(args, config, key, float, DEFAULTS[key])
             for key in _SWEEPABLE}
-
-
-def _spec_table(spec: BarrierSpec) -> dict[str, float]:
-    return {"a": spec.a, "v0": spec.v0, "omega0": spec.omega0,
-            "theta": spec.theta, "phi": spec.phi}
 
 
 def _grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -219,20 +217,17 @@ def cmd_solve(args, config) -> int:
     spec = BarrierSpec(**_params(args, config))
     amps = solve_spec(spec)
     closed = amplitudes_closed(spec)
-    disp = wavenumbers(spec)
+    disp = asdict(closed.dispersion)
     route_diff = max(abs(s - c) for s, c in
                      zip(amps.as_array(), closed.as_array()))
     fraction = quaternionic_fraction(closed)
-    magnitude = exterior_magnitude_sum(closed)
+    exterior_sum = exterior_magnitude_sum(closed)
     names = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
     with _output(args.out) as fh:
         if args.format == "text":
-            table = _spec_table(spec)
-            fh.write("barrier " + " ".join(f"{k}={_fmt(v)}"
-                                           for k, v in table.items()) + "\n")
-            fh.write(f"wavenumbers k0={_fmt(disp.k0)} "
-                     f"k_plus={_fmt(disp.k_plus)} "
-                     f"k_minus={_fmt(disp.k_minus)}\n")
+            for label, table in (("barrier", asdict(spec)), ("wavenumbers", disp)):
+                fh.write(label + "".join(f" {k}={_fmt(v)}" for k, v in table.items())
+                         + "\n")
             fh.write(f"{'':>4} {'linear solve':>44} {'closed form':>44}\n")
             for name, s, c in zip(names, amps.as_array(), closed.as_array()):
                 fh.write(f"{name:>4} {_fmt_complex(s):>44} "
@@ -240,18 +235,17 @@ def cmd_solve(args, config) -> int:
             fh.write(f"max route difference {route_diff:.3e}\n")
             fh.write(f"condition estimate {amps.condition:.3e}\n")
             fh.write(f"quaternionic fraction {_fmt(fraction)}\n")
-            fh.write(f"exterior magnitude sum {_fmt(magnitude)}\n")
+            fh.write(f"exterior magnitude sum {_fmt(exterior_sum)}\n")
         elif args.format == "json":
             payload = {
-                "config": _spec_table(spec),
-                "wavenumbers": {"k0": disp.k0, "k_plus": disp.k_plus,
-                                "k_minus": disp.k_minus},
+                "config": asdict(spec),
+                "wavenumbers": disp,
                 "amplitudes": dict(zip(names, amps.as_array().tolist())),
                 "closed_form": dict(zip(names, closed.as_array().tolist())),
                 "max_route_difference": route_diff,
                 "condition": amps.condition,
                 "quaternionic_fraction": fraction,
-                "exterior_magnitude_sum": magnitude,
+                "exterior_magnitude_sum": exterior_sum,
             }
             fh.write(_json_dump(payload) + "\n")
         else:
@@ -279,27 +273,14 @@ def cmd_sweep(args, config) -> int:
     mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
     c1, c2, c7, c8 = np.abs(
         exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
-    den = c7 ** 2 + c8 ** 2
-    with np.errstate(invalid="ignore"):    # nan when nothing is transmitted
-        fraction = c8 ** 2 / den
-    # as quaternionic_fraction: where the squares underflow, rescale first
-    scale = np.maximum(c7, c8)
-    under = (den == 0.0) & (scale > 0.0)
-    if under.any():
-        s7, s8 = c7[under] / scale[under], c8[under] / scale[under]
-        fraction[under] = s8 ** 2 / (s7 ** 2 + s8 ** 2)
-    table = np.column_stack([*mesh, c1, c2, c7, c8, fraction])
-
+    table = np.column_stack([*mesh, c1, c2, c7, c8,
+                             quaternionic_fraction_grid(c7, c8)])
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
     with _output(args.out) as fh:
-        if args.format == "csv":
-            # one row at a time, so the formatted grid is never held whole
-            _write_csv(fh, columns, (row.tolist() for row in table))
-        else:
-            payload = {"config": dict(base, sweep=list(sweeps)),
-                       "columns": columns, "rows": table.tolist()}
-            fh.write(_json_dump(payload) + "\n")
+        # CSV formats one row at a time, so the text of the grid is never held whole
+        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns,
+                     map(np.ndarray.tolist, table))
     return 0
 
 
@@ -317,27 +298,20 @@ def cmd_field(args, config) -> int:
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
     alpha, beta = field.values[:2]
-    # abs_psi as SymplecticPair.norm() rounds it: np.hypot matches Python's
-    # abs(complex), but numpy's square can differ from Python's ** 2
-    norm = [math.sqrt(u ** 2 + v ** 2) for u, v in
-            zip(np.hypot(alpha.real, alpha.imag).tolist(),
-                np.hypot(beta.real, beta.imag).tolist())]
-    rows = list(zip(field.x.tolist(), alpha.real.tolist(), alpha.imag.tolist(),
-                    beta.real.tolist(), beta.imag.tolist(), norm,
-                    [REGIONS[i] for i in field.region.tolist()]))
+    # np.hypot, unlike np.abs, rounds as abs(complex): abs_psi is SymplecticPair.norm()
+    rows = zip(field.x.tolist(), alpha.real.tolist(), alpha.imag.tolist(),
+               beta.real.tolist(), beta.imag.tolist(),
+               map(magnitude, np.hypot(alpha.real, alpha.imag).tolist(),
+                   np.hypot(beta.real, beta.imag).tolist()),
+               [REGIONS[i] for i in field.region.tolist()])
     with _output(args.out) as fh:
-        if args.format == "csv":
-            _write_csv(fh, columns, rows)
-        else:
-            payload = {"config": _spec_table(spec), "columns": columns,
-                       "rows": rows}
-            fh.write(_json_dump(payload) + "\n")
+        _write_table(fh, args.format, asdict(spec), columns, rows)
     return 0
 
 
 def cmd_ordering(args, config) -> int:
-    seg_a_text = args.seg_a or config.get("seg_a")
-    seg_b_text = args.seg_b or config.get("seg_b")
+    seg_a_text = _setting(args, config, "seg_a", str, None)
+    seg_b_text = _setting(args, config, "seg_b", str, None)
     if not seg_a_text or not seg_b_text:
         raise ValueError("ordering requires --seg-a and --seg-b")
     seg_a = _parse_segment(seg_a_text, "--seg-a")
@@ -348,26 +322,16 @@ def cmd_ordering(args, config) -> int:
     with _output(args.out) as fh:
         if args.format == "text":
             fh.write(f"gap={_fmt(gap)} omega0={_fmt(omega0)}\n")
-            fh.write("transmission a-then-b "
-                     f"alpha={_fmt_complex(report.transmission_ab.alpha)} "
-                     f"beta={_fmt_complex(report.transmission_ab.beta)}\n")
-            fh.write("transmission b-then-a "
-                     f"alpha={_fmt_complex(report.transmission_ba.alpha)} "
-                     f"beta={_fmt_complex(report.transmission_ba.beta)}\n")
+            for label, pair in (("a-then-b", report.transmission_ab),
+                                ("b-then-a", report.transmission_ba)):
+                fh.write(f"transmission {label} alpha={_fmt_complex(pair.alpha)} "
+                         f"beta={_fmt_complex(pair.beta)}\n")
             fh.write(f"d_prob {_fmt(report.d_prob)}\n")
             fh.write(f"d_amp {_fmt(report.d_amp)}\n")
         else:
-            payload = {
-                "config": {"seg_a": seg_a_text, "seg_b": seg_b_text,
-                           "gap": gap, "omega0": omega0},
-                "transmission_ab": {"alpha": report.transmission_ab.alpha,
-                                    "beta": report.transmission_ab.beta},
-                "transmission_ba": {"alpha": report.transmission_ba.alpha,
-                                    "beta": report.transmission_ba.beta},
-                "d_prob": report.d_prob,
-                "d_amp": report.d_amp,
-            }
-            fh.write(_json_dump(payload) + "\n")
+            setup = {"seg_a": seg_a_text, "seg_b": seg_b_text,
+                     "gap": gap, "omega0": omega0}
+            fh.write(_json_dump({"config": setup, **asdict(report)}) + "\n")
     return 0
 
 

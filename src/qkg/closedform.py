@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -88,6 +89,17 @@ def coupled(f_minus, f_plus, n1, cross):
     mean = 0.5 * (f_minus + f_plus)
     half = 0.5 * (f_minus - f_plus)
     return mean + half * n1, half * cross, half * cross.conjugate(), mean - half * n1
+
+
+def direction_terms(theta, phi):
+    """coupled's (n1, cross) = (cos theta, i sin(theta) e^{-i phi}) on broadcasting arrays.
+
+    cross = n3 + i n2 is formed part by part, without a complex exponential."""
+    sin_theta = np.sin(theta)
+    cross = np.empty(np.broadcast(theta, phi).shape, dtype=complex)
+    cross.real = sin_theta * np.sin(phi)
+    cross.imag = sin_theta * np.cos(phi)
+    return np.cos(theta), cross
 
 
 def _interior(q, k0, a):
@@ -138,7 +150,7 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     require_each(slab_rules, a, v0, theta, phi, omega0)
     rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a, np.sin, np.cos)
     rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a, np.sin, np.cos)
-    n1, cross = np.cos(theta), 1j * np.sin(theta) * np.exp(-1j * phi)
+    n1, cross = direction_terms(theta, phi)
     c1, c2, _, _ = coupled(rm, rp, n1, cross)
     c7, c8, _, _ = coupled(tm, tp, n1, cross)
     back = np.exp(-1j * a * omega0)
@@ -168,22 +180,33 @@ def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
         dispersion=disp, ratios=ratios, route=TAYLOR, interior_beta=None)
 
 
-def quaternionic_fraction(amps: Amplitudes) -> float:
-    """Share of the transmitted intensity carried by the j component.
+def quaternionic_fraction_grid(abs_c7, abs_c8):
+    """|c8|^2 / (|c7|^2 + |c8|^2) over broadcasting arrays of magnitudes.
 
-    |c8|^2 / (|c7|^2 + |c8|^2); raises UndefinedFractionError when nothing
-    is transmitted at all.  Where the squares underflow to 0, both
-    magnitudes are first divided by the larger one.
+    The share of the transmitted intensity carried by the j component.
+    Where the sum of squares falls below the smallest normal float, both
+    magnitudes are first divided by the larger one; where both are 0 the
+    share is NaN.
     """
-    num = abs(amps.c8) ** 2
-    den = abs(amps.c7) ** 2 + num
-    if den == 0.0:
-        scale = max(abs(amps.c7), abs(amps.c8))
-        if scale == 0.0:
-            raise UndefinedFractionError("total transmission vanishes")
-        num = (abs(amps.c8) / scale) ** 2
-        den = (abs(amps.c7) / scale) ** 2 + num
-    return num / den
+    c7, c8 = np.asarray(abs_c7, dtype=float), np.asarray(abs_c8, dtype=float)
+    small = c7 * c7 + c8 * c8 < sys.float_info.min
+    if small.any():
+        with np.errstate(invalid="ignore"):     # 0 / 0 where nothing is transmitted
+            scale = np.where(small, np.maximum(c7, c8), 1.0)
+            c7, c8 = c7 / scale, c8 / scale
+    num = c8 * c8
+    return num / (c7 * c7 + num)
+
+
+def quaternionic_fraction(amps: Amplitudes) -> float:
+    """quaternionic_fraction_grid at amps' |c7| and |c8|.
+
+    Raises UndefinedFractionError when nothing is transmitted at all.
+    """
+    fraction = float(quaternionic_fraction_grid(abs(amps.c7), abs(amps.c8)))
+    if math.isnan(fraction):
+        raise UndefinedFractionError("total transmission vanishes")
+    return fraction
 
 
 def exterior_magnitude_sum(amps: Amplitudes) -> float:

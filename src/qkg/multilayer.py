@@ -52,7 +52,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .closedform import coupled, slab_rt
+from .closedform import coupled, direction_terms, slab_rt
 from .errors import SingularSystemError
 from .model import (direction_coupling, frequency_rule, require, require_each, slab_rules,
                     stack_rules)
@@ -190,15 +190,11 @@ def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray:
     """(4, 4, n, m) S = [[r, t], [t, r]] of every segment."""
     q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
     rt = np.array(slab_rt(q, k0, length, np.sin, np.cos))
-    sin_theta = np.sin(theta)
-    cross = np.empty(theta.shape, dtype=complex)     # n3 + i n2
-    cross.real = sin_theta * np.sin(phi)
-    cross.imag = sin_theta * np.cos(phi)
     # s[out side, i, in side, j] = [[r, t], [t, r]]: fill the left row,
     # then mirror it into the right one
     s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
     s[0, 0, :, 0], s[0, 1, :, 0], s[0, 0, :, 1], s[0, 1, :, 1] = coupled(
-        rt[:, 0], rt[:, 1], np.cos(theta), cross)
+        rt[:, 0], rt[:, 1], *direction_terms(theta, phi))
     s[1] = s[0, :, ::-1]
     return s.reshape((4, 4) + theta.shape)
 

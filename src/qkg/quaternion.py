@@ -15,6 +15,7 @@ keep it as the oracle of model.direction_coupling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidDirectionError
@@ -39,7 +40,19 @@ class SymplecticPair:
         return abs(self.alpha) ** 2 + abs(self.beta) ** 2
 
     def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        return magnitude(abs(self.alpha), abs(self.beta))
+
+
+def magnitude(abs_alpha: float, abs_beta: float) -> float:
+    """|alpha + j beta| = sqrt(|alpha|^2 + |beta|^2) from the two magnitudes.
+
+    Where the sum of squares falls below the smallest normal float, both are
+    first divided by the larger one, so a nonzero pair never comes out 0."""
+    u, v = abs_alpha, abs_beta
+    total, scale = u ** 2 + v ** 2, max(u, v)
+    if total < sys.float_info.min and scale > 0.0:
+        return scale * math.sqrt((u / scale) ** 2 + (v / scale) ** 2)
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)

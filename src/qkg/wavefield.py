@@ -7,8 +7,8 @@ i k.  _waves lists them as (k, alpha, beta): left (k0, 1, 0) and
 (-k0, c1, c2), right (k0, c7, c8), barrier (+k_plus, c3, b3),
 (-k_plus, c4, b4), (+k_minus, c5, b5) and (-k_minus, c6, b6) with
 (b3, b4, b5, b6) the amplitudes' interior_beta (finite at every angle).
-_eval sums the table, with cmath.exp at one position or with np.exp on all
-the grid points of a region at once.
+_eval sums the table with np.exp over an array of positions in one region;
+continuity_residuals passes it the boundary positions 0 and a as arrays.
 
 sample_field returns one FieldSamples record of arrays over an ascending
 grid.  Each region is a contiguous slice of it, found by binary search, and
@@ -18,7 +18,6 @@ record is indexed or iterated.
 
 from __future__ import annotations
 
-import cmath
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Amplitudes, BarrierSpec, require, window_rule
-from .quaternion import SymplecticPair
+from .quaternion import SymplecticPair, magnitude
 
 LEFT = "left"
 BARRIER = "barrier"
@@ -92,17 +91,16 @@ def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
             (d.k_minus, amps.c5, b5), (-d.k_minus, amps.c6, b6))
 
 
-def _eval(x, amps: Amplitudes, region: str,
-          exp=cmath.exp) -> tuple[SymplecticPair, SymplecticPair]:
-    """(psi, psi') at x in region: a float, or an array with exp=np.exp."""
+def _eval(x: np.ndarray, amps: Amplitudes, region: str) -> tuple[np.ndarray, ...]:
+    """Rows (psi.alpha, psi.beta, psi'.alpha, psi'.beta) at the points x of region."""
     psi_a = psi_b = dpsi_a = dpsi_b = 0j
     for k, alpha, beta in _waves(amps, region):
-        phase = exp(1j * k * x)
+        phase = np.exp(1j * k * x)
         psi_a += alpha * phase
         psi_b += beta * phase
         dpsi_a += 1j * k * alpha * phase
         dpsi_b += 1j * k * beta * phase
-    return SymplecticPair(psi_a, psi_b), SymplecticPair(dpsi_a, dpsi_b)
+    return psi_a, psi_b, dpsi_a, dpsi_b
 
 
 def continuity_residuals(spec: BarrierSpec,
@@ -113,11 +111,10 @@ def continuity_residuals(spec: BarrierSpec,
     exact boundary position; all four vanish for a correctly solved
     amplitude set.
     """
-    out = []
-    for x, lo, hi in ((0.0, LEFT, BARRIER), (spec.a, BARRIER, RIGHT)):
-        for below, above in zip(_eval(x, amps, lo), _eval(x, amps, hi)):
-            out.append((below - above).norm())
-    return (out[0], out[1], out[2], out[3])
+    x = np.array([0.0, spec.a])
+    outer = np.hstack((_eval(x[:1], amps, LEFT), _eval(x[1:], amps, RIGHT)))
+    rows = (outer - _eval(x, amps, BARRIER)).T.tolist()
+    return tuple(magnitude(abs(d[i]), abs(d[i + 1])) for d in rows for i in (0, 2))
 
 
 def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
@@ -134,7 +131,6 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
     values = np.empty((4, n_points), dtype=complex)
     for name, lo, hi in zip(REGIONS, cuts, cuts[1:]):
         if lo < hi:
-            value, slope = _eval(xs[lo:hi], amps, name, np.exp)
-            values[:, lo:hi] = value.alpha, value.beta, slope.alpha, slope.beta
+            values[:, lo:hi] = _eval(xs[lo:hi], amps, name)
     region = np.repeat(np.arange(len(REGIONS)), np.diff(cuts))
     return FieldSamples(xs, region, values)

@@ -53,6 +53,48 @@ SOLVE_DIGESTS = {
         "d4f946087392f62a8a32dd7ae253fd43e523603b9a03dd72f6273bb57832ff58",
 }
 
+# sha256 of the stdout of `qkg sweep ARGS` and `qkg ordering ARGS`, recorded
+# before the sweep's fraction moved into closedform.quaternionic_fraction_grid:
+# pi/25 steps whose last point is clamped to pi, the 48 x 800 v0 x theta grid,
+# V0 = omega0, and underflowing squares, in CSV (text) and JSON.
+_CI_GRID = ("--a 2 --omega0 1 --phi 1 --sweep v0:0.02:0.95:0.01978723404255319 "
+            "--sweep theta:0:3.141592653589793:0.00393190569911113")
+SWEEP_DIGESTS = {
+    "--sweep theta:0:3.141592653589793:0.12566370614359174":
+        "4801e08b5d2ddecb9db610b98d5b36a12b19cedb91172c84b786b1d1c79d8ba8",
+    "--sweep theta:0:3.141592653589793:0.12566370614359174 --format json":
+        "9918c6cbfe07fec494a2928f48b04b0e150218d8b6dc10f4db338dc3538b2948",
+    _CI_GRID:
+        "97b46d1c9bfabfdc8a6adb8a9a9673ecbbb4b3e5d8d029147cbd9b931578e7ef",
+    _CI_GRID + " --format json":
+        "4904abb371d55668eaf14b94be3e613251ea2e6edb8ed5fb44d80defae27542d",
+    "--sweep v0:0.5:1.5:0.25 --omega0 1":
+        "481cd229410da329d8b7380cb6f790ae77d21496d26401f7ffdc1cafedf37f28",
+    "--sweep v0:0.5:1.5:0.25 --omega0 1 --format json":
+        "c1b47f8ff3b1bfb2a31d1b67a7f2e7847d898fb6f02d75443ec517a869fe153f",
+    "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5":
+        "a208e554cda4bedf0a61bb4024ce1d924e4808e2e7d5ee44bd3822063ea56629",
+    "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --format json":
+        "0f136a1900b471a74ccf58aff06d960d220c50c48567a1f689e60028b7bf7309",
+}
+ORDERING_DIGESTS = {
+    "--seg-a 1:0.5:1:0 --seg-b 1:0.5:2:1 --gap 0.5":
+        "6939bf28de3e8f25934f48759f8180cc1f89e14dc9280934cce5d0107ab82169",
+    "--seg-a 1:0.5:1:0 --seg-b 1:0.5:2:1 --gap 0.5 --format json":
+        "d79d6b19e607d882fb2909a70d8ded726e69b6f67e41a37b71f34f5535878214",
+}
+
+
+@pytest.mark.parametrize("command, args", [
+    *(("sweep", args) for args in SWEEP_DIGESTS),
+    *(("ordering", args) for args in ORDERING_DIGESTS),
+])
+def test_sweep_and_ordering_bytes_pinned(tmp_path, command, args):
+    digests = SWEEP_DIGESTS if command == "sweep" else ORDERING_DIGESTS
+    out = tmp_path / "out"
+    assert main([command, *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[args]
+
 
 class TestSolve:
     def test_text_output(self):
@@ -347,6 +389,15 @@ class TestField:
         out = tmp_path / "field.out"
         assert main(["field", *args.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_DIGESTS[args]
+
+    def test_underflowing_abs_psi_is_a_number(self, capsys):
+        # |psi|^2 ~ 1e-599 underflows to 0; quaternion.magnitude rescales
+        assert main(["field", "--a", "1", "--omega0", "1e-150", "--v0", "1e150",
+                     "--xmin", "0.5", "--xmax", "3", "--points", "4"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[-2:] for row in rows] == [
+            ["1.0773237722871073e-300", "barrier"],
+            *[["2.8959020883846385e-300", "right"]] * 3]
 
     def test_point_count_capped_like_sweep_grids(self):
         proc = run_cli("field", "--points", "1000001")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qkg.closedform import (
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
+    quaternionic_fraction_grid,
     slab_rt,
 )
 from qkg.errors import DegenerateWavenumberError, UndefinedFractionError
@@ -176,6 +178,24 @@ class TestDerivedQuantities:
     def test_fraction_rescales_underflowing_squares(self):
         fake = types.SimpleNamespace(c7=3e-300 + 0j, c8=4e-300j)
         assert quaternionic_fraction(fake) == pytest.approx(0.64, rel=1e-15)
+
+    def test_fraction_exact_where_the_squares_are_subnormal(self):
+        # |c7|^2 + |c8|^2 = 9.16e-312 is subnormal, not 0.  BarrierSpec inputs
+        # that small round k_plus and k_minus to the same float, so c8 comes
+        # out 0: this regime is reached only through amplitudes handed to the
+        # library, as here
+        exact = Fraction(4e-157) ** 2 / (Fraction(3e-156) ** 2 + Fraction(4e-157) ** 2)
+        fake = types.SimpleNamespace(c7=3e-156 + 0j, c8=4e-157j)
+        for got in (quaternionic_fraction(fake),
+                    float(quaternionic_fraction_grid(3e-156, 4e-157))):
+            assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
+
+    def test_fraction_grid_broadcasts(self):
+        # no RuntimeWarning where nothing is transmitted: the share is NaN
+        got = quaternionic_fraction_grid(np.array([[0.6], [0.0]]), np.array([0.8, 0.0]))
+        assert got.shape == (2, 2)
+        assert got[0].tolist() == [pytest.approx(0.64, rel=1e-15), 0.0]
+        assert got[1, 0] == 1.0 and math.isnan(got[1, 1])
 
     def test_exterior_magnitudes_sum_to_one(self, spec_factory):
         for _ in range(50):

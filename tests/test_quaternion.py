@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qkg.errors import InvalidDirectionError
 from qkg.model import direction_coupling
-from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
+from qkg.quaternion import SymplecticPair, UnitImaginaryDirection, magnitude
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,12 @@ class TestSymplecticSplit:
         assert (p + q).alpha == 1 + 2.5j
         assert (p - q).beta == 4 - 1j
         assert p.norm2() == pytest.approx(abs(1 + 2j) ** 2 + abs(3 - 1j) ** 2)
+
+    def test_norm_of_underflowing_squares(self):
+        # both squares underflow to 0; magnitude rescales by the larger one
+        assert SymplecticPair(3e-300, 4e-300j).norm() == pytest.approx(5e-300, rel=1e-15)
+        assert magnitude(0.0, 0.0) == 0.0
+        assert magnitude(3.0, 4.0) == 5.0
 
 
 class TestUnitImaginaryDirection:

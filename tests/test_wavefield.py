@@ -243,8 +243,7 @@ def _masked_reference(spec, amps, xs):
     values = np.empty((4, len(xs)), dtype=complex)
     for i in np.unique(index).tolist():
         at = index == i
-        value, slope = _eval(xs[at], amps, REGIONS[i], np.exp)
-        values[:, at] = value.alpha, value.beta, slope.alpha, slope.beta
+        values[:, at] = _eval(xs[at], amps, REGIONS[i])
     return values
 
 
