@@ -23,7 +23,6 @@ from .closedform import (
     quaternionic_fraction_grid,
 )
 from .errors import (
-    DegenerateWavenumberError,
     InvalidDirectionError,
     SingularSystemError,
     UndefinedFractionError,
@@ -40,7 +39,6 @@ from .model import (
     BarrierSpec,
     DispersionData,
     ModeRatios,
-    check_nondegenerate,
     direction_coupling,
     mode_ratios,
     wavenumbers,
@@ -82,7 +80,6 @@ __all__ = [
     "BarrierSpec",
     "CheckResult",
     "COMPLEX_LIMIT",
-    "DegenerateWavenumberError",
     "DispersionData",
     "EXACT",
     "FieldSample",
@@ -105,7 +102,6 @@ __all__ = [
     "amplitudes_closed",
     "amplitudes_taylor",
     "build_system",
-    "check_nondegenerate",
     "compose",
     "continuity_residuals",
     "direction_coupling",

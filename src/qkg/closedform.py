@@ -4,32 +4,34 @@ The matching system factorizes into two ordinary complex barrier problems,
 one per interior branch.  On the branch with interior wavenumber q the
 barrier is a symmetric lossless slab of width a in the free waves of k0,
 and one formula, slab_rt, gives its r and its t (referenced to the slab's
-far end); the interior amplitudes A, B need q > 0 (check_nondegenerate):
+far end):
 
-    sigma = sin(aq) / 2                     D(q) = -(q + k0)^2 + (q - k0)^2 e^{2 i a q}
-    t(q) = 1 / (cos(aq) - i (sigma k0/q + sigma q/k0))    A(q) = -2 k0 (q + k0) / D(q)
-    r(q) = i (sigma q/k0 - sigma k0/q) t(q)               B(q) = -2 k0 (q - k0) e^{2 i a q} / D(q)
+    sigma = sin(aq) / 2
+    t(q) = 1 / (cos(aq) - i (sigma k0/q + sigma q/k0))
+    r(q) = i (sigma q/k0 - sigma k0/q) t(q)
 
 r and t are entire in q: sigma k0/q = k0 a / 2 at q = 0, where
-r = k0 a / (k0 a + 2i).  No denominator vanishes for q > 0, so there is no
+r = k0 a / (k0 a + 2i).  No denominator vanishes, so there is no
 exponential damping in the barrier: both branches propagate for any width.
 
 Each 2x2 block of the barrier is f(N) = (f- + f+)/2 I + (f- - f+)/2 N, N the
 direction involution, f- on the k_minus and f+ on the k_plus branch
 (coupled).  c1, c2 and c7, c8 are the incident columns of r(N) and t(N); the
-transmitted wave picks up e^{-i a k0} once:
+transmitted wave picks up e^{-i a k0} once.  The interior amplitudes are the
+branch components of psi(0) (c3, c5) and of psi'(0) / (i k0) (c4, c6), read
+off the left face, where psi = 1 + r and psi' / (i k0) = 1 - r:
 
     c1 = w_plus r(k-) - w_minus r(k+)      c7 = e^{-i a k0} (w_plus t(k-) - w_minus t(k+))
     c2 = w_cross (r(k-) - r(k+))           c8 = e^{-i a k0} w_cross (t(k-) - t(k+))
-    c3 = -w_minus A(k+)                    c5 = w_plus A(k-)
-    c4 = -w_minus B(k+)                    c6 = w_plus B(k-)
+    c3 = -w_minus (1 + r(k+))              c5 = w_plus (1 + r(k-))
+    c4 = -w_minus (1 - r(k+))              c6 = w_plus (1 - r(k-))
 
-In the complex limit theta -> 0 this collapses to the scalar k_minus
-problem: c2 = c8 = 0 and |c1|^2 + |c7|^2 = 1.  A first-order expansion in
-small (theta, a, V0) gives the leading behavior
+all finite at V0 = omega0.  In the complex limit theta -> 0 this collapses
+to the scalar k_minus problem: c2 = c8 = 0 and |c1|^2 + |c7|^2 = 1.
+A first-order expansion in small (theta, a, V0) gives the leading behavior
 
-    c1 = -i a V0                 c5 = 1 + V0 / (2 omega0)
-    c2 = a theta e^{-i phi} V0   c6 = -V0 / (2 omega0) - i a V0
+    c1 = -i a V0                 c5 = 1 - i a V0
+    c2 = a theta e^{-i phi} V0   c6 = 1 + i a V0
     c3 = c4 = 0                  c7 = 1 - i a V0
                                  c8 = a theta e^{-i phi} V0
 
@@ -50,7 +52,6 @@ from .model import (
     EPS_THETA,
     Amplitudes,
     BarrierSpec,
-    check_nondegenerate,
     mode_ratios,
     require_each,
     slab_rules,
@@ -62,22 +63,29 @@ COMPLEX_LIMIT = "complex-limit"
 TAYLOR = "taylor"
 
 
-def slab_rt(q, k0, length, sin=math.sin, cos=math.cos):
+def slab_rt(q, k0, length, sin=math.sin, cos=math.cos, faces=False):
     """The module's (r, t) of a slab; q^2 is never formed, so any finite q length works.
 
-    Scalar callers pass math's sin and cos and keep q > 0; with numpy's, any
-    argument may be an array, and sigma k0/q is k0 length / 2 where q = 0.
+    Scalar callers pass math's sin and cos; with numpy's, any argument may be
+    an array.  sigma k0/q is k0 length / 2 where q = 0.  With faces, 1 + r and
+    1 - r follow, psi and psi' / (i k0) on the near face, formed as
+    t (cos qL - 2i sigma k0/q) and t (cos qL - 2i sigma q/k0) so that neither
+    cancels at a hard mirror, where r -> -1.
     """
     phase = q * length
     sigma = 0.5 * sin(phase)
     up = sigma * q / k0
-    if sin is math.sin or q.all():
+    if sin is math.sin:
+        down = sigma * k0 / q if q else 0.5 * k0 * length
+    elif q.all():
         down = sigma * k0 / q
     else:
         with np.errstate(invalid="ignore"):
             down = np.where(q == 0, 0.5 * k0 * length, sigma * k0 / q)
-    t = 1.0 / (cos(phase) - 1j * (down + up))
-    return 1j * (up - down) * t, t
+    cosine = cos(phase)
+    t = 1.0 / (cosine - 1j * (down + up))
+    r = 1j * (up - down) * t
+    return (r, t, t * (cosine - 2j * down), t * (cosine - 2j * up)) if faces else (r, t)
 
 
 def coupled(f_minus, f_plus, n1, cross):
@@ -102,51 +110,37 @@ def direction_terms(theta, phi):
     return np.cos(theta), cross
 
 
-def _interior(q, k0, a):
-    """The module's interior amplitudes (A, B), for q > 0."""
-    ph2 = cmath.exp(2j * a * q)
-    d = -((q + k0) ** 2) + ((q - k0) ** 2) * ph2
-    return -2.0 * k0 * (q + k0) / d, -2.0 * k0 * (q - k0) * ph2 / d
-
-
 def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     """Evaluate the exact closed-form amplitudes for spec.
 
     Valid for every theta in [0, pi]; only the regular angle combinations
     enter, so the poles need no special casing.  The route is
-    "complex-limit" at a pole and "exact" elsewhere; c3..c6 need k_minus > 0.
+    "complex-limit" at a pole and "exact" elsewhere.
     """
-    check_nondegenerate(spec)
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
     k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
-    rp, tp = slab_rt(kp, k0, a)
-    rm, tm = slab_rt(km, k0, a)
+    rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
+    rm, tm, em, om = slab_rt(km, k0, a, faces=True)
     n1, cross = math.cos(spec.theta), 2.0 * ratios.w_cross
     c1, c2, _, _ = coupled(rm, rp, n1, cross)
     c7, c8, _, _ = coupled(tm, tp, n1, cross)
     back = cmath.exp(-1j * a * k0)
-    ap, bp = _interior(kp, k0, a)
-    am, bm = _interior(km, k0, a)
-
-    # Pre-scaled interior coefficients shared with the matching solver.
-    d3, d4, d5, d6 = -ap, -bp, am, bm
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
+    # (ep, op) and (em, om): psi(0) and psi'(0) / (i k0) of each branch, unweighted
     return Amplitudes(
-        c1=c1, c2=c2, c3=wm * d3, c4=wm * d4, c5=wp * d5, c6=wp * d6,
-        c7=c7 * back, c8=c8 * back,
-        dispersion=disp, ratios=ratios, route=route,
-        interior_beta=(wx * d3, wx * d4, wx * d5, wx * d6))
+        c1=c1, c2=c2, c3=-wm * ep, c4=-wm * op, c5=wp * em, c6=wp * om,
+        c7=c7 * back, c8=c8 * back, dispersion=disp, ratios=ratios, route=route,
+        interior_beta=(-wx * ep, -wx * op, wx * em, wx * om))
 
 
 def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     """amplitudes_closed's (c1, c2, c7, c8), in numpy over broadcast arrays.
 
     The same formulas with numpy's sin, cos and exp: the two agree to
-    rounding, and c2 = c8 = 0 exactly at theta = 0.  Only the exterior is
-    formed, so V0 = omega0 answers.  Raises what BarrierSpec raises at the
-    first invalid point in C order."""
+    rounding, and c2 = c8 = 0 exactly at theta = 0.  Raises what BarrierSpec
+    raises at the first invalid point in C order."""
     require_each(slab_rules, a, v0, theta, phi, omega0)
     rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a, np.sin, np.cos)
     rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a, np.sin, np.cos)
@@ -166,15 +160,15 @@ def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
     """
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
-    a, v0, w0 = spec.a, spec.v0, spec.omega0
+    a, v0 = spec.a, spec.v0
     cross = a * spec.theta * v0 * cmath.exp(-1j * spec.phi)
     return Amplitudes(
         c1=-1j * a * v0,
         c2=cross,
         c3=0j,
         c4=0j,
-        c5=1.0 + v0 / (2.0 * w0),
-        c6=-v0 / (2.0 * w0) - 1j * a * v0,
+        c5=1.0 - 1j * a * v0,
+        c6=1.0 + 1j * a * v0,
         c7=1.0 - 1j * a * v0,
         c8=cross,
         dispersion=disp, ratios=ratios, route=TAYLOR, interior_beta=None)

@@ -1,24 +1,31 @@
 """Build and solve the 8x8 wave-matching system of a single barrier.
 
-A unit wave exp(i(k0 x - omega0 t)) comes in from the left.  The ansatz is
+A unit wave exp(i(k0 x - omega0 t)) comes in from the left.  Inside the
+barrier each branch q = k_plus, k_minus has the entire basis
+{cos qx, sin(qx)/q}, which is 1 and x at q = 0:
 
     x < 0:        psi = e^{i k0 x} + (c1 + j c2) e^{-i k0 x}
-    0 <= x <= a:  psi = (1 + j r_plus)(c3 e^{i k+ x} + c4 e^{-i k+ x})
-                      + (1 + j r_minus)(c5 e^{i k- x} + c6 e^{-i k- x})
+    0 <= x <= a:  psi = sum over q of P_q (psi(0) cos(qx) + psi'(0) sin(qx)/q)
     x > a:        psi = (c7 + j c8) e^{i k0 x}
 
-Continuity of psi and psi' at x = 0 and x = a, split into alpha and beta
-components, gives eight complex equations for c1..c8.  Written verbatim
-they carry the raw ratios r_plus/minus, which diverge in the complex limit.
-The system is therefore assembled in regularized form: interior unknowns
-are pre-scaled, c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5,
-c6 = w_plus d6, which replaces the ratio products in the alpha rows by
-w_plus/minus.  The beta rows then carry a common factor w_cross, which is
-divided out by additionally rescaling the quaternionic exterior unknowns,
-c2 = w_cross e2 and c8 = w_cross e8.  Every matrix entry is then bounded by
-max(1, k) for all theta in [0, pi], the system stays nonsingular at both
-poles, and c2 = c8 = 0 is recovered exactly in the complex limit.  The
-verbatim system survives only as the reference transcription in qkg.verify.
+P_q projects onto the branch, of (alpha, beta) direction (1, r_q).  c3, c5
+are the alpha parts of the k_plus, k_minus components of psi(0), c4, c6
+those of psi'(0) / (i k0).  Continuity of psi and psi' at x = 0 and x = a,
+in alpha and beta parts, gives eight equations.  Written verbatim they carry
+the raw ratios r_plus/minus, which diverge in the complex limit, so the
+interior unknowns are pre-scaled by w_minus (k_plus) and w_plus (k_minus),
+which puts w_plus/minus in the alpha rows and a common factor w_cross in the
+beta rows.  That factor is divided out by rescaling c2 = w_cross e2 and
+c8 = w_cross e8: the system stays nonsingular at both poles, and
+c2 = c8 = 0 exactly in the complex limit.
+
+Diagonal scales balance it in omega0, V0 and a: the psi'(0) unknowns are
+psi'(0) / (i max(k0, q)), on the k_minus branch at most |q / sin(qa)|, the
+transmitted ones c7 e^{i k0 a} and c8 e^{i k0 a}, and the psi' rows are
+divided by i k_plus (k_plus >= k0, q).  Every entry is then at most 1, the
+right-hand side is -(1, 0, k0 / k_plus, 0, ...), and each phase q a is
+formed as the closed form forms it.  The verbatim system survives only as
+the reference transcription in qkg.verify.
 
 The solver forms the explicit inverse (LAPACK LU with partial pivoting),
 applies it to the right-hand side and adds one step of iterative refinement
@@ -31,7 +38,7 @@ ratio falls below _PIVOT_FLOOR.
 
 Both gates read their matrix norms from one |M|: its largest column sum is
 ||M||_1 for the condition number and its largest row sum ||M||_inf for the
-backward error, which also needs only ||rhs||_inf = max(1, k0).  These are
+backward error, which also needs only ||rhs||_inf = 1.  These are
 the float operations np.linalg.norm performs, so every gate and every answer
 is bit-identical to a norm-by-norm evaluation; qkg.verify keeps one for its
 backward-error criterion.
@@ -39,7 +46,9 @@ backward-error criterion.
 
 from __future__ import annotations
 
+import cmath
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +59,6 @@ from .model import (
     BarrierSpec,
     DispersionData,
     ModeRatios,
-    check_nondegenerate,
     mode_ratios,
     wavenumbers,
 )
@@ -76,45 +84,51 @@ class MatchingSystem:
     """One assembled linear system M u = rhs.
 
     column_scale maps the solved unknowns back to the physical amplitudes,
-    c_i = column_scale[i] * u_i.
+    c_i = column_scale[i] * u_i, and beta_scale the interior unknowns u_2..u_5
+    to interior_beta.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     column_scale: np.ndarray
+    beta_scale: np.ndarray
     spec: BarrierSpec
     dispersion: DispersionData
     ratios: ModeRatios
 
 
 def build_system(spec: BarrierSpec) -> MatchingSystem:
-    """Assemble the regularized matching system for spec; any direction."""
-    check_nondegenerate(spec)
+    """Assemble the regularized matching system for spec; any direction, any V0."""
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
-    k0, kp, km = disp.k0, disp.k_plus, disp.k_minus
-    ep = np.exp(1j * spec.a * kp)
-    em = np.exp(1j * spec.a * km)
-    e0 = np.exp(1j * spec.a * k0)
+    k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
+    cp, sp, cm, sm = math.cos(kp * a), math.sin(kp * a), math.cos(km * a), math.sin(km * a)
+    # the k_minus psi'(0) in units of i um, with |um sin(qa)/q| <= 1 also
+    # where that branch grows linearly across a wide barrier
+    slow = sm / km if km else a
+    um = max(k0, km) if max(k0, km) * abs(slow) <= 1.0 else 1.0 / abs(slow)
+    lm = um * slow
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
+    x0, xm, xu = k0 / kp, km / kp, um / kp
 
     # one flat fill; the entries keep their scalar arithmetic, so every bit
     # matches a row-by-row assembly
     m = np.array((
-        1, 0, -wm, -wm, -wp, -wp, 0, 0,
-        0, 1, -1, -1, -1, -1, 0, 0,
-        -k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0,
-        0, -k0, -kp, kp, -km, km, 0, 0,
-        0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0,
-        0, 0, ep, 1 / ep, em, 1 / em, 0, -e0,
-        0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0,
-        0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0,
+        1, 0, -wm, 0, -wp, 0, 0, 0,
+        0, 1, -1, 0, -1, 0, 0, 0,
+        -x0, 0, 0, -wm, 0, -wp * xu, 0, 0,
+        0, -x0, 0, -1, 0, -xu, 0, 0,
+        0, 0, wm * cp, 1j * wm * sp, wp * cm, 1j * wp * lm, -1, 0,
+        0, 0, cp, 1j * sp, cm, 1j * lm, 0, -1,
+        0, 0, 1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0, 0,
+        0, 0, 1j * sp, cp, 1j * xm * sm, xu * cm, 0, -x0,
     ), dtype=complex).reshape(8, 8)
-    column_scale = np.array([1, wx, wm, wm, wp, wp, 1, wx], dtype=complex)
-
-    rhs = -np.array([1, 0, k0, 0, 0, 0, 0, 0], dtype=complex)
+    back = cmath.exp(-1j * a * k0)
+    beta_scale = wx * np.array([1, kp / k0, 1, um / k0])
+    column_scale = np.array([1, wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back])
+    rhs = -np.array([1, 0, x0, 0, 0, 0, 0, 0], dtype=complex)
     return MatchingSystem(matrix=m, rhs=rhs, column_scale=column_scale,
-                          spec=spec, dispersion=disp, ratios=ratios)
+                          beta_scale=beta_scale, spec=spec, dispersion=disp, ratios=ratios)
 
 
 def solve(system: MatchingSystem) -> Amplitudes:
@@ -135,18 +149,17 @@ def solve(system: MatchingSystem) -> Amplitudes:
         raise SingularSystemError(
             f"matching matrix is numerically singular (cond_1 {condition:.3e})")
     # backward error ||r|| / (||M|| ||u|| + ||rhs||) in the infinity norm;
-    # ||rhs|| = max(1, k0), as rhs = -(1, 0, k0, 0, ...)
+    # ||rhs|| = 1, as rhs = -(1, 0, k0 / k_plus, 0, ...) with k0 <= k_plus
     norm_m = float(_max(_sum(abs_m, 1)))
-    norm_rhs = max(1.0, system.dispersion.k0)
     u = inverse @ rhs
     r = rhs - m @ u
     residual = float(_max(np.abs(r)))
-    err = residual / (norm_m * float(_max(np.abs(u))) + norm_rhs)
+    err = residual / (norm_m * float(_max(np.abs(u))) + 1.0)
     if err > _REFINE_TRIGGER:
         u = u + inverse @ r
         r = rhs - m @ u
         residual = float(_max(np.abs(r)))
-        err = residual / (norm_m * float(_max(np.abs(u))) + norm_rhs)
+        err = residual / (norm_m * float(_max(np.abs(u))) + 1.0)
     if err > _RESIDUAL_ACCEPT:
         raise SingularSystemError(
             f"matching solve did not converge: backward error {err:.3e}")
@@ -155,12 +168,10 @@ def solve(system: MatchingSystem) -> Amplitudes:
                     "(theta=%.6g)", condition, system.spec.theta)
 
     c1, c2, c3, c4, c5, c6, c7, c8 = (system.column_scale * u).tolist()
-    wx = system.ratios.w_cross
-    d3, d4, d5, d6 = u[2:6].tolist()
     return Amplitudes(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         dispersion=system.dispersion, ratios=system.ratios, route=REGULARIZED,
-        interior_beta=(wx * d3, wx * d4, wx * d5, wx * d6), residual=residual,
+        interior_beta=tuple((system.beta_scale * u[2:6]).tolist()), residual=residual,
         condition=condition, solution=u)
 
 

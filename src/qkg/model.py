@@ -34,7 +34,10 @@ finite for all angles, and only these are kept:
     w_minus = r_minus / (r_plus - r_minus) = -sin^2(theta / 2)
     w_cross = r_plus r_minus / (r_plus - r_minus) = (i/2) sin(theta) e^{-i phi}
 
-Outside the barrier the field is free and k0 = omega0.
+At V0 = omega0, the edge of the Klein zone V0 > omega0, k_minus = 0 and that
+branch's solutions are 1 and x: every route writes a branch in the entire
+basis {cos qx, sin(qx)/q}, so no V0 is degenerate.  Outside the barrier the
+field is free and k0 = omega0.
 
 Input rules live here, once.  A rule function calls check(holds, message,
 *values) per rule; holds is written in plain operators and the isfinite handed
@@ -52,20 +55,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWavenumberError
 from .quaternion import UnitImaginaryDirection
 
 # At or below this value of sin(theta) the closed form takes its
 # complex-limit route.
 EPS_THETA = 1e-9
 
-# Relative half-width of the band around V0 = omega0 that check_nondegenerate rejects.
-EPS_K_REL = 1e-9
 
-
-def require(holds, message: str, *values, error=ValueError) -> None:
+def require(holds, message: str, *values) -> None:
     if not holds:
-        raise error(message.format(*values))
+        raise ValueError(message.format(*values))
 
 
 def require_each(rules, *arrays) -> None:
@@ -176,14 +175,10 @@ def wavenumbers(spec: BarrierSpec) -> DispersionData:
 
 
 def check_nondegenerate(spec: BarrierSpec) -> None:
-    """Reject specs whose slow interior branch stops propagating.
+    """Does nothing: every route answers at V0 = omega0, so no spec is degenerate.
 
-    Raises DegenerateWavenumberError when |omega0 - V0| < EPS_K_REL * omega0;
-    only the routes that form the interior plane waves call it.
+    Kept so that code which calls or wraps it by name keeps working.
     """
-    require(abs(spec.omega0 - spec.v0) >= EPS_K_REL * spec.omega0, "k_minus ~ 0 for v0 = {}, "
-            "omega0 = {}; the four-plane-wave interior basis degenerates", spec.v0, spec.omega0,
-            error=DegenerateWavenumberError)
 
 
 @dataclass(frozen=True)
@@ -236,14 +231,15 @@ class Amplitudes:
     or, at a pole, "complex-limit" (closed forms), "taylor"
     (small-parameter expansion).
 
-    c3..c6 are the alpha parts of the interior modes (+k_plus, -k_plus,
-    +k_minus, -k_minus).  Their beta parts are interior_beta: w_cross times
-    the pre-scaled unknowns d3..d6 of the regularized matching system
-    (c3 = w_minus d3, c4 = w_minus d4, c5 = w_plus d5, c6 = w_plus d6), so
-    they stay finite at every theta; None on the Taylor route.  The matching
-    solve also reports residual (infinity norm of rhs - M u), condition
-    (1-norm condition number of M) and solution (the solved unknowns u); the
-    other routes leave them None.
+    c3..c6 are the alpha parts of the interior field in the entire basis
+    {cos qx, sin(qx)/q} of each branch q: c3 and c5 belong to the k_plus and
+    k_minus components of psi(0), c4 and c6 to those of psi'(0) / (i k0), and
+    all four are finite at every V0, k_minus = 0 included.  interior_beta holds
+    the matching beta parts, None on the Taylor route: w_cross times the alpha
+    part over w_minus (k_plus) or w_plus (k_minus), formed without dividing,
+    so finite at every theta.  The matching solve also reports residual
+    (infinity norm of rhs - M u), condition (1-norm condition number of M) and
+    solution (the solved unknowns u); the other routes leave them None.
     """
 
     c1: complex

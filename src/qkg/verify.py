@@ -39,6 +39,7 @@ SEED = 20260823
 
 # Pinned tolerances and sizes, one block per check.
 ORACLE_SPECS = 1000
+ORACLE_EDGE_SPECS = 100       # at V0 = omega0 or in the Klein zone, own stream
 ORACLE_TOL = 1e-9
 ORACLE_FLUX_TOL = 1e-12
 ORACLE_SECONDS = 5.0
@@ -143,12 +144,19 @@ def random_stack(rng: np.random.Generator, pairs: int) -> LayerStack:
 
 
 def check_oracle_equivalence(quick: bool = False) -> CheckResult:
-    """Criterion 1: linear solve and closed forms agree, and both conserve flux."""
+    """Criterion 1: linear solve and closed forms agree, and both conserve flux.
+
+    ORACLE_EDGE_SPECS more random_specs, from their own stream, are moved to
+    V0 = omega0 (even draws) or into the Klein zone, V0 on [omega0, 2 omega0)."""
     count = 100 if quick else ORACLE_SPECS
-    rng = np.random.default_rng(SEED)
+    edge = 10 if quick else ORACLE_EDGE_SPECS
     start = time.perf_counter()
     worst = worst_flux = 0.0
-    for spec in random_specs(rng, count):
+    rng = np.random.default_rng(SEED + 7)
+    specs = random_specs(np.random.default_rng(SEED), count) + [
+        replace(spec, v0=spec.omega0 * (1.0 + (i % 2) * rng.random()))
+        for i, spec in enumerate(random_specs(rng, edge))]
+    for spec in specs:
         routes = (solve_spec(spec), amplitudes_closed(spec))
         solved, closed = (amps.as_array() for amps in routes)
         worst = max(worst, float(np.abs(solved - closed).max() / np.abs(closed).max()))
@@ -159,7 +167,7 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
               and (quick or elapsed < ORACLE_SECONDS))
     return CheckResult(1, "oracle-equivalence", passed,
                        f"max rel diff {worst:.3e}, flux defect {worst_flux:.3e} "
-                       f"over {count} specs", elapsed)
+                       f"over {count} + {edge} (V0 >= omega0) specs", elapsed)
 
 
 def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> float:
@@ -332,8 +340,9 @@ def check_ordering_sanity(quick: bool = False) -> CheckResult:
 def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     """Independent literal transcription of the raw matching system.
 
-    The raw ratios r+- = -(n1 +- 1) / (n3 - i n2) diverge at the poles, so
-    callers pass only specs with sin(theta) well above zero.
+    Unknowns c1..c8, each branch q inside (1 + j r_q)(c cos(qx) + i k0 c'
+    sin(qx)/q), psi' rows divided by i.  The raw ratios r+- = -(n1 +- 1) /
+    (n3 - i n2) diverge at the poles: callers keep sin(theta) well above 0.
     """
     disp = wavenumbers(spec)
     n = spec.direction()
@@ -341,18 +350,18 @@ def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     rp, rm = -(n.n1 + 1.0) / denom, -(n.n1 - 1.0) / denom
     k0, kp, km = disp.k0, disp.k_plus, disp.k_minus
     a = spec.a
-    epp, epm = np.exp(1j * a * kp), np.exp(-1j * a * kp)
-    emp, emm = np.exp(1j * a * km), np.exp(-1j * a * km)
+    cp, sp, cm, sm = np.cos(kp * a), np.sin(kp * a), np.cos(km * a), np.sin(km * a)
+    lp, lm = 1j * k0 * sp / kp, 1j * k0 * (sm / km if km else a)
     e0 = np.exp(1j * a * k0)
     matrix = np.array([
-        [1, 0, -1, -1, -1, -1, 0, 0],
-        [0, 1, -rp, -rp, -rm, -rm, 0, 0],
-        [-k0, 0, -kp, kp, -km, km, 0, 0],
-        [0, -k0, -kp * rp, kp * rp, -km * rm, km * rm, 0, 0],
-        [0, 0, epp, epm, emp, emm, -e0, 0],
-        [0, 0, epp * rp, epm * rp, emp * rm, emm * rm, 0, -e0],
-        [0, 0, epp * kp, -epm * kp, emp * km, -emm * km, -e0 * k0, 0],
-        [0, 0, epp * kp * rp, -epm * kp * rp, emp * km * rm, -emm * km * rm,
+        [1, 0, -1, 0, -1, 0, 0, 0],
+        [0, 1, -rp, 0, -rm, 0, 0, 0],
+        [-k0, 0, 0, -k0, 0, -k0, 0, 0],
+        [0, -k0, 0, -k0 * rp, 0, -k0 * rm, 0, 0],
+        [0, 0, cp, lp, cm, lm, -e0, 0],
+        [0, 0, cp * rp, lp * rp, cm * rm, lm * rm, 0, -e0],
+        [0, 0, 1j * kp * sp, k0 * cp, 1j * km * sm, k0 * cm, -e0 * k0, 0],
+        [0, 0, 1j * kp * sp * rp, k0 * cp * rp, 1j * km * sm * rm, k0 * cm * rm,
          0, -e0 * k0],
     ], dtype=complex)
     rhs = -np.array([1, 0, k0, 0, 0, 0, 0, 0], dtype=complex)
@@ -362,8 +371,8 @@ def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
 def check_matrix_fidelity(quick: bool = False) -> CheckResult:
     """Criterion 8: the production system is the literal transcription, rescaled.
 
-    M_raw diag(column_scale) = diag(1, wx, 1, wx, 1, wx, 1, wx) M_reg and
-    rhs_raw = diag(1, wx, ...) rhs_reg hold exactly, because
+    M_raw diag(column_scale) = diag(1, wx, k+, k+ wx, 1, wx, k+, k+ wx) M_reg
+    and rhs_raw = diag(1, wx, k+, ...) rhs_reg hold to rounding, because
     r_plus w_minus = r_minus w_plus = w_cross.
     """
     count = 20 if quick else FIDELITY_SPECS
@@ -378,7 +387,8 @@ def check_matrix_fidelity(quick: bool = False) -> CheckResult:
         done += 1
         system = build_system(spec)
         ref_m, ref_rhs = _transcribed_matrix(spec)
-        row_scale = np.tile([1.0, system.ratios.w_cross], 4)
+        kp, wx = system.dispersion.k_plus, system.ratios.w_cross
+        row_scale = np.tile([1.0, wx, kp, kp * wx], 2)
         ref_m = ref_m * system.column_scale
         got_m = row_scale[:, None] * system.matrix
         scale = max(1.0, float(np.abs(ref_m).max()))

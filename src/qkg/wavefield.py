@@ -1,14 +1,15 @@
 """Evaluate the scattered wave and its derivative over position.
 
 Regions are named "left" (x < 0), "barrier" (0 <= x <= a) and "right"
-(x > a).  In each region the field is a sum of plane waves
-(alpha + j beta) e^{i k x}, and psi' is the same sum with each wave scaled by
-i k.  _waves lists them as (k, alpha, beta): left (k0, 1, 0) and
-(-k0, c1, c2), right (k0, c7, c8), barrier (+k_plus, c3, b3),
-(-k_plus, c4, b4), (+k_minus, c5, b5) and (-k_minus, c6, b6) with
-(b3, b4, b5, b6) the amplitudes' interior_beta (finite at every angle).
-_eval sums the table with np.exp over an array of positions in one region;
-continuity_residuals passes it the boundary positions 0 and a as arrays.
+(x > a).  In each region the field is a sum of terms (alpha + j beta) f(x),
+and psi' is the same sum over f'(x).  Outside the barrier f is a plane wave
+e^{i k x}: left (1, 0) at k0 and (c1, c2) at -k0, right (c7, c8) at k0.  In
+the barrier each branch q = k_plus, k_minus has the entire basis cos(qx) and
+i k0 sin(qx)/q (i k0 x at q = 0), weighted by (c3, b3) and (c4, b4) on
+k_plus and (c5, b5) and (c6, b6) on k_minus, (b3, b4, b5, b6) the
+amplitudes' interior_beta.  _eval sums the terms over an array of positions
+in one region; continuity_residuals passes it the boundary positions 0 and
+a as arrays.
 
 sample_field returns one FieldSamples record of arrays over an ascending
 grid.  Each region is a contiguous slice of it, found by binary search, and
@@ -76,30 +77,33 @@ class FieldSamples(Sequence):
                    *self.values.tolist())
 
 
-def _waves(amps: Amplitudes, region: str) -> tuple[tuple, ...]:
-    """The (k, alpha, beta) plane waves that make up the field in region."""
-    d = amps.dispersion
-    if region == LEFT:
-        return ((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
-    if region == RIGHT:
-        return ((d.k0, amps.c7, amps.c8),)
-    if amps.interior_beta is None:
-        raise ValueError("amplitudes carry no interior coefficients "
-                         "(Taylor-route values cannot drive a field evaluation)")
-    b3, b4, b5, b6 = amps.interior_beta
-    return ((d.k_plus, amps.c3, b3), (-d.k_plus, amps.c4, b4),
-            (d.k_minus, amps.c5, b5), (-d.k_minus, amps.c6, b6))
-
-
 def _eval(x: np.ndarray, amps: Amplitudes, region: str) -> tuple[np.ndarray, ...]:
     """Rows (psi.alpha, psi.beta, psi'.alpha, psi'.beta) at the points x of region."""
+    d = amps.dispersion
+    terms = []      # ((alpha, beta), f, (alpha', beta'), g): psi += pair f, psi' += pair' g
+    if region == BARRIER:
+        if amps.interior_beta is None:
+            raise ValueError("amplitudes carry no interior coefficients "
+                             "(Taylor-route values cannot drive a field evaluation)")
+        b3, b4, b5, b6 = amps.interior_beta
+        ik0 = 1j * d.k0
+        for q, (ea, eb), (oa, ob) in ((d.k_plus, (amps.c3, b3), (amps.c4, b4)),
+                                      (d.k_minus, (amps.c5, b5), (amps.c6, b6))):
+            cos, sin = np.cos(q * x), np.sin(q * x)
+            odd = (ik0 * oa, ik0 * ob)
+            terms += [((ea, eb), cos, (-q * ea, -q * eb), sin),
+                      (odd, sin / q if q else x, odd, cos)]
+    else:
+        for k, alpha, beta in (((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
+                               if region == LEFT else ((d.k0, amps.c7, amps.c8),)):
+            f = np.exp(1j * k * x)
+            terms.append(((alpha, beta), f, (1j * k * alpha, 1j * k * beta), f))
     psi_a = psi_b = dpsi_a = dpsi_b = 0j
-    for k, alpha, beta in _waves(amps, region):
-        phase = np.exp(1j * k * x)
-        psi_a += alpha * phase
-        psi_b += beta * phase
-        dpsi_a += 1j * k * alpha * phase
-        dpsi_b += 1j * k * beta * phase
+    for (alpha, beta), f, (alpha1, beta1), g in terms:
+        psi_a += alpha * f
+        psi_b += beta * f
+        dpsi_a += alpha1 * g
+        dpsi_b += beta1 * g
     return psi_a, psi_b, dpsi_a, dpsi_b
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -7,8 +8,26 @@ import sys
 import numpy as np
 import pytest
 
-from qkg import cli
+from qkg import cli, matcher
 from qkg.cli import main
+from qkg.model import BarrierSpec
+
+
+# Defines ill_conditioned(spec), a solver whose matching system has column 0
+# scaled by 2^30: the same answer, bit for bit, at cond_1 7.0e9, between the
+# warning and the rejection gate.  No input spec reaches that band.
+_ILL_CONDITIONED_SOLVE = """\
+import dataclasses, sys
+import numpy as np
+from qkg import cli, matcher
+
+def ill_conditioned(spec):
+    system = matcher.build_system(spec)
+    scale = np.ones(8)
+    scale[0] = 2.0 ** 30
+    return matcher.solve(dataclasses.replace(
+        system, matrix=system.matrix * scale, column_scale=system.column_scale * scale))
+"""
 
 
 def run_cli(*args):
@@ -17,40 +36,40 @@ def run_cli(*args):
 
 
 # sha256 of the stdout of `qkg solve ARGS`: the default spec, both poles,
-# V0 = 0 and a = 0, as text, CSV and JSON.  The matcher column was recorded
-# from the matcher that evaluated its gates norm by norm with np.linalg.norm;
-# the closed-form column from the single slab kernel, closedform.slab_rt.
+# V0 = 0 and a = 0, as text, CSV and JSON.  Recorded when c3..c6 moved to the
+# entire interior basis {cos qx, sin(qx)/q}; the closed-form c1, c2, c7, c8
+# and the fraction and magnitude-sum lines did not change then.
 SOLVE_DIGESTS = {
     "":
-        "00a3cf8ecb9cbe679a24328689a6f459a93a16ae2de7ae221bdc099dd55d1448",
+        "85aad2345a224f2e9c3d7e119ead949da3dcc26a1381d21c42a57deeaa5c6dfe",
     "--format csv":
-        "9c51ceaecfddeac6368518abb83ab5448226a60b09da31b04b06a2c4ece97827",
+        "12164cbcae6c3add4587720edaa979b9f3157cdf2d5684a72924dec983d47131",
     "--format json":
-        "a184cecda4de586bd0660fe7a62304587d3a80313049fdb293fd7574f16a6e56",
+        "7dc163c8e39535b93df0c4a18b4a8bd0e5b43f16442a649927ca03e13bb3715f",
     "--theta 0":
-        "98646c7a488e55f2569333776d2f50fb5f60161af3546218a4ebeb40110a8b08",
+        "835e38cfa183ddc2c911faa8e71e8a29eaa42a36f55b2a25de5290505b54fa90",
     "--theta 0 --format csv":
-        "36ce70fc8795c855e6328aa773fc6a707f779f3831643dbbc19ed530fde358dc",
+        "2603bdf75a8304a6505a426d969a44f1432c13e25491a6a8a46dd31636204268",
     "--theta 0 --format json":
-        "4853a31e20a48bca74dd7e7b9178d31d446c8bb771e24ca97eb923a9079ac288",
+        "f848a4ca77efa28c79371ac98087e1ef8868100d253fa4734022a55cdee5189c",
     "--theta 3.141592653589793":
-        "4d971c3bd24c57df6cc30d90ffeb59b09f4a995f204fa9d8ca1b67f5c4053902",
+        "9756fb87494336b3453043428bd49795b761df8e8054f6458528d550d42028fe",
     "--theta 3.141592653589793 --format csv":
-        "12dd117ac66ef066fad409f72864e116c0e5c36152c483b1bc9887645d99ba6f",
+        "9edb33b4abea85b6eb9958cb479ed2a7a8dc9620f8a77549515e67f89247e0ee",
     "--theta 3.141592653589793 --format json":
-        "bf81c97fb3c899d5c8b9c7af09dfe3456cae1850be4a35556099f430b1ec0fa4",
+        "45a12aff04a641be6845d12b0be23330d363669cab47ade6d1a39912b89bc56a",
     "--v0 0":
-        "3b4b16443bdd90f51452938e3fdd077377205a11ddc6984b72246879abff5e77",
+        "460dc3e0901c27d1682a4881dd370b6b72807981704ae87137e98d8a76f86aca",
     "--v0 0 --format csv":
-        "36117656d25d19f1ce3284bb4056a1c9ce47694b3c0f86301ceb064c78eb3775",
+        "00bf8783301544835d7d106e78faf7fab91e0324634ef18406a3ac1cb8113233",
     "--v0 0 --format json":
-        "8e74045f0c6ed443ea9acaa5c3d46fc1ed4480d7f1e0d3583dd50712951d99c5",
+        "9652789841a7e966916210b0589196381b5cd771074bfc3a877f1b5816681901",
     "--a 0":
-        "c748c7f269edd3fdaa46a5df5efc2790afb8044e499f576791c82542773c9324",
+        "bfd091119a2f7bd2fea3067525ad80023e055ea172cf3f3a25e6139ad30ba057",
     "--a 0 --format csv":
-        "1956a9cbb64f7dda4b735a232109feaab95266f0981696b69252b00f278536e0",
+        "32041d8366cc382123286a9b4c667c4f26c6f563ec26018fd1ab60f098be9bba",
     "--a 0 --format json":
-        "d4f946087392f62a8a32dd7ae253fd43e523603b9a03dd72f6273bb57832ff58",
+        "dff70f17e1ffe4ab86e65f44e69cd54470645dfe6f54b165cfbfae920b3ab785",
 }
 
 # sha256 of the stdout of `qkg sweep ARGS` and `qkg ordering ARGS`, recorded
@@ -125,13 +144,17 @@ class TestSolve:
         assert proc.returncode == 2
         assert "theta" in proc.stderr
 
-    def test_degenerate_potential_exits_2(self):
-        # solve and field form the interior plane waves, which degenerate
-        for command in ("solve", "field"):
-            proc = run_cli(command, "--v0", "1", "--omega0", "1")
-            assert proc.returncode == 2
-            assert proc.stderr == ("error: k_minus ~ 0 for v0 = 1.0, omega0 = 1.0; "
-                                   "the four-plane-wave interior basis degenerates\n")
+    def test_degenerate_potential_answered(self):
+        # V0 = omega0: both routes answer in the entire interior basis
+        proc = run_cli("solve", "--v0", "1", "--omega0", "1", "--format", "json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        data = json.loads(proc.stdout)
+        assert data["wavenumbers"]["k_minus"] == 0
+        assert data["max_route_difference"] <= 1e-15
+        assert data["condition"] < 100.0
+        proc = run_cli("field", "--v0", "1", "--omega0", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.count(",barrier\n") == 41      # x = 0, 0.025, ..., 1
 
     def test_non_finite_matrix_exits_2(self):
         # a * k would overflow; BarrierSpec's float-range rule exits 2
@@ -139,13 +162,36 @@ class TestSolve:
         proc = run_cli("solve", "--a", "1e308", "--omega0", "10")
         assert proc.returncode == 2
 
-    def test_badly_conditioned_warning_printed(self):
+    def test_high_frequency_is_well_conditioned(self):
+        # omega0 = 1e8 (a and V0 along) is the physics of omega0 = 1, and the
+        # balanced system solves it at cond_1 12 with no warning
         proc = run_cli("solve", "--omega0", "1e8")
         assert proc.returncode == 0
-        assert proc.stderr == ("matching matrix badly conditioned: "
-                               "cond_1 = 6.820e+08 (theta=1.5708)\n")
+        assert proc.stderr == ""
+        assert "condition estimate 1.181e+01\n" in proc.stdout
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-            "716dc14131464a1cdeb9254f14e491bb3f2843828727498ef81ae3333155b0e8"
+            "c94fb768b080ae6e9b450659537fcda32382b70c7b5220587830460f86d126ff"
+
+    def test_badly_conditioned_warning_printed(self):
+        code = _ILL_CONDITIONED_SOLVE + ("cli.solve_spec = ill_conditioned\n"
+                                         "sys.exit(cli.main(['solve']))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ("matching matrix badly conditioned: "
+                               "cond_1 = 7.024e+09 (theta=1.5708)\n")
+
+    def test_badly_conditioned_warning_logged_once(self, caplog):
+        namespace = {}
+        exec(_ILL_CONDITIONED_SOLVE, namespace)
+        spec = BarrierSpec(1.0, 0.3, 1.0, math.pi / 2, 0.0)
+        with caplog.at_level(logging.WARNING, logger="qkg"):
+            amps = namespace["ill_conditioned"](spec)
+        assert matcher._COND_WARN < amps.condition < matcher._COND_REJECT
+        assert amps.as_array().tobytes() == matcher.solve_spec(spec).as_array().tobytes()
+        records = [r for r in caplog.records if r.name.startswith("qkg")]
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        assert records[0].getMessage().startswith("matching matrix badly conditioned")
 
     @pytest.mark.parametrize("args", SOLVE_DIGESTS, ids=lambda args: args or "defaults")
     def test_output_bytes_pinned(self, tmp_path, args):
@@ -190,10 +236,11 @@ def test_out_of_float_range_exits_2_with_one_line(args):
 
 
 def test_library_logs_nothing_without_a_handler():
-    code = ("import math\n"
-            "from qkg import BarrierSpec, solve_spec\n"
-            "amps = solve_spec(BarrierSpec(1, 0.3, 1e8, math.pi / 2, 0))\n"
-            "assert amps.condition > 1e8\n")
+    code = (_ILL_CONDITIONED_SOLVE
+            + "import math\n"
+            "from qkg import BarrierSpec\n"
+            "amps = ill_conditioned(BarrierSpec(1, 0.3, 1, math.pi / 2, 0))\n"
+            "assert amps.condition > matcher._COND_WARN\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0
@@ -324,39 +371,40 @@ class TestSweep:
         assert len(data["rows"][0]) == 6
 
 
-# sha256 of the stdout of `qkg field ARGS`, recorded from the array record
-# over the closed form of the single slab kernel: both poles, grid points on
-# x = 0 and x = a (also a = 0), one-region windows, the Klein zone
-# (v0 > omega0) and a 100k-point grid, in CSV and JSON.
+# sha256 of the stdout of `qkg field ARGS`, recorded when the barrier moved to
+# the entire basis {cos qx, sin(qx)/q} (rows within 1e-15 of the plane-wave
+# record before it): both poles, grid points on x = 0 and x = a (also a = 0),
+# one-region windows, the Klein zone (v0 > omega0) and a 100k-point grid, in
+# CSV and JSON.
 FIELD_DIGESTS = {
     "":
-        "55c8526404e5ab4659a1bfafad679faba15d32da5c828e06a56520a0452ced13",
+        "2c5550ff4402772f0c5189a9e43715cf55999f972d188d51e69cf638397ac4f7",
     "--format json":
-        "65b39688185e349fc167e2fe60c0a20addfb97ee5db56afa598a1dd5ba8dc1fa",
+        "35f3b2ca7acdaaffd5192c2fe73eb640cc1c8269bee4730d5cdab343fae0d905",
     "--theta 0":
-        "73a68b1ec0a3ec2552bedfa658f3e0c4380fb95f70404d65cb1e29e31d8657dc",
+        "e2c27bb805efebe5ce5db1e7761e4041b27c8f458a9631982c4b02a73ec547ce",
     "--theta 0 --format json":
-        "a0b2f3b24e932c6dcd6dd0c2d9f8bcbdcd47eae4d09912a33c0361e3e281d6a0",
+        "34277eabebead84fdde59a9250f136122603f359438d5ca60bc132b2bd18663d",
     "--theta 3.141592653589793":
-        "62497e2f051f5c5ef69740c34aa256d12ec23acab9b1bd451298444665f2e9b9",
+        "5c17bb147eed90ce3508fd9d2654e0c271a3a9fdb6e7e3467dfd5bbf5a3fc52f",
     "--theta 3.141592653589793 --format json":
-        "bc9615164731247215eefd75f57681592fa926313dd694b5a8ff4022a1797ecc",
+        "730975402b87c7e4d59b99b7d5953fb62ad8bdce241ebbc11c341b07c7e04151",
     "--a 2 --xmin -2 --xmax 4 --points 7":
-        "580d867e6c06ed6e1221d1856ebe9711eb25e51f7e4b3f6246a7e8af2c558705",
+        "2fa2f4a94dad6602d50004e020be713b2a5bc9ee9fd38fb23bfd2c62a1b3890f",
     "--a 2 --xmin -2 --xmax 4 --points 7 --format json":
-        "a3ae0d179476eb2c65c2c84cf42a014d2795a500d411a0eef66bb7f9fc814f04",
+        "31738bfc8164c8ff04f959fc233df713ed73b8a2a3fe7a821980ae804672c253",
     "--a 0 --xmin -1 --xmax 1 --points 5":
-        "e92a1a83e0038061704491d43b0b289acf39ecdea598140ed739e490ea8a9d69",
+        "325a22a358194690b063d6ba337b4d6eea60b5ee2c3a59dbae82e53976bd836b",
     "--v0 2.5 --theta 1 --phi 4 --xmin -5 --xmax 0 --points 11":
-        "66cc2f2c5322b26cfb2f56556322ae79302aaae9e954adff027d910cdc7018bb",
+        "b90224e18e8db820a39f56a922bb60653bd4934c2267da583f85d08fd8f35f8a",
     "--xmin 1.5 --xmax 9 --points 13 --format json":
         "4fe6d35c13cd9ebbf9be565f27325d8d92dfe005cd26c99c709c0a309bc26f39",
     "--xmin 0.25 --xmax 0.75 --points 9":
-        "4764889caa814059ae61d76965abea866f2acdd2ae83cc5de4b373c331b975a3",
+        "87749b6adb500fcaebdd28a6835ee90b31e7c309869e4f447509823b96f8a304",
     "--points 100000":
-        "6fe841d97dd5a2255d1092cbb8d24dfbc3c4a9d1eeaca66a2428f5479a2e154b",
+        "2b7a89901d7fa2b9d9ef19df35a791877ec43733fcbaa0f176a13f6ab5c471c8",
     "--points 100000 --format json":
-        "35c596a1d80d9ad0cffb9077082351d699c0d5a5b4c50313848da31ea47cbe26",
+        "63e4ad638a6a38024c1c5acdc28045c932185c33cab081961e573badfb691140",
 }
 
 
@@ -396,7 +444,7 @@ class TestField:
                      "--xmin", "0.5", "--xmax", "3", "--points", "4"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [row[-2:] for row in rows] == [
-            ["1.0773237722871073e-300", "barrier"],
+            ["1.0773237722871074e-300", "barrier"],
             *[["2.8959020883846385e-300", "right"]] * 3]
 
     def test_point_count_capped_like_sweep_grids(self):

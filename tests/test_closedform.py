@@ -3,6 +3,7 @@ import math
 import types
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from qkg.closedform import (
     quaternionic_fraction_grid,
     slab_rt,
 )
-from qkg.errors import DegenerateWavenumberError, UndefinedFractionError
+from qkg.errors import UndefinedFractionError
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec, wavenumbers
 from qkg.verify import random_specs
@@ -72,15 +73,24 @@ class TestFreeAndDegenerate:
     def test_free_potential(self):
         spec = BarrierSpec(a=3.0, v0=0.0, omega0=1.4, theta=1.1, phi=0.3)
         amps = amplitudes_closed(spec)
-        for c in (amps.c1, amps.c2, amps.c4, amps.c6, amps.c8):
+        for c in (amps.c1, amps.c2, amps.c8):
             assert abs(c) < 1e-13
         assert amps.c7 == pytest.approx(1.0, abs=1e-13)
+        # nothing reflects, so psi(0) = psi'(0) / (i k0) on each branch
+        assert amps.c3 == amps.c4 and amps.c5 == amps.c6
         assert amps.c3 + amps.c5 == pytest.approx(1.0, abs=1e-13)
 
-    def test_degenerate_rejected(self):
-        # the interior coefficients c3..c6 need k_minus > 0
-        with pytest.raises(DegenerateWavenumberError):
-            amplitudes_closed(BarrierSpec(1.0, 2.0, 2.0, 0.5, 0.0))
+    def test_degenerate_answered(self):
+        # at V0 = omega0 the slow branch is 1 and x inside: psi(0) = 1 + r
+        # and psi'(0) / (i k0) = 1 - r with r = k0 a / (k0 a + 2i)
+        spec = BarrierSpec(1.0, 2.0, 2.0, 0.5, 0.0)
+        amps = amplitudes_closed(spec)
+        r = 2.0 / (2.0 + 2j)
+        wp = math.cos(spec.theta / 2) ** 2
+        assert abs(amps.c5 - wp * (1 + r)) <= 1e-15
+        assert abs(amps.c6 - wp * (1 - r)) <= 1e-15
+        assert abs(exterior_magnitude_sum(amps) - 1.0) <= 1e-15
+        assert np.abs(amps.as_array() - solve_spec(spec).as_array()).max() <= 1e-15
 
     @pytest.mark.parametrize("a, omega0", [(1.0, 1.0), (2.5, 0.7), (1e-3, 40.0)])
     def test_degenerate_exterior_answered(self, a, omega0):
@@ -107,12 +117,12 @@ class TestTaylorRegime:
 
     def test_first_order_values(self):
         t = amplitudes_taylor(self.SPEC)
-        a, v0, w0, th, ph = 1e-3, 1e-3, 1.0, 1e-3, math.pi / 4
+        a, v0, th, ph = 1e-3, 1e-3, 1e-3, math.pi / 4
         assert t.c1 == -1j * a * v0
         assert t.c2 == a * th * v0 * cmath.exp(-1j * ph)
         assert t.c3 == 0 and t.c4 == 0
-        assert t.c5 == 1.0 + v0 / (2 * w0)
-        assert t.c6 == -v0 / (2 * w0) - 1j * a * v0
+        assert t.c5 == 1.0 - 1j * a * v0
+        assert t.c6 == 1.0 + 1j * a * v0
         assert t.c7 == 1.0 - 1j * a * v0
         assert t.c8 == t.c2
         assert t.route == TAYLOR
@@ -307,6 +317,25 @@ class TestSlabKernel:
         assert abs(r0[0] - k0 * length / (k0 * length + 2j)) <= 1e-16
         r, t = slab_rt(1e-6, k0, length)
         assert 0.0 < max(abs(r - r0[0]), abs(t - t0[0])) <= 1e-11
+
+    @pytest.mark.parametrize("q, k0, length", [
+        (0.0, 1.3, 0.9), (0.7, 1.0, 2.0), (1e150, 1e-150, 1.0), (1e-150, 1e150, 1.0)])
+    def test_faces_keep_their_digits(self, q, k0, length):
+        # 1 + r and 1 - r against 400 digits; at a hard mirror r -> -1, and
+        # 1 + r formed from r would keep none of them
+        mp.mp.dps = 400
+        try:
+            qm, km, lm = mp.mpf(q), mp.mpf(k0), mp.mpf(length)
+            sigma = mp.sin(qm * lm) / 2
+            down = sigma * km / qm if q else km * lm / 2
+            up = sigma * qm / km
+            r = 1j * (up - down) / (mp.cos(qm * lm) - 1j * (up + down))
+            want = (complex(1 + r), complex(1 - r))
+        finally:
+            mp.mp.dps = 15
+        _, _, even, odd = slab_rt(q, k0, length, faces=True)
+        for got, ref in zip((even, odd), want):
+            assert abs(got - ref) <= 4e-16 * abs(ref)
 
     def test_zero_wavenumber_does_not_warn(self):
         with np.errstate(all="raise"):

@@ -1,10 +1,14 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkg.closedform import amplitudes_closed
-from qkg.errors import DegenerateWavenumberError, SingularSystemError
+from qkg.closedform import amplitudes_closed, exterior_magnitude_sum
+from qkg.errors import SingularSystemError
 from qkg import matcher
 from qkg.matcher import (
     REGULARIZED,
@@ -14,7 +18,7 @@ from qkg.matcher import (
 )
 from qkg.model import BarrierSpec, mode_ratios, wavenumbers
 from qkg.quaternion import SymplecticPair
-from qkg.verify import _transcribed_matrix, random_specs
+from qkg.verify import ORACLE_FLUX_TOL, ORACLE_TOL, _transcribed_matrix, random_specs
 
 from mode_equations import dispersion_residual
 
@@ -23,20 +27,26 @@ class TestBuildSystem:
     def test_raw_first_row_and_rhs(self, spec_point):
         raw_m, raw_rhs = _transcribed_matrix(spec_point)
         assert np.array_equal(raw_m[0],
-                              np.array([1, 0, -1, -1, -1, -1, 0, 0], complex))
+                              np.array([1, 0, -1, 0, -1, 0, 0, 0], complex))
         ratios = mode_ratios(spec_point.theta, spec_point.phi)
         wp, wm = ratios.w_plus, ratios.w_minus
         system = build_system(spec_point)
         assert np.array_equal(system.matrix[0],
-                              np.array([1, 0, -wm, -wm, -wp, -wp, 0, 0], complex))
-        k0 = wavenumbers(spec_point).k0
-        want = -np.array([1, 0, k0, 0, 0, 0, 0, 0], complex)
-        assert np.array_equal(system.rhs, want)
-        assert np.array_equal(raw_rhs, want)
+                              np.array([1, 0, -wm, 0, -wp, 0, 0, 0], complex))
+        d = wavenumbers(spec_point)
+        assert np.array_equal(raw_rhs, -np.array([1, 0, d.k0, 0, 0, 0, 0, 0], complex))
+        # the psi' rows are divided by k_plus
+        assert np.array_equal(system.rhs,
+                              -np.array([1, 0, d.k0 / d.k_plus, 0, 0, 0, 0, 0], complex))
 
-    def test_degenerate_spec_rejected(self):
-        with pytest.raises(DegenerateWavenumberError):
-            build_system(BarrierSpec(1.0, 1.0, 1.0, 0.5, 0.0))
+    def test_degenerate_spec_answered(self):
+        # V0 = omega0: the slow branch's sin(qa)/q column is a
+        spec = BarrierSpec(1.0, 1.0, 1.0, 0.5, 0.0)
+        system = build_system(spec)
+        assert system.matrix[5, 5] == 1j * spec.a
+        amps = solve(system)
+        assert amps.condition < 100.0
+        assert np.abs(amps.as_array() - amplitudes_closed(spec).as_array()).max() <= 1e-15
 
     def test_regularized_rows_are_raw_rows_recombined(self, spec_factory):
         # row pairs of the two forms span the same constraints: the
@@ -56,16 +66,18 @@ class TestSolveKnownCases:
         assert np.abs(got - want).max() < 1e-10
 
     def test_free_potential_passthrough(self):
-        # V0 = 0: nothing reflects, nothing converts, but the forward
-        # interior coefficients still split the unit wave between the two
+        # V0 = 0: nothing reflects, nothing converts, but psi(0) and
+        # psi'(0) / (i k0) = psi(0) still split the unit wave between the two
         # (now degenerate) branches
         spec = BarrierSpec(a=2.0, v0=0.0, omega0=1.0, theta=1.1, phi=0.4)
         amps = solve_spec(spec)
-        for c in (amps.c1, amps.c2, amps.c4, amps.c6, amps.c8):
+        for c in (amps.c1, amps.c2, amps.c8):
             assert abs(c) < 1e-13
         assert amps.c7 == pytest.approx(1.0, abs=1e-13)
-        assert amps.c3 == pytest.approx(math.sin(spec.theta / 2) ** 2, abs=1e-13)
-        assert amps.c5 == pytest.approx(math.cos(spec.theta / 2) ** 2, abs=1e-13)
+        for c in (amps.c3, amps.c4):
+            assert c == pytest.approx(math.sin(spec.theta / 2) ** 2, abs=1e-13)
+        for c in (amps.c5, amps.c6):
+            assert c == pytest.approx(math.cos(spec.theta / 2) ** 2, abs=1e-13)
 
     def test_complex_limit_exact_zeros(self):
         spec = BarrierSpec(a=2.3, v0=0.6, omega0=1.0, theta=0.0, phi=0.0)
@@ -150,20 +162,30 @@ class TestSolveFailureModes:
 
 
 def _reference_matrix(spec):
-    """The matching matrix assembled row by row into a zeroed array."""
+    """The matching matrix assembled row by row into a zeroed array.
+
+    Unknowns (c1, c2 / wx, c3 / wm, psi'_+(0) / (i k+ wm), c5 / wp,
+    psi'_-(0) / (i um wp), c7 e^{i k0 a}, c8 e^{i k0 a} / wx), with
+    um = min(max(k0, k-), |k- / sin(k- a)|); the psi' rows divided by i k+.
+    """
     disp, ratios = wavenumbers(spec), mode_ratios(spec.theta, spec.phi)
-    k0, kp, km = disp.k0, disp.k_plus, disp.k_minus
-    ep, em, e0 = (np.exp(1j * spec.a * k) for k in (kp, km, k0))
+    k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
+    cp, sp = math.cos(kp * a), math.sin(kp * a)
+    cm, sm = math.cos(km * a), math.sin(km * a)
+    slow = sm / km if km else a
+    um = max(k0, km) if max(k0, km) * abs(slow) <= 1.0 else 1.0 / abs(slow)
+    lm = um * slow
     wp, wm = ratios.w_plus, ratios.w_minus
+    x0, xm, xu = k0 / kp, km / kp, um / kp
     m = np.zeros((8, 8), dtype=complex)
-    m[0] = [1, 0, -wm, -wm, -wp, -wp, 0, 0]
-    m[1] = [0, 1, -1, -1, -1, -1, 0, 0]
-    m[2] = [-k0, 0, -kp * wm, kp * wm, -km * wp, km * wp, 0, 0]
-    m[3] = [0, -k0, -kp, kp, -km, km, 0, 0]
-    m[4] = [0, 0, ep * wm, wm / ep, em * wp, wp / em, -e0, 0]
-    m[5] = [0, 0, ep, 1 / ep, em, 1 / em, 0, -e0]
-    m[6] = [0, 0, kp * ep * wm, -kp * wm / ep, km * em * wp, -km * wp / em, -k0 * e0, 0]
-    m[7] = [0, 0, kp * ep, -kp / ep, km * em, -km / em, 0, -k0 * e0]
+    m[0] = [1, 0, -wm, 0, -wp, 0, 0, 0]
+    m[1] = [0, 1, -1, 0, -1, 0, 0, 0]
+    m[2] = [-x0, 0, 0, -wm, 0, -wp * xu, 0, 0]
+    m[3] = [0, -x0, 0, -1, 0, -xu, 0, 0]
+    m[4] = [0, 0, wm * cp, 1j * wm * sp, wp * cm, 1j * wp * lm, -1, 0]
+    m[5] = [0, 0, cp, 1j * sp, cm, 1j * lm, 0, -1]
+    m[6] = [0, 0, 1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0, 0]
+    m[7] = [0, 0, 1j * sp, cp, 1j * xm * sm, xu * cm, 0, -x0]
     return m
 
 
@@ -197,6 +219,8 @@ def _edge_specs():
     yield BarrierSpec(a=2.0, v0=0.0, omega0=1.0, theta=1.1, phi=0.4)
     yield BarrierSpec(a=0.0, v0=0.7, omega0=1.0, theta=1.0, phi=2.0)
     yield BarrierSpec(a=1e-8, v0=0.5e8, omega0=1e8, theta=1.0, phi=0.3)
+    yield BarrierSpec(a=1.3, v0=0.8, omega0=0.8, theta=1.0, phi=0.3)
+    yield BarrierSpec(a=1.3, v0=1e9, omega0=0.8, theta=2.0, phi=0.3)
 
 
 class TestBitIdentity:
@@ -218,5 +242,73 @@ class TestBitIdentity:
             assert amps.residual == residual
             assert amps.solution.tobytes() == u.tobytes()
             assert amps.as_array().tobytes() == (system.column_scale * u).tobytes()
-            want = [system.ratios.w_cross * d for d in u[2:6]]
-            assert np.array(amps.interior_beta).tobytes() == np.array(want).tobytes()
+            want = system.beta_scale * u[2:6]
+            assert np.array(amps.interior_beta).tobytes() == want.tobytes()
+
+
+def _route_defects(spec):
+    """(route difference over max|c|, worst flux defect) of matcher and closed form."""
+    routes = (solve_spec(spec), amplitudes_closed(spec))
+    solved, closed = (amps.as_array() for amps in routes)
+    return (float(np.abs(solved - closed).max() / np.abs(closed).max()),
+            max(abs(exterior_magnitude_sum(amps) - 1.0) for amps in routes))
+
+
+@st.composite
+def _any_potential(draw):
+    """Barriers near and at V0 = omega0, in the Klein zone, at the poles and
+    out to BarrierSpec's float-range edge in a."""
+    omega0 = 10.0 ** draw(st.floats(-8.0, 8.0))
+    # |omega0 - V0| / omega0 log-uniform from 1e-300, or exactly 0
+    delta = draw(st.one_of(st.just(0.0), st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)))
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    klein = st.floats(1.0, 2.0).map(lambda ratio: ratio * omega0)
+    v0 = draw(st.one_of(st.just(omega0 * (1.0 + side * delta)), klein))
+    # a omega0 from 1e-9 up; 10^305 / omega0 passes the edge and is clamped to it
+    edge = sys.float_info.max / (4.0 * max(1.0, omega0 + v0))
+    a = min(10.0 ** draw(st.floats(-9.0, 305.0)) / omega0, edge)
+    theta = draw(st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi)))
+    phi = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    return BarrierSpec(a, v0, omega0, theta, phi)
+
+
+def _seed7_log_grid():
+    """936 barriers, one rng-seed-7 log-uniform draw in each cell of a grid of
+    13 x 12 x 6 cells over V0/omega0 in 10^[-3.5, 9.5], a omega0 in
+    10^[-8.5, 3.5] and omega0 in 10^[-8, 8], at uniform random angles."""
+    rng = np.random.default_rng(7)
+    width = np.array([1.0, 1.0, 16.0 / 6.0])
+    cells = np.stack(np.meshgrid(np.arange(13.0) - 3.5, np.arange(12.0) - 8.5,
+                                 np.arange(6.0) * width[2] - 8.0, indexing="ij"), -1)
+    cells = cells.reshape(-1, 3)
+    ratio, a_k0, omega0 = (10.0 ** (cells + width * rng.random(cells.shape))).T
+    theta = rng.uniform(0.0, math.pi, len(cells))
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(cells))
+    return [BarrierSpec(ak / w, r * w, w, t, p)
+            for r, ak, w, t, p in zip(ratio, a_k0, omega0, theta, phi)]
+
+
+class TestEveryPotential:
+    """The interior basis {cos qx, sin(qx)/q} answers every valid barrier."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_any_potential())
+    def test_routes_agree_and_conserve_flux(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            route, flux = _route_defects(spec)
+        assert route <= ORACLE_TOL
+        assert flux <= ORACLE_FLUX_TOL
+
+    def test_seed7_log_grid(self):
+        # before the entire basis, 59 of these raised SingularSystemError
+        specs = _seed7_log_grid()
+        assert len(specs) == 936
+        worst_route = worst_flux = worst_condition = 0.0
+        for spec in specs:
+            route, flux = _route_defects(spec)
+            worst_route, worst_flux = max(worst_route, route), max(worst_flux, flux)
+            worst_condition = max(worst_condition, solve_spec(spec).condition)
+        assert worst_route <= ORACLE_TOL
+        assert worst_flux <= ORACLE_FLUX_TOL
+        assert worst_condition < 1e6        # 1.15e5 when recorded

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkg.errors import DegenerateWavenumberError
+from qkg.closedform import amplitudes_closed
+from qkg.matcher import solve_spec
 from qkg.model import (
-    EPS_K_REL,
     EPS_THETA,
     BarrierSpec,
     check_nondegenerate,
@@ -118,14 +118,17 @@ class TestDispersion:
         assert d.k_minus == 0.5
         assert d.k_plus == 2.5
 
-    def test_degenerate_band_rejected(self):
-        with pytest.raises(DegenerateWavenumberError):
-            check_nondegenerate(BarrierSpec(1.0, 1.0, 1.0, 0.0, 0.0))
-        # just outside the band is fine
-        check_nondegenerate(BarrierSpec(1.0, 1.0 - 1e-6, 1.0, 0.0, 0.0))
+    def test_degenerate_band_answered(self):
+        # V0 = omega0 and the old band's edge: check_nondegenerate is a no-op
+        # kept for callers that name it, and both routes answer and agree
+        for v0 in (1.0, 1.0 - 1e-6):
+            spec = BarrierSpec(1.0, v0, 1.0, 0.0, 0.0)
+            assert check_nondegenerate(spec) is None
+            solved, closed = solve_spec(spec).as_array(), amplitudes_closed(spec).as_array()
+            assert np.isfinite(closed).all()
+            assert np.abs(solved - closed).max() <= 1e-14
 
     def test_band_width_constants(self):
-        assert EPS_K_REL == 1e-9
         assert EPS_THETA == 1e-9
 
 

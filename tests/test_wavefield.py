@@ -27,30 +27,36 @@ def region_index(x, a):
     return 1 - (x < 0.0) + (x > a)
 
 
-def plane_wave_sum(x, spec, amps):
+def basis_sum(x, spec, amps):
     """(psi, psi') at x, summed term by term from the matcher's ansatz.
 
         x < 0:       e^{i k0 x} + (c1 + j c2) e^{-i k0 x}
-        0 <= x <= a: (c3 + j b3) e^{i k+ x} + (c4 + j b4) e^{-i k+ x}
-                     + (c5 + j b5) e^{i k- x} + (c6 + j b6) e^{-i k- x}
+        0 <= x <= a: (c3 + j b3) cos(k+ x) + (c4 + j b4) i k0 sin(k+ x) / k+
+                     + (c5 + j b5) cos(k- x) + (c6 + j b6) i k0 sin(k- x) / k-
         x > a:       (c7 + j c8) e^{i k0 x}
 
-    with (b3, b4, b5, b6) = amps.interior_beta.
+    with (b3, b4, b5, b6) = amps.interior_beta, and i k0 x for the sine term
+    at k- = 0.
     """
     d = amps.dispersion
     region = REGIONS[region_index(x, spec.a)]
-    if region == LEFT:
-        waves = ((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2))
-    elif region == RIGHT:
-        waves = ((d.k0, amps.c7, amps.c8),)
+    if region == BARRIER:
+        b3, b4, b5, b6 = amps.interior_beta
+        terms = []
+        for q, even, odd in ((d.k_plus, (amps.c3, b3), (amps.c4, b4)),
+                             (d.k_minus, (amps.c5, b5), (amps.c6, b6))):
+            cos, sin = math.cos(q * x), math.sin(q * x)
+            terms += [(*even, cos, -q * sin),
+                      (*odd, 1j * d.k0 * (sin / q if q else x), 1j * d.k0 * cos)]
     else:
-        waves = zip((d.k_plus, -d.k_plus, d.k_minus, -d.k_minus),
-                    (amps.c3, amps.c4, amps.c5, amps.c6), amps.interior_beta)
+        waves = (((d.k0, 1.0, 0.0), (-d.k0, amps.c1, amps.c2)) if region == LEFT
+                 else ((d.k0, amps.c7, amps.c8),))
+        terms = [(alpha, beta, cmath.exp(1j * k * x), 1j * k * cmath.exp(1j * k * x))
+                 for k, alpha, beta in waves]
     value = slope = SymplecticPair(0j, 0j)
-    for k, alpha, beta in waves:
-        phase = cmath.exp(1j * k * x)
-        value += SymplecticPair(alpha * phase, beta * phase)
-        slope += SymplecticPair(1j * k * alpha * phase, 1j * k * beta * phase)
+    for alpha, beta, f, df in terms:
+        value += SymplecticPair(alpha * f, beta * f)
+        slope += SymplecticPair(alpha * df, beta * df)
     return value, slope
 
 
@@ -59,9 +65,9 @@ def sample_at(spec, amps, x):
     return sample_field(spec, amps, x - 1.0, x, 2)[-1]
 
 
-def assert_matches_plane_wave_sum(spec, amps, samples, tol):
+def assert_matches_basis_sum(spec, amps, samples, tol):
     for s in samples:
-        value, slope = plane_wave_sum(s.x, spec, amps)
+        value, slope = basis_sum(s.x, spec, amps)
         assert s.region == REGIONS[region_index(s.x, spec.a)]
         assert (s.psi - value).norm() <= tol
         assert (s.dpsi - slope).norm() <= tol
@@ -114,7 +120,7 @@ class TestFieldValues:
         assert sample_at(spec, taylor, -1.0).psi.alpha != 0
         samples = sample_field(spec, taylor, -3.0, -1.0, 9)
         assert [s.region for s in samples] == [LEFT] * 9
-        assert (samples[0].psi - plane_wave_sum(-3.0, spec, taylor)[0]).norm() < 1e-14
+        assert (samples[0].psi - basis_sum(-3.0, spec, taylor)[0]).norm() < 1e-14
         # windows that reach the barrier: across it, ending on x = 0, inside
         for window in ((-1.0, 2.0, 7), (-1.0, 0.0, 5), (2e-4, 8e-4, 3)):
             with pytest.raises(ValueError, match="interior"):
@@ -153,11 +159,13 @@ class TestCurrent:
     @staticmethod
     def specs():
         specs = random_specs(np.random.default_rng(7), 300)
-        # the Klein zone (V0 > omega0) and both poles
+        # the Klein zone (V0 > omega0), its edge V0 = omega0 and both poles
         return specs + [dataclasses.replace(spec, v0=ratio * spec.omega0)
                         for spec, ratio in zip(specs, (1.5, 3.0, 10.0))] + [
             dataclasses.replace(specs[3], theta=0.0),
-            dataclasses.replace(specs[4], theta=math.pi)]
+            dataclasses.replace(specs[4], theta=math.pi)] + [
+            dataclasses.replace(spec, v0=spec.omega0, theta=theta)
+            for spec, theta in zip(specs[5:35], [0.0, math.pi, *(s.theta for s in specs[7:35])])]
 
     @pytest.mark.parametrize("route", [solve_spec, amplitudes_closed])
     def test_current_is_transmitted_flux(self, route):
@@ -213,7 +221,7 @@ class TestSampling:
             amps = amplitudes_closed(spec)
             tol = 1e-14 * (1.0 + amps.dispersion.k0)
             field = sample_field(spec, amps, -2.0, spec.a + 2.0, 61)
-            assert_matches_plane_wave_sum(spec, amps, field, tol)
+            assert_matches_basis_sum(spec, amps, field, tol)
 
     def test_complex_limit_has_no_beta_component(self):
         for spec in random_specs(np.random.default_rng(77), 20):
@@ -284,7 +292,7 @@ class TestFieldSamples:
         for i, s in enumerate(items):
             assert s == field[i]
             assert s.x == field.x[i]
-        assert_matches_plane_wave_sum(spec_point, amps, items, tol)
+        assert_matches_basis_sum(spec_point, amps, items, tol)
         with pytest.raises(IndexError):
             field[7]
         with pytest.raises(TypeError):
@@ -308,4 +316,4 @@ class TestFieldSamples:
         field = sample_field(spec_point, amps, *window)
         assert [s.region for s in field] == [region] * 9
         tol = 1e-14 * (1.0 + amps.dispersion.k0)
-        assert_matches_plane_wave_sum(spec_point, amps, field, tol)
+        assert_matches_basis_sum(spec_point, amps, field, tol)
