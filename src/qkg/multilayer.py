@@ -30,6 +30,14 @@ in log2(n) batched steps, with the 2x2 products and inverses written out on
 (2, 2, n, m) arrays.  Every S-matrix is unitary, so no entry grows with
 depth.
 
+A free gap has r = 0 and t = e I, e its slab t at q = k0 (|e| = 1), so its
+S-matrix is [[0, e], [e, 0]] and a star product with it on the right is three
+phase products: t -> e t, t' -> t' e, r' -> e r' e, with r unchanged.  When
+every pair (2i, 2i+1) of the tree's first level ends in a free segment in
+every stack of the batch, as in barrier + gap stacks and the Peres ordering
+batch, no S-matrix is built for those gaps and their phases are folded into
+the left neighbours; every other layout runs the full tree.
+
 Every stack goes through the star products first.  At a cavity between
 strong mirrors they resolve the resonance only to about eps / |t|^2, which
 shows as a flux defect; at omega0 near the smallest float they can divide
@@ -48,7 +56,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import chain
 from math import cos, sin
+from operator import attrgetter
 
 import numpy as np
 
@@ -221,13 +231,28 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
     that breaks one.
     """
     k0 = stacks[0].omega0
-    table = np.fromiter((x for stack in stacks for seg in stack.segments
-                         for x in (seg.length, seg.v0, seg.theta, seg.phi)), float)
-    length, v0, theta, phi = table.reshape(len(stacks), -1, 4).T
+    segs = [seg for stack in stacks for seg in stack.segments]
+    # gathered a column at a time: map(attrgetter) beats a generator per float
+    length, v0, theta, phi = np.fromiter(
+        chain.from_iterable(map(attrgetter(name), segs)
+                            for name in ("length", "v0", "theta", "phi")),
+        float, count=4 * len(segs)).reshape(4, len(stacks), -1).transpose(0, 2, 1)
     require_each(stack_rules, k0, length.T, v0.T)
     # an overflow or a 0 / 0 leaves a NaN, which fails the flux gate
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _star_tree(_segment_smatrices(k0, length, v0, theta, phi))
+        pairs = len(v0) // 2
+        if pairs and not v0[1::2].any():
+            # every first-level pair ends in a free gap: fold its phase e into
+            # the left neighbour, t -> e t, t' -> t' e, r' -> e r' e, which is
+            # _star(s, [[0, e], [e, 0]]) without the zero blocks; q = k0 is an
+            # array scalar for slab_rt's array path
+            s = _segment_smatrices(k0, length[::2], v0[::2], theta[::2], phi[::2])
+            e = slab_rt(np.float64(k0), k0, length[1::2], np.sin, np.cos)[1]
+            s[2:, :, :pairs] *= e
+            s[:, 2:, :pairs] *= e
+        else:
+            s = _segment_smatrices(k0, length, v0, theta, phi)
+        s = _star_tree(s)
         defect = _flux_defect(s)
         if not defect <= STACK_FLUX_TOL:
             # a NaN, or a cavity between strong mirrors that the star

@@ -467,7 +467,7 @@ class TestStarProductRoute:
                 <= STACK_ORACLE_TOL
         report = ordering_report(seg_a, seg_b, 0.5, 1.0)
         assert report.transmission_ab.alpha == \
-            -1.5487833427222845e-17 + 8.4585891565807821e-18j
+            -1.5487833427222848e-17 + 8.4585891565807852e-18j
 
     def test_theta_zero_keeps_beta_exactly_zero(self, rng):
         segs = []
@@ -479,6 +479,75 @@ class TestStarProductRoute:
         assert refl.beta == 0.0 and trans.beta == 0.0
         s = stack_smatrix(stack)
         assert not s[0::2, 1::2].any() and not s[1::2, 0::2].any()
+
+
+def unfolded(stacks):
+    """Star tree over every segment's S-matrix, free gaps included."""
+    columns = [[(seg.length, seg.v0, seg.theta, seg.phi) for seg in stack.segments]
+               for stack in stacks]
+    length, v0, theta, phi = np.array(columns, dtype=float).T
+    return multilayer._star_tree(multilayer._segment_smatrices(
+        stacks[0].omega0, length, v0, theta, phi))
+
+
+def random_barrier(rng, omega0=1.0):
+    return Segment(rng.uniform(0.2, 3.0), omega0 * rng.uniform(0.05, 0.9),
+                   rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+
+
+class TestGapFold:
+    """A free gap's S-matrix is [[0, e], [e, 0]]; where every first-level
+    pair of the star tree ends in one, its phase is folded into the left
+    neighbour instead of a star product."""
+
+    def test_fold_is_the_star_product_on_barrier_gap_stacks(self, rng):
+        for _ in range(100):
+            stack = random_stack(rng, int(rng.integers(1, 21)))
+            diff = np.abs(multilayer._smatrices((stack,)) - unfolded((stack,))).max()
+            assert diff <= 1e-14
+
+    def test_fold_is_the_star_product_on_the_ordering_batch(self, rng):
+        for _ in range(20):
+            seg_a, seg_b = random_barrier(rng), random_barrier(rng)
+            spacer = free_gap(rng.uniform(0.0, 4.0))
+            stacks = (LayerStack((seg_a, spacer, seg_b), 1.0),
+                      LayerStack((seg_b, spacer, seg_a), 1.0))
+            assert np.abs(multilayer._smatrices(stacks) - unfolded(stacks)).max() <= 1e-14
+
+    @pytest.mark.parametrize("layout", ["BGB", "BZBZ", "BZB", "GGG", "GG", "GGGG", "BG"])
+    def test_fold_is_the_star_product_on_other_folding_layouts(self, rng, layout):
+        # G a free gap, Z a zero-length gap, B a barrier
+        make = {"B": lambda: random_barrier(rng), "Z": lambda: free_gap(0.0),
+                "G": lambda: free_gap(rng.uniform(0.0, 20.0))}
+        for _ in range(20):
+            stack = LayerStack(tuple(make[c]() for c in layout), 1.0)
+            diff = np.abs(multilayer._smatrices((stack,)) - unfolded((stack,))).max()
+            assert diff <= 1e-14
+
+    @pytest.mark.parametrize("layout", ["GBGB", "BGGB", "BBG"])
+    def test_layouts_that_cannot_fold_run_the_full_tree(self, rng, layout):
+        # some first-level pair ends in a barrier, so every segment gets its
+        # S-matrix and the answer is the full star tree's, bit for bit
+        for _ in range(20):
+            stack = LayerStack(tuple(random_barrier(rng) if c == "B" else
+                                     free_gap(rng.uniform(0.0, 20.0)) for c in layout), 1.0)
+            assert np.array_equal(multilayer._smatrices((stack,)), unfolded((stack,)))
+
+    def test_batch_folds_only_if_every_stack_can(self, rng):
+        # the second stack's first pair ends in a barrier
+        seg_a, seg_b = random_barrier(rng), random_barrier(rng)
+        stacks = (LayerStack((seg_a, free_gap(1.0), seg_b, free_gap(2.0)), 1.0),
+                  LayerStack((free_gap(1.0), seg_a, free_gap(2.0), seg_b), 1.0))
+        assert np.array_equal(multilayer._smatrices(stacks), unfolded(stacks))
+
+    def test_free_segment_ordering_is_a_single_barrier(self):
+        # [F, G, B] and [B, G, F] are one barrier either way; the two stacks
+        # fold differently, so the difference is rounding only
+        barrier = Segment(1.0, 0.3, 1.0, 1.0)
+        report = ordering_report(Segment(1.0, 0.0, 0.0, 0.0), barrier, 0.5, 1.0)
+        eps = np.finfo(float).eps
+        assert report.d_prob <= 4 * eps
+        assert report.d_amp <= 4 * eps
 
 
 def leaky(func):
