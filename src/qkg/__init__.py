@@ -57,7 +57,6 @@ from .multilayer import (
     transfer_smatrix,
 )
 from .quaternion import SymplecticPair, UnitImaginaryDirection, magnitude
-from .verify import CheckResult, run_all
 from .wavefield import (
     BARRIER,
     LEFT,
@@ -78,7 +77,6 @@ __all__ = [
     "Amplitudes",
     "BARRIER",
     "BarrierSpec",
-    "CheckResult",
     "COMPLEX_LIMIT",
     "DispersionData",
     "EXACT",
@@ -113,7 +111,6 @@ __all__ = [
     "ordering_report",
     "quaternionic_fraction",
     "quaternionic_fraction_grid",
-    "run_all",
     "sample_field",
     "segment_transfer",
     "solve",

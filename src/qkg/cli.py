@@ -41,7 +41,6 @@ from .matcher import solve_spec
 from .model import BarrierSpec
 from .multilayer import Segment, ordering_report
 from .quaternion import magnitude
-from .verify import run_all
 from .wavefield import REGIONS, sample_field
 
 DEFAULTS = {
@@ -271,8 +270,9 @@ def cmd_sweep(args, config) -> int:
 
     base = _params(args, config)
     mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
-    c1, c2, c7, c8 = np.abs(
-        exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
+    # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
+    c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
+                      exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
     table = np.column_stack([*mesh, c1, c2, c7, c8,
                              quaternionic_fraction_grid(c7, c8)])
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
@@ -336,6 +336,8 @@ def cmd_ordering(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
+    from .verify import run_all     # only this command pays for the suite
+
     results = run_all(quick=args.quick)
     for result in results:
         print(result.line())
@@ -426,10 +428,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, UndefinedFractionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SingularSystemError, UndefinedFractionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,24 +1,26 @@
 """End-to-end verification suite.
 
 Ten independent checks cross-validate the solvers against each other and
-against frozen expectations.  Each check returns a CheckResult; the command
-line prints them as a table and the acceptance tests assert them one by one.
-All tolerances are pinned here as constants.
+against frozen expectations.  The criterion decorator times each check,
+applies its time budget and builds its CheckResult; the command line prints
+them as a table and the acceptance tests assert them one by one.  All
+tolerances are pinned here as constants.  `import qkg` does not load this.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import math
-import os
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from . import cli
 from .closedform import (amplitudes_closed, amplitudes_taylor, exterior_amplitudes_grid,
                          exterior_magnitude_sum)
 from .matcher import build_system, solve, solve_spec
@@ -106,6 +108,28 @@ class CheckResult:
         return f"[{tag}] {self.index} {self.name:<18} {self.detail} ({self.seconds:.2f}s)"
 
 
+def criterion(index: int, name: str, budget: float = math.inf):
+    """Make check(quick) -> (passed, detail) | None return a timed CheckResult.
+
+    None means skipped in quick mode.  In full mode a check that takes
+    `budget` seconds or more fails.
+    """
+    def decorate(check):
+        @functools.wraps(check)
+        def run(quick: bool = False) -> CheckResult:
+            start = time.perf_counter()
+            outcome = check(quick)
+            elapsed = time.perf_counter() - start
+            if outcome is None:
+                return CheckResult(index, name, True, "skipped in quick mode", 0.0,
+                                   skipped=True)
+            passed, detail = outcome
+            return CheckResult(index, name, bool(passed) and (quick or elapsed < budget),
+                               detail, elapsed)
+        return run
+    return decorate
+
+
 def random_specs(rng: np.random.Generator, count: int) -> list[BarrierSpec]:
     """Scattering specs drawn from the verification distribution.
 
@@ -143,14 +167,14 @@ def random_stack(rng: np.random.Generator, pairs: int) -> LayerStack:
     return LayerStack(tuple(segments), omega0)
 
 
-def check_oracle_equivalence(quick: bool = False) -> CheckResult:
+@criterion(1, "oracle-equivalence", budget=ORACLE_SECONDS)
+def check_oracle_equivalence(quick: bool):
     """Criterion 1: linear solve and closed forms agree, and both conserve flux.
 
     ORACLE_EDGE_SPECS more random_specs, from their own stream, are moved to
     V0 = omega0 (even draws) or into the Klein zone, V0 on [omega0, 2 omega0)."""
     count = 100 if quick else ORACLE_SPECS
     edge = 10 if quick else ORACLE_EDGE_SPECS
-    start = time.perf_counter()
     worst = worst_flux = 0.0
     rng = np.random.default_rng(SEED + 7)
     specs = random_specs(np.random.default_rng(SEED), count) + [
@@ -162,12 +186,9 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
         worst = max(worst, float(np.abs(solved - closed).max() / np.abs(closed).max()))
         worst_flux = max(worst_flux, *(abs(exterior_magnitude_sum(amps) - 1.0)
                                        for amps in routes))
-    elapsed = time.perf_counter() - start
-    passed = (worst <= ORACLE_TOL and worst_flux <= ORACLE_FLUX_TOL
-              and (quick or elapsed < ORACLE_SECONDS))
-    return CheckResult(1, "oracle-equivalence", passed,
-                       f"max rel diff {worst:.3e}, flux defect {worst_flux:.3e} "
-                       f"over {count} + {edge} (V0 >= omega0) specs", elapsed)
+    return (worst <= ORACLE_TOL and worst_flux <= ORACLE_FLUX_TOL,
+            f"max rel diff {worst:.3e}, flux defect {worst_flux:.3e} "
+            f"over {count} + {edge} (V0 >= omega0) specs")
 
 
 def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> float:
@@ -177,11 +198,11 @@ def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -
     return float(num / den)
 
 
-def check_back_substitution(quick: bool = False) -> CheckResult:
+@criterion(2, "back-substitution")
+def check_back_substitution(quick: bool):
     """Criterion 2: solutions satisfy the matching equations and continuity."""
     count = 60 if quick else BACKSUB_SPECS
     rng = np.random.default_rng(SEED + 1)
-    start = time.perf_counter()
     worst_eq = 0.0
     worst_cont = 0.0
     for spec in random_specs(rng, count):
@@ -194,17 +215,14 @@ def check_back_substitution(quick: bool = False) -> CheckResult:
             worst_eq = max(worst_eq, _system_backward_error(
                 raw_m, amps.as_array(), raw_rhs))
         worst_cont = max(worst_cont, *continuity_residuals(spec, amps))
-    elapsed = time.perf_counter() - start
-    passed = worst_eq <= BACKSUB_TOL and worst_cont <= BACKSUB_TOL
-    return CheckResult(2, "back-substitution", passed,
-                       f"residual {worst_eq:.3e}, continuity {worst_cont:.3e} "
-                       f"over {count} specs", elapsed)
+    return (worst_eq <= BACKSUB_TOL and worst_cont <= BACKSUB_TOL,
+            f"residual {worst_eq:.3e}, continuity {worst_cont:.3e} over {count} specs")
 
 
-def check_complex_limit(quick: bool = False) -> CheckResult:
+@criterion(3, "complex-limit")
+def check_complex_limit(quick: bool):
     """Criterion 3: theta = 0 gives c2 = c8 = 0 exactly and unit |c1|^2+|c7|^2."""
     grid = 8 if quick else LIMIT_GRID
-    start = time.perf_counter()
     exact_zero = True
     worst_unitarity = 0.0
     for a in np.linspace(0.25, 10.0, grid):
@@ -216,11 +234,9 @@ def check_complex_limit(quick: bool = False) -> CheckResult:
                 exact_zero = False
             worst_unitarity = max(worst_unitarity,
                                   abs(abs(amps.c1) ** 2 + abs(amps.c7) ** 2 - 1.0))
-    elapsed = time.perf_counter() - start
-    passed = exact_zero and worst_unitarity <= LIMIT_UNITARITY_TOL
-    return CheckResult(3, "complex-limit", passed,
-                       f"c2=c8=0 exact: {exact_zero}, unitarity defect "
-                       f"{worst_unitarity:.3e} on {grid}x{grid} grid", elapsed)
+    return (exact_zero and worst_unitarity <= LIMIT_UNITARITY_TOL,
+            f"c2=c8=0 exact: {exact_zero}, unitarity defect "
+            f"{worst_unitarity:.3e} on {grid}x{grid} grid")
 
 
 def _taylor_errors(scale: float) -> np.ndarray:
@@ -230,9 +246,9 @@ def _taylor_errors(scale: float) -> np.ndarray:
                   - amplitudes_taylor(spec).as_array())
 
 
-def check_taylor_regime(quick: bool = False) -> CheckResult:
+@criterion(4, "taylor-regime")
+def check_taylor_regime(quick: bool):
     """Criterion 4: small-parameter expansion matches, errors second order."""
-    start = time.perf_counter()
     spec = BarrierSpec(a=1e-3, v0=1e-3, omega0=1.0, theta=1e-3, phi=math.pi / 4)
     taylor = amplitudes_taylor(spec).as_array()
     err_full = _taylor_errors(1.0)
@@ -247,35 +263,29 @@ def check_taylor_regime(quick: bool = False) -> CheckResult:
     for full, half in zip(err_full, err_half):
         if full > TAYLOR_ERR_FLOOR:
             worst_shrink = min(worst_shrink, full / half)
-    elapsed = time.perf_counter() - start
-    passed = worst_rel <= TAYLOR_REL and worst_shrink >= TAYLOR_SHRINK
-    return CheckResult(4, "taylor-regime", passed,
-                       f"worst rel err {worst_rel:.3e}, halving shrink "
-                       f"x{worst_shrink:.1f}", elapsed)
+    return (worst_rel <= TAYLOR_REL and worst_shrink >= TAYLOR_SHRINK,
+            f"worst rel err {worst_rel:.3e}, halving shrink x{worst_shrink:.1f}")
 
 
-def check_no_damping(quick: bool = False) -> CheckResult:
+@criterion(5, "no-damping", budget=DAMPING_SECONDS)
+def check_no_damping(quick: bool):
     """Criterion 5: |c8| does not decay with barrier width."""
     step = 0.05 if quick else DAMPING_STEP
-    start = time.perf_counter()
     # widths i * step for i = 1 .. 100 / step; c8[i - 1] belongs to width i * step
     half = int(round(50.0 / step))
     widths = np.arange(1, 2 * half + 1) * step
     c8 = np.abs(exterior_amplitudes_grid(widths, 0.3, 1.0, math.pi / 2, 0.0)[3])
     near = float(c8[:half].max())
     far = float(c8[half - 1:].max())
-    elapsed = time.perf_counter() - start
-    passed = far >= DAMPING_RATIO * near and (quick or elapsed < DAMPING_SECONDS)
-    return CheckResult(5, "no-damping", passed,
-                       f"max|c8| {near:.4f} on (0,50], {far:.4f} on [50,100]",
-                       elapsed)
+    return (far >= DAMPING_RATIO * near,
+            f"max|c8| {near:.4f} on (0,50], {far:.4f} on [50,100]")
 
 
-def check_transfer_oracle(quick: bool = False) -> CheckResult:
+@criterion(6, "transfer-oracle")
+def check_transfer_oracle(quick: bool):
     """Criterion 6: transfer-matrix route reproduces the matching solver."""
     count = 40 if quick else TRANSFER_SPECS
     rng = np.random.default_rng(SEED + 2)
-    start = time.perf_counter()
     worst_scatter = 0.0
     worst_bisect = 0.0
     worst_gap = 0.0
@@ -300,17 +310,15 @@ def check_transfer_oracle(quick: bool = False) -> CheckResult:
             LayerStack((seg, free_gap(0.0)), spec.omega0))
         worst_gap = max(worst_gap, abs(trans_gap.alpha - trans.alpha),
                         abs(trans_gap.beta - trans.beta))
-    elapsed = time.perf_counter() - start
-    passed = (worst_scatter <= TRANSFER_TOL and worst_bisect <= BISECTION_TOL
-              and worst_gap <= GAP_INSERT_TOL)
-    return CheckResult(6, "transfer-oracle", passed,
-                       f"scatter {worst_scatter:.3e}, bisection {worst_bisect:.3e}, "
-                       f"gap insertion {worst_gap:.3e} over {count} specs", elapsed)
+    return (worst_scatter <= TRANSFER_TOL and worst_bisect <= BISECTION_TOL
+            and worst_gap <= GAP_INSERT_TOL,
+            f"scatter {worst_scatter:.3e}, bisection {worst_bisect:.3e}, "
+            f"gap insertion {worst_gap:.3e} over {count} specs")
 
 
-def check_ordering_sanity(quick: bool = False) -> CheckResult:
+@criterion(7, "ordering-sanity")
+def check_ordering_sanity(quick: bool):
     """Criterion 7: ordering differences vanish when they must; fixture holds."""
-    start = time.perf_counter()
     seg = Segment(1.0, 0.45, 1.1, 0.7)
     rep_same = ordering_report(seg, seg, 1.5, 1.0)
     identical_ok = max(rep_same.d_prob, rep_same.d_amp) <= ORDER_IDENTICAL_TOL
@@ -329,12 +337,9 @@ def check_ordering_sanity(quick: bool = False) -> CheckResult:
     rep = ordering_report(seg_i, seg_j, 2.0, 1.0)
     fixture_ok = (abs(rep.d_prob - FIXTURE_D_PROB) <= FIXTURE_TOL
                   and abs(rep.d_amp - FIXTURE_D_AMP) <= FIXTURE_TOL)
-    elapsed = time.perf_counter() - start
-    passed = identical_ok and complex_ok and fixture_ok
-    return CheckResult(7, "ordering-sanity", passed,
-                       f"identical {max(rep_same.d_prob, rep_same.d_amp):.1e}, "
-                       f"complex d_prob {worst_complex:.1e}, fixture d_amp "
-                       f"{rep.d_amp:.12f}", elapsed)
+    return (identical_ok and complex_ok and fixture_ok,
+            f"identical {max(rep_same.d_prob, rep_same.d_amp):.1e}, "
+            f"complex d_prob {worst_complex:.1e}, fixture d_amp {rep.d_amp:.12f}")
 
 
 def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +373,8 @@ def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     return matrix, rhs
 
 
-def check_matrix_fidelity(quick: bool = False) -> CheckResult:
+@criterion(8, "matrix-fidelity")
+def check_matrix_fidelity(quick: bool):
     """Criterion 8: the production system is the literal transcription, rescaled.
 
     M_raw diag(column_scale) = diag(1, wx, k+, k+ wx, 1, wx, k+, k+ wx) M_reg
@@ -377,7 +383,6 @@ def check_matrix_fidelity(quick: bool = False) -> CheckResult:
     """
     count = 20 if quick else FIDELITY_SPECS
     rng = np.random.default_rng(SEED + 4)
-    start = time.perf_counter()
     worst = 0.0
     done = 0
     while done < count:
@@ -395,47 +400,38 @@ def check_matrix_fidelity(quick: bool = False) -> CheckResult:
         worst = max(worst,
                     float(np.abs(got_m - ref_m).max()) / scale,
                     float(np.abs(row_scale * system.rhs - ref_rhs).max()))
-    elapsed = time.perf_counter() - start
-    passed = worst <= FIDELITY_TOL
-    return CheckResult(8, "matrix-fidelity", passed,
-                       f"max entry deviation {worst:.3e} over {count} specs",
-                       elapsed)
+    return worst <= FIDELITY_TOL, f"max entry deviation {worst:.3e} over {count} specs"
 
 
-def check_determinism(quick: bool = False) -> CheckResult:
-    """Criterion 9: sweeps are byte-identical run to run."""
+@criterion(9, "determinism")
+def check_determinism(quick: bool):
+    """Criterion 9: a sweep prints the same bytes in a fresh process and in this one.
+
+    The in-process run calls the sweep command itself, not cli.main, so it
+    adds no logging handler to this process."""
     if quick:
-        return CheckResult(9, "determinism", True,
-                           "skipped in quick mode", 0.0, skipped=True)
-    start = time.perf_counter()
+        return None
     passed = True
     details = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for fmt in ("csv", "json"):
-            blobs = []
-            for run in range(2):
-                out = os.path.join(tmp, f"sweep-{run}.{fmt}")
-                cmd = [sys.executable, "-m", "qkg.cli", "sweep",
-                       "--a", "1", "--v0", "0.3", "--omega0", "1",
-                       "--phi", "0",
-                       "--sweep", "theta:0:3.141592653589793:0.02",
-                       "--format", fmt, "--out", out]
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-                if proc.returncode != 0:
-                    passed = False
-                    details.append(f"{fmt} run exited {proc.returncode}")
-                    blobs = []
-                    break
-                blobs.append(Path(out).read_bytes())
-            if blobs:
-                same = blobs[0] == blobs[1] and len(blobs[0]) > 0
-                passed = passed and same
-                details.append(f"{fmt} identical: {same}")
-    elapsed = time.perf_counter() - start
-    return CheckResult(9, "determinism", passed, ", ".join(details), elapsed)
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--a", "1", "--v0", "0.3", "--omega0", "1", "--phi", "0",
+                "--sweep", "theta:0:3.141592653589793:0.02", "--format", fmt]
+        proc = subprocess.run([sys.executable, "-m", "qkg.cli", *argv], capture_output=True)
+        if proc.returncode != 0:
+            passed = False
+            details.append(f"{fmt} run exited {proc.returncode}")
+            continue
+        args = cli.build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as here:
+            args.func(args, {})
+        same = proc.stdout == here.getvalue().encode() and len(proc.stdout) > 0
+        passed = passed and same
+        details.append(f"{fmt} identical: {same}")
+    return passed, ", ".join(details)
 
 
-def check_stack_unitarity(quick: bool = False) -> CheckResult:
+@criterion(10, "stack-unitarity")
+def check_stack_unitarity(quick: bool):
     """Criterion 10: deep stacks keep S unitary; short ones match the transfer route.
 
     S^H S = I and S S^H = I are checked on STACK_DEEP_PAIRS-pair stacks
@@ -445,7 +441,6 @@ def check_stack_unitarity(quick: bool = False) -> CheckResult:
     STACK_EDGE_COUNT short stacks, from their own stream, at V0 = omega0.
     """
     rng = np.random.default_rng(SEED + 5)
-    start = time.perf_counter()
     depths = [STACK_DEEP_PAIRS] * (2 if quick else STACK_DEEP_COUNT)
     if not quick:
         depths.append(STACK_HUGE_PAIRS)
@@ -470,25 +465,16 @@ def check_stack_unitarity(quick: bool = False) -> CheckResult:
         ref[2:] *= np.exp(-1j * stack.omega0 * stack.total_length())
         got = np.array([refl.alpha, refl.beta, trans.alpha, trans.beta])
         worst_oracle = max(worst_oracle, np.abs(got - ref).max())
-    elapsed = time.perf_counter() - start
-    passed = worst_unitary <= STACK_UNITARITY_TOL and worst_oracle <= STACK_ORACLE_TOL
-    return CheckResult(10, "stack-unitarity", passed,
-                       f"unitarity {worst_unitary:.3e} to {max(depths)} pairs, "
-                       f"transfer route {worst_oracle:.3e} over {count} + "
-                       f"{STACK_EDGE_COUNT} (V0 = omega0) stacks", elapsed)
+    return (worst_unitary <= STACK_UNITARITY_TOL and worst_oracle <= STACK_ORACLE_TOL,
+            f"unitarity {worst_unitary:.3e} to {max(depths)} pairs, "
+            f"transfer route {worst_oracle:.3e} over {count} + "
+            f"{STACK_EDGE_COUNT} (V0 = omega0) stacks")
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    """Run every check in order and collect the results."""
-    return [
-        check_oracle_equivalence(quick),
-        check_back_substitution(quick),
-        check_complex_limit(quick),
-        check_taylor_regime(quick),
-        check_no_damping(quick),
-        check_transfer_oracle(quick),
-        check_ordering_sanity(quick),
-        check_matrix_fidelity(quick),
-        check_determinism(quick),
-        check_stack_unitarity(quick),
-    ]
+    """Run every criterion in order and collect the results."""
+    return [check(quick) for check in (
+        check_oracle_equivalence, check_back_substitution, check_complex_limit,
+        check_taylor_regime, check_no_damping, check_transfer_oracle,
+        check_ordering_sanity, check_matrix_fidelity, check_determinism,
+        check_stack_unitarity)]

@@ -6,12 +6,13 @@ pass/fail line so `pytest -s` shows the same table the command line does.
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from qkg import verify
+from qkg import cli, verify
 from qkg.closedform import amplitudes_closed
 from qkg.model import BarrierSpec
 from qkg.quaternion import SymplecticPair
@@ -120,6 +121,30 @@ def test_criterion_9_parallel_sweep_deterministic(results):
     assert not res.skipped
 
 
+def test_criterion_9_trips_on_a_moved_in_process_sweep(monkeypatch):
+    grid = cli.exterior_amplitudes_grid
+
+    def moved(**params):
+        c1, c2, c7, c8 = grid(**params)
+        return c1, c2, c7 * (1.0 + 1e-15), c8
+
+    monkeypatch.setattr(cli, "exterior_amplitudes_grid", moved)
+    res = verify.check_determinism()
+    assert not res.passed
+    assert res.detail.startswith("csv identical: False")
+
+
+def test_criterion_9_adds_no_root_log_handler(monkeypatch):
+    # logging.basicConfig, as cli.main calls it, adds one only to a bare root
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    res = verify.check_determinism()
+    added = list(root.handlers)
+    monkeypatch.undo()      # before pytest removes its own capture handler
+    assert res.passed
+    assert added == []
+
+
 def test_criterion_10_deep_stacks_unitary_short_stacks_match_transfer(results):
     gate(results, 10)
 
@@ -145,6 +170,22 @@ def _moved_scatter(scatter):
 def test_criterion_10_trips_on_a_moved_answer(monkeypatch, name, move):
     monkeypatch.setattr(verify, name, move(getattr(verify, name)))
     assert not verify.check_stack_unitarity(quick=True).passed
+
+
+def test_run_all_runs_the_ten_criteria_in_order(results):
+    assert [(index, res.name) for index, res in results.items()] == list(enumerate((
+        "oracle-equivalence", "back-substitution", "complex-limit", "taylor-regime",
+        "no-damping", "transfer-oracle", "ordering-sanity", "matrix-fidelity",
+        "determinism", "stack-unitarity"), start=1))
+
+
+def test_time_budget_applies_in_full_mode_only():
+    @verify.criterion(0, "over-budget", budget=0.0)
+    def check(quick):
+        return True, "done"
+
+    assert not check(quick=False).passed
+    assert check(quick=True).passed
 
 
 def test_full_suite_runtime_budget(results):

@@ -1,4 +1,8 @@
-"""The package's export list names only what exists, each name once."""
+"""The package's export list names only what exists, each name once, and
+importing the command line leaves the verification suite unloaded."""
+
+import subprocess
+import sys
 
 import qkg
 
@@ -13,3 +17,12 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from qkg import *", namespace)
     assert set(qkg.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_the_verification_suite_unloaded():
+    code = ("import sys, qkg.cli; "
+            "print('qkg.verify' in sys.modules, 'subprocess' in sys.modules); "
+            "from qkg.verify import run_all")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
