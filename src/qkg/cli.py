@@ -9,8 +9,10 @@ Subcommands:
   verify    run the built-in verification suite
 
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-is one array call in one process, which rejects the first invalid grid point;
-sweep's --workers is ignored.  --format is checked before --out is opened.
+is one array call in one process on its axes, each along its own dimension
+and broadcast by the kernel, which rejects the first invalid grid point in
+row order; CSV prints each axis value once, and sweep's --workers is
+ignored.  --format is checked before --out is opened.
 sweep and field share one table writer and no formula of their own: the
 fraction is closedform.quaternionic_fraction_grid, abs_psi quaternion.magnitude.
 """
@@ -23,6 +25,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -58,6 +61,7 @@ _SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
 _CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
                                        "seg_a", "seg_b", "gap"))
 _MAX_GRID = 1_000_000
+_CHUNK = 4096      # sweep rows converted to Python floats at a time
 
 
 def _fmt(x: float) -> str:
@@ -269,18 +273,27 @@ def cmd_sweep(args, config) -> int:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
     base = _params(args, config)
-    mesh = [m.ravel() for m in np.meshgrid(*values, indexing="ij")]
+    # np.ix_ lays each axis along its own dimension; the kernel broadcasts them
+    axes = dict(zip(names, np.ix_(*values)))
     # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
     c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
-                      exterior_amplitudes_grid(**dict(base, **dict(zip(names, mesh)))))
-    table = np.column_stack([*mesh, c1, c2, c7, c8,
-                             quaternionic_fraction_grid(c7, c8)])
+                      map(np.ravel, exterior_amplitudes_grid(**dict(base, **axes))))
+    results = np.stack([c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)])
+    if args.format == "csv":    # each axis value is printed once
+        # zip of one iterable: 1-tuples, each the joined text of a grid point
+        points = zip(map(",".join, itertools.product(*([_fmt(v) for v in axis]
+                                                       for axis in values))))
+    else:
+        points = itertools.product(*values)
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
+    # rows become Python floats one chunk at a time, so CSV never holds
+    # the grid's floats or its text whole
+    rows = map(operator.add, points, itertools.chain.from_iterable(
+        zip(*results[:, start:start + _CHUNK].tolist())
+        for start in range(0, results.shape[1], _CHUNK)))
     with _output(args.out) as fh:
-        # CSV formats one row at a time, so the text of the grid is never held whole
-        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns,
-                     map(np.ndarray.tolist, table))
+        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns, rows)
     return 0
 
 

@@ -383,6 +383,25 @@ class TestSweep:
                                             theta=rows[:, 1], phi=0.0)
         assert rows[:, 2:6].T.tolist() == [[abs(z) for z in c.tolist()] for c in grid]
 
+    @pytest.mark.parametrize("args", [
+        "--sweep theta:0:3.141592653589793:0.3490658503988659",
+        # v0 = 0 and V0 = omega0 rows, theta from pole to pole
+        "--sweep v0:0:2:0.5 --sweep theta:0:3.141592653589793:0.7853981633974483",
+        "--sweep theta:0:3.141592653589793:0.7853981633974483 --sweep a:0:1:0.5",
+        "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5",
+        "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --sweep phi:0:6:3",
+    ])
+    def test_csv_and_json_carry_the_same_digits(self, capsys, args):
+        # CSV prints each axis value once and JSON per row; every cell is
+        # the same text in both
+        assert main(["sweep", *args.split()]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["sweep", *args.split(), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_float=str, parse_int=str)
+        assert lines[0].split(",") == data["columns"]
+        assert [line.split(",") for line in lines[1:]] == data["rows"]
+        assert len(lines) > 3
+
     def test_json_payload(self):
         proc = run_cli("sweep", "--sweep", "v0:0.1:0.5:0.1",
                        "--format", "json")

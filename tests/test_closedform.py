@@ -282,6 +282,32 @@ class TestGrid:
         a[1, 1] = 2.0
         assert np.isfinite(exterior_amplitudes_grid(a, v0, 1.0, theta, 0.0)).all()
 
+    @pytest.mark.parametrize("axes, base", [
+        # V0 = omega0 on one row only: slab_rt takes its q == 0 branch on
+        # the v0 axis alone; theta runs from pole to pole
+        ({"v0": np.append(np.linspace(0.02, 1.9, 36), 1.0),
+          "theta": np.linspace(0.0, math.pi, 61)},
+         {"a": 2.0, "omega0": 1.0, "phi": 1.0}),
+        # omega0 = V0 = 0.3 in one column: the q == 0 branch across
+        ({"a": [0.0, 0.5, 1.3, 40.0, 1e-9],
+          "omega0": [0.2, 0.3, 1.0, 7.5, 1e3, 1e-3, 2.0]},
+         {"v0": 0.3, "theta": 1.1, "phi": 0.4}),
+        ({"theta": np.linspace(0.0, math.pi, 23),
+          "phi": np.linspace(0.0, 6.2, 41)},
+         {"a": 1.0, "v0": 0.7, "omega0": 1.3}),
+        ({"v0": np.linspace(0.0, 3.0, 101)},
+         {"a": 1.5, "omega0": 1.0, "theta": 0.8, "phi": 5.0}),
+    ], ids=["v0-theta", "a-omega0", "theta-phi", "v0"])
+    def test_open_grid_axes_match_meshed_columns(self, axes, base):
+        # qkg sweep passes each axis along its own dimension (np.ix_); the
+        # raveled answers keep every bit of the call on meshed columns
+        meshed = (m.ravel() for m in np.meshgrid(*axes.values(), indexing="ij"))
+        want = exterior_amplitudes_grid(**base, **dict(zip(axes, meshed)))
+        got = exterior_amplitudes_grid(**base, **dict(zip(axes, np.ix_(*axes.values()))))
+        for g, w in zip(got, want):
+            assert g.shape == tuple(map(len, axes.values()))
+            assert g.ravel().tobytes() == w.tobytes()
+
     def test_broadcasts_to_common_shape(self):
         # only phi varies, yet c1 and c7 (independent of phi) come out full
         phi = np.linspace(0.0, 6.0, 7)

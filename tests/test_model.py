@@ -89,6 +89,16 @@ class TestInputRules:
             points = list(zip(*(col.tolist() for col in columns)))
             want = self.first_scalar_error(slab_rules, points)
             assert self.array_error(slab_rules, columns) == want
+            # the same draws on an open grid, as qkg sweep passes its axes:
+            # one column down (n, 1), one across (1, m), the rest at their
+            # valid value, against the scalar loop over the meshed points in C order
+            down, across = rng.choice(len(columns), size=2, replace=False)
+            grid = [values[0] for values in pool.values()]
+            grid[down], grid[across] = columns[down][:2, None], columns[across][None, 2:]
+            meshed = np.broadcast_arrays(*grid)
+            points = list(zip(*(m.ravel().tolist() for m in meshed)))
+            want = self.first_scalar_error(slab_rules, points)
+            assert self.array_error(slab_rules, grid) == want
 
     def test_segment_tables_agree_with_the_scalar_loop(self, rng):
         pool_length = [1.0, 0.0, 1e300, 1e308]
