@@ -11,10 +11,11 @@ Subcommands:
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
 is one array call in one process on its axes, each along its own dimension
 and broadcast by the kernel, which rejects the first invalid grid point in
-row order; CSV prints each axis value once, and sweep's --workers is
+row order; each axis value is printed once, and sweep's --workers is
 ignored.  --format is checked before --out is opened.
-sweep and field share one table writer and no formula of their own: the
-fraction is closedform.quaternionic_fraction_grid, abs_psi quaternion.magnitude.
+Every table, CSV or JSON, streams through one writer, one %-format line per
+row.  sweep and field keep no formula of their own: the fraction is
+closedform.quaternionic_fraction_grid, abs_psi quaternion.magnitude.
 """
 
 from __future__ import annotations
@@ -74,34 +75,19 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _json_dump(value) -> str:
-    pieces: list[str] = []
-    _json_emit(value, pieces)
-    return "".join(pieces)
-
-
-def _json_emit(value, out: list[str]) -> None:
     # hand-rolled so floats go through _fmt and stay reproducible
     if isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, float):
-        out.append(_fmt(value))
-    elif isinstance(value, complex):
-        _json_emit({"re": value.real, "im": value.imag}, out)
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            out.append((", " if i else "") + json.dumps(str(key)) + ": ")
-            _json_emit(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _json_emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        return json.dumps(value)
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, complex):
+        return _json_dump({"re": value.real, "im": value.imag})
+    if isinstance(value, dict):
+        return "{" + ", ".join(json.dumps(str(key)) + ": " + _json_dump(item)
+                               for key, item in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json_dump, value)) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 @contextlib.contextmanager
@@ -113,26 +99,30 @@ def _output(path: str | None):
             yield handle
 
 
-def _write_csv(handle, columns, rows) -> None:
-    # one %-format line per table, typed by the first row; string cells are
-    # plain names that never need quoting
-    handle.write(",".join(columns) + "\n")
+def _write_table(handle, fmt: str, config, columns, rows) -> None:
+    """Stream a table as CSV or JSON, one %-format line per row.
+
+    The line is typed by the first row: a float cell prints as "%.17g", and
+    a str cell is text already written for fmt (a bare name in CSV, a JSON
+    string or several joined cells in JSON), which is never quoted.  config
+    is the JSON table's "config" field; CSV has none.
+    """
+    if fmt == "csv":
+        handle.write(",".join(columns) + "\n")
+        sep, row_open, row_close, between, tail = ",", "", "\n", "", ""
+    else:
+        handle.write('{"config": %s, "columns": %s, "rows": ['
+                     % (_json_dump(config), _json_dump(columns)))
+        sep, row_open, row_close, between, tail = ", ", "[", "]", ", ", "]}\n"
     rows = iter(rows)
     first = next(rows, None)
-    if first is None:
-        return
-    line = ",".join("%s" if isinstance(cell, str) else "%.17g"
-                    for cell in first) + "\n"
-    handle.writelines(line % tuple(row) for row in itertools.chain([first], rows))
-
-
-def _write_table(handle, fmt: str, config: dict, columns, rows) -> None:
-    """The table of sweep and field: CSV streams the rows, JSON lists them."""
-    if fmt == "csv":
-        _write_csv(handle, columns, rows)
-    else:
-        payload = {"config": config, "columns": columns, "rows": list(rows)}
-        handle.write(_json_dump(payload) + "\n")
+    if first is not None:
+        line = row_open + sep.join("%s" if isinstance(cell, str) else "%.17g"
+                                   for cell in first) + row_close
+        handle.write(line % tuple(first))
+        line = between + line
+        handle.writelines(line % tuple(row) for row in rows)
+    handle.write(tail)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -255,8 +245,8 @@ def cmd_solve(args, config) -> int:
             rows = [[name, s.real, s.imag, c.real, c.imag]
                     for name, s, c in zip(names, amps.as_array(),
                                           closed.as_array())]
-            _write_csv(fh, ["amplitude", "re_solve", "im_solve",
-                            "re_closed", "im_closed"], rows)
+            _write_table(fh, "csv", None, ["amplitude", "re_solve", "im_solve",
+                                           "re_closed", "im_closed"], rows)
     return 0
 
 
@@ -279,15 +269,14 @@ def cmd_sweep(args, config) -> int:
     c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
                       map(np.ravel, exterior_amplitudes_grid(**dict(base, **axes))))
     results = np.stack([c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)])
-    if args.format == "csv":    # each axis value is printed once
-        # zip of one iterable: 1-tuples, each the joined text of a grid point
-        points = zip(map(",".join, itertools.product(*([_fmt(v) for v in axis]
-                                                       for axis in values))))
-    else:
-        points = itertools.product(*values)
+    # each axis value is printed once; zip of one iterable gives 1-tuples,
+    # each a grid point's axis cells joined as the format separates cells
+    sep = "," if args.format == "csv" else ", "
+    points = zip(map(sep.join, itertools.product(*([_fmt(v) for v in axis]
+                                                   for axis in values))))
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
-    # rows become Python floats one chunk at a time, so CSV never holds
+    # rows become Python floats one chunk at a time, so no format holds
     # the grid's floats or its text whole
     rows = map(operator.add, points, itertools.chain.from_iterable(
         zip(*results[:, start:start + _CHUNK].tolist())
@@ -311,12 +300,14 @@ def cmd_field(args, config) -> int:
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
     alpha, beta = field.values[:2]
+    # the writer prints str cells as they are, so JSON's names carry quotes
+    names = REGIONS if args.format == "csv" else [json.dumps(n) for n in REGIONS]
     # np.hypot, unlike np.abs, rounds as abs(complex): abs_psi is SymplecticPair.norm()
     rows = zip(field.x.tolist(), alpha.real.tolist(), alpha.imag.tolist(),
                beta.real.tolist(), beta.imag.tolist(),
                map(magnitude, np.hypot(alpha.real, alpha.imag).tolist(),
                    np.hypot(beta.real, beta.imag).tolist()),
-               [REGIONS[i] for i in field.region.tolist()])
+               [names[i] for i in field.region.tolist()])
     with _output(args.out) as fh:
         _write_table(fh, args.format, asdict(spec), columns, rows)
     return 0

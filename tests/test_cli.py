@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import logging
 import math
@@ -259,6 +260,26 @@ def test_library_logs_nothing_without_a_handler():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("fmt, written", [
+    ("csv", "x,region\n1.5,left\n2.5,left\n"),
+    ("json", '{"config": {"a": 1}, "columns": ["x", "region"], '
+             '"rows": [[1.5, "left"], [2.5, "left"]'),
+], ids=("csv", "json"))
+def test_table_rows_stream_before_the_source_ends(fmt, written):
+    # each row is written as it comes, so no format holds the table whole
+    name = "left" if fmt == "csv" else json.dumps("left")
+
+    def rows():
+        yield 1.5, name
+        yield 2.5, name
+        raise RuntimeError("row source failed")
+
+    handle = io.StringIO()
+    with pytest.raises(RuntimeError, match="row source failed"):
+        cli._write_table(handle, fmt, {"a": 1.0}, ["x", "region"], rows())
+    assert handle.getvalue() == written
+
+
 class TestSweep:
     def test_requires_axis(self):
         proc = run_cli("sweep")
@@ -383,24 +404,44 @@ class TestSweep:
                                             theta=rows[:, 1], phi=0.0)
         assert rows[:, 2:6].T.tolist() == [[abs(z) for z in c.tolist()] for c in grid]
 
-    @pytest.mark.parametrize("args", [
-        "--sweep theta:0:3.141592653589793:0.3490658503988659",
+    @pytest.mark.parametrize("command, args", [
+        ("sweep", "--sweep theta:0:3.141592653589793:0.3490658503988659"),
         # v0 = 0 and V0 = omega0 rows, theta from pole to pole
-        "--sweep v0:0:2:0.5 --sweep theta:0:3.141592653589793:0.7853981633974483",
-        "--sweep theta:0:3.141592653589793:0.7853981633974483 --sweep a:0:1:0.5",
-        "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5",
-        "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --sweep phi:0:6:3",
+        ("sweep", "--sweep v0:0:2:0.5 --sweep theta:0:3.141592653589793:0.7853981633974483"),
+        ("sweep", "--sweep theta:0:3.141592653589793:0.7853981633974483 --sweep a:0:1:0.5"),
+        ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5"),
+        ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --sweep phi:0:6:3"),
+        # one grid point: the table is its first row only
+        ("sweep", "--sweep theta:1:1:1"),
+        # windows that reach all three regions, and the smallest grid
+        ("field", "--a 1 --xmin -1 --xmax 2 --points 7"),
+        ("field", "--a 2 --xmin -3 --xmax 5 --points 40 --theta 0"),
+        ("field", "--points 2"),
+        ("field", "--a 1 --omega0 1e-150 --v0 1e150 --xmin 0.5 --xmax 3 --points 4"),
     ])
-    def test_csv_and_json_carry_the_same_digits(self, capsys, args):
-        # CSV prints each axis value once and JSON per row; every cell is
-        # the same text in both
-        assert main(["sweep", *args.split()]) == 0
+    def test_csv_and_json_carry_the_same_digits(self, capsys, command, args):
+        # both formats stream through one writer and print each axis value
+        # once; every cell is the same text in both, and region is a bare
+        # name in CSV and a JSON string in JSON
+        class Number(str):
+            pass
+
+        assert main([command, *args.split()]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert main(["sweep", *args.split(), "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out, parse_float=str, parse_int=str)
+        assert main([command, *args.split(), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out,
+                          parse_float=Number, parse_int=Number)
         assert lines[0].split(",") == data["columns"]
-        assert [line.split(",") for line in lines[1:]] == data["rows"]
-        assert len(lines) > 3
+        csv_rows = [line.split(",") for line in lines[1:]]
+        assert csv_rows == data["rows"]
+        assert len(csv_rows) >= 1
+        for csv_row, json_row in zip(csv_rows, data["rows"]):
+            for column, csv_cell, json_cell in zip(data["columns"], csv_row, json_row):
+                if column == "region":
+                    assert type(json_cell) is str
+                    assert csv_cell in ("left", "barrier", "right")
+                else:
+                    assert isinstance(json_cell, Number)
 
     def test_json_payload(self):
         proc = run_cli("sweep", "--sweep", "v0:0.1:0.5:0.1",
