@@ -11,11 +11,11 @@ Subcommands:
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
 is one array call in one process on its axes, each along its own dimension
 and broadcast by the kernel, which rejects the first invalid grid point in
-row order; each axis value is printed once, and sweep's --workers is
-ignored.  --format is checked before --out is opened.
-Every table, CSV or JSON, streams through one writer, one %-format line per
-row.  sweep and field keep no formula of their own: the fraction is
-closedform.quaternionic_fraction_grid, abs_psi quaternion.magnitude.
+row order; each axis value is printed once, and --workers is ignored.
+--format is checked before --out is opened.  Every table turns its array
+columns into rows by chunk (_rows) and streams through one writer, one
+%-format line per row.  sweep and field keep no formula of their own: the
+fraction and abs_psi are the array kernels of closedform and quaternion.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -62,7 +61,7 @@ _SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
 _CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
                                        "seg_a", "seg_b", "gap"))
 _MAX_GRID = 1_000_000
-_CHUNK = 4096      # sweep rows converted to Python floats at a time
+_CHUNK = 4096      # table rows converted from arrays to Python values at a time
 
 
 def _fmt(x: float) -> str:
@@ -123,6 +122,16 @@ def _write_table(handle, fmt: str, config, columns, rows) -> None:
         line = between + line
         handle.writelines(line % tuple(row) for row in rows)
     handle.write(tail)
+
+
+def _rows(*columns):
+    """Rows of columns of cells; an array column is converted _CHUNK rows at a time."""
+    def cells(column):
+        if not isinstance(column, np.ndarray):
+            return column
+        return itertools.chain.from_iterable(
+            column[i:i + _CHUNK].tolist() for i in range(0, len(column), _CHUNK))
+    return zip(*map(cells, columns))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -211,8 +220,8 @@ def cmd_solve(args, config) -> int:
     amps = solve_spec(spec)
     closed = amplitudes_closed(spec)
     disp = asdict(closed.dispersion)
-    route_diff = max(abs(s - c) for s, c in
-                     zip(amps.as_array(), closed.as_array()))
+    solved, closed_form = amps.as_array(), closed.as_array()
+    route_diff = max(map(abs, solved - closed_form))
     fraction = quaternionic_fraction(closed)
     exterior_sum = exterior_magnitude_sum(closed)
     names = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
@@ -222,7 +231,7 @@ def cmd_solve(args, config) -> int:
                 fh.write(label + "".join(f" {k}={_fmt(v)}" for k, v in table.items())
                          + "\n")
             fh.write(f"{'':>4} {'linear solve':>44} {'closed form':>44}\n")
-            for name, s, c in zip(names, amps.as_array(), closed.as_array()):
+            for name, s, c in zip(names, solved, closed_form):
                 fh.write(f"{name:>4} {_fmt_complex(s):>44} "
                          f"{_fmt_complex(c):>44}\n")
             fh.write(f"max route difference {route_diff:.3e}\n")
@@ -233,8 +242,8 @@ def cmd_solve(args, config) -> int:
             payload = {
                 "config": asdict(spec),
                 "wavenumbers": disp,
-                "amplitudes": dict(zip(names, amps.as_array().tolist())),
-                "closed_form": dict(zip(names, closed.as_array().tolist())),
+                "amplitudes": dict(zip(names, solved.tolist())),
+                "closed_form": dict(zip(names, closed_form.tolist())),
                 "max_route_difference": route_diff,
                 "condition": amps.condition,
                 "quaternionic_fraction": fraction,
@@ -242,11 +251,10 @@ def cmd_solve(args, config) -> int:
             }
             fh.write(_json_dump(payload) + "\n")
         else:
-            rows = [[name, s.real, s.imag, c.real, c.imag]
-                    for name, s, c in zip(names, amps.as_array(),
-                                          closed.as_array())]
             _write_table(fh, "csv", None, ["amplitude", "re_solve", "im_solve",
-                                           "re_closed", "im_closed"], rows)
+                                           "re_closed", "im_closed"],
+                         _rows(names, solved.real, solved.imag,
+                               closed_form.real, closed_form.imag))
     return 0
 
 
@@ -268,19 +276,12 @@ def cmd_sweep(args, config) -> int:
     # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
     c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
                       map(np.ravel, exterior_amplitudes_grid(**dict(base, **axes))))
-    results = np.stack([c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)])
-    # each axis value is printed once; zip of one iterable gives 1-tuples,
-    # each a grid point's axis cells joined as the format separates cells
+    # each axis value is formatted once; a point's axis cells join into one cell
     sep = "," if args.format == "csv" else ", "
-    points = zip(map(sep.join, itertools.product(*([_fmt(v) for v in axis]
-                                                   for axis in values))))
+    points = map(sep.join, itertools.product(*(map(_fmt, axis) for axis in values)))
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
-    # rows become Python floats one chunk at a time, so no format holds
-    # the grid's floats or its text whole
-    rows = map(operator.add, points, itertools.chain.from_iterable(
-        zip(*results[:, start:start + _CHUNK].tolist())
-        for start in range(0, results.shape[1], _CHUNK)))
+    rows = _rows(points, c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8))
     with _output(args.out) as fh:
         _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns, rows)
     return 0
@@ -301,15 +302,14 @@ def cmd_field(args, config) -> int:
                "im_psi_beta", "abs_psi", "region"]
     alpha, beta = field.values[:2]
     # the writer prints str cells as they are, so JSON's names carry quotes
-    names = REGIONS if args.format == "csv" else [json.dumps(n) for n in REGIONS]
-    # np.hypot, unlike np.abs, rounds as abs(complex): abs_psi is SymplecticPair.norm()
-    rows = zip(field.x.tolist(), alpha.real.tolist(), alpha.imag.tolist(),
-               beta.real.tolist(), beta.imag.tolist(),
-               map(magnitude, np.hypot(alpha.real, alpha.imag).tolist(),
-                   np.hypot(beta.real, beta.imag).tolist()),
-               [names[i] for i in field.region.tolist()])
+    names = np.array(REGIONS if args.format == "csv"
+                     else [json.dumps(n) for n in REGIONS], dtype=object)
+    # np.hypot rounds as abs(complex), so abs_psi is SymplecticPair.norm()'s
+    abs_psi = magnitude(np.hypot(alpha.real, alpha.imag), np.hypot(beta.real, beta.imag))
     with _output(args.out) as fh:
-        _write_table(fh, args.format, asdict(spec), columns, rows)
+        _write_table(fh, args.format, asdict(spec), columns, _rows(
+            field.x, alpha.real, alpha.imag, beta.real, beta.imag, abs_psi,
+            names[field.region]))
     return 0
 
 

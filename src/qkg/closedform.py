@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .model import (
     slab_rules,
     wavenumbers,
 )
+from .quaternion import rescaled
 
 EXACT = "exact"
 COMPLEX_LIMIT = "complex-limit"
@@ -175,21 +175,13 @@ def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
 
 
 def quaternionic_fraction_grid(abs_c7, abs_c8):
-    """|c8|^2 / (|c7|^2 + |c8|^2) over broadcasting arrays of magnitudes.
-
-    The share of the transmitted intensity carried by the j component.
-    Where the sum of squares falls below the smallest normal float, both
-    magnitudes are first divided by the larger one; where both are 0 the
-    share is NaN.
-    """
-    c7, c8 = np.asarray(abs_c7, dtype=float), np.asarray(abs_c8, dtype=float)
-    small = c7 * c7 + c8 * c8 < sys.float_info.min
-    if small.any():
-        with np.errstate(invalid="ignore"):     # 0 / 0 where nothing is transmitted
-            scale = np.where(small, np.maximum(c7, c8), 1.0)
-            c7, c8 = c7 / scale, c8 / scale
+    """|c8|^2 / (|c7|^2 + |c8|^2), the j component's share of the transmitted
+    intensity, over broadcasting arrays of magnitudes squared after
+    quaternion.rescaled; NaN where both are 0."""
+    _, c7, c8 = rescaled(abs_c7, abs_c8)
     num = c8 * c8
-    return num / (c7 * c7 + num)
+    with np.errstate(invalid="ignore"):     # 0 / 0 where nothing is transmitted
+        return num / (c7 * c7 + num)
 
 
 def quaternionic_fraction(amps: Amplitudes) -> float:
@@ -205,5 +197,5 @@ def quaternionic_fraction(amps: Amplitudes) -> float:
 
 def exterior_magnitude_sum(amps: Amplitudes) -> float:
     """|c1|^2 + |c2|^2 + |c7|^2 + |c8|^2, 1 by flux conservation (verify gates it)."""
-    return (abs(amps.c1) ** 2 + abs(amps.c2) ** 2
-            + abs(amps.c7) ** 2 + abs(amps.c8) ** 2)
+    c1, c2, c7, c8 = map(abs, (amps.c1, amps.c2, amps.c7, amps.c8))
+    return c1 * c1 + c2 * c2 + c7 * c7 + c8 * c8

@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidDirectionError
 
 _UNIT_TOL = 1e-12
@@ -37,22 +39,27 @@ class SymplecticPair:
         return SymplecticPair(self.alpha - other.alpha, self.beta - other.beta)
 
     def norm2(self) -> float:
-        return abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        return abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
 
     def norm(self) -> float:
-        return magnitude(abs(self.alpha), abs(self.beta))
+        return float(magnitude(abs(self.alpha), abs(self.beta)))
 
 
-def magnitude(abs_alpha: float, abs_beta: float) -> float:
-    """|alpha + j beta| = sqrt(|alpha|^2 + |beta|^2) from the two magnitudes.
+def rescaled(u, v):
+    """(scale, u / scale, v / scale) on broadcasting arrays of magnitudes: scale
+    is 1 unless a nonzero pair's u^2 + v^2 falls below the smallest normal
+    float, and there the larger of u and v, so the quotients' squares do not."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    big = np.maximum(u, v)
+    scale = np.where((u * u + v * v < sys.float_info.min) & (big > 0.0), big, 1.0)
+    return scale, u / scale, v / scale
 
-    Where the sum of squares falls below the smallest normal float, both are
-    first divided by the larger one, so a nonzero pair never comes out 0."""
-    u, v = abs_alpha, abs_beta
-    total, scale = u ** 2 + v ** 2, max(u, v)
-    if total < sys.float_info.min and scale > 0.0:
-        return scale * math.sqrt((u / scale) ** 2 + (v / scale) ** 2)
-    return math.sqrt(total)
+
+def magnitude(abs_alpha, abs_beta):
+    """|alpha + j beta| = sqrt(|alpha|^2 + |beta|^2) on broadcasting arrays of
+    the two magnitudes (a float for two floats), squared after rescaled."""
+    scale, u, v = rescaled(abs_alpha, abs_beta)
+    return scale * np.sqrt(u * u + v * v)
 
 
 @dataclass(frozen=True)

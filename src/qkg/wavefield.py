@@ -117,8 +117,9 @@ def continuity_residuals(spec: BarrierSpec,
     """
     x = np.array([0.0, spec.a])
     outer = np.hstack((_eval(x[:1], amps, LEFT), _eval(x[1:], amps, RIGHT)))
-    rows = (outer - _eval(x, amps, BARRIER)).T.tolist()
-    return tuple(magnitude(abs(d[i]), abs(d[i + 1])) for d in rows for i in (0, 2))
+    diff = outer - _eval(x, amps, BARRIER)      # _eval's rows, columns at 0 and a
+    mags = np.hypot(diff.real, diff.imag)       # rounds as abs(complex)
+    return tuple(magnitude(mags[0::2], mags[1::2]).T.ravel().tolist())
 
 
 def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,

@@ -201,11 +201,14 @@ class TestDerivedQuantities:
             assert abs(Fraction(got) - exact) <= math.ulp(float(exact))
 
     def test_fraction_grid_broadcasts(self):
-        # no RuntimeWarning where nothing is transmitted: the share is NaN
-        got = quaternionic_fraction_grid(np.array([[0.6], [0.0]]), np.array([0.8, 0.0]))
-        assert got.shape == (2, 2)
-        assert got[0].tolist() == [pytest.approx(0.64, rel=1e-15), 0.0]
+        # no RuntimeWarning where nothing is transmitted: the share is NaN;
+        # underflowing squares in the same call are rescaled
+        got = quaternionic_fraction_grid(np.array([[0.6], [0.0], [3e-300]]),
+                                         np.array([0.8, 0.0, 4e-300]))
+        assert got.shape == (3, 3)
+        assert got[0, :2].tolist() == [pytest.approx(0.64, rel=1e-15), 0.0]
         assert got[1, 0] == 1.0 and math.isnan(got[1, 1])
+        assert got[2, 2] == pytest.approx(0.64, rel=1e-15) and got[2, 1] == 0.0
 
     def test_exterior_magnitudes_sum_to_one(self, spec_factory):
         for _ in range(50):

@@ -6,6 +6,7 @@ the oracle that model.direction_coupling is checked against.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,26 @@ class TestSymplecticSplit:
         assert SymplecticPair(3e-300, 4e-300j).norm() == pytest.approx(5e-300, rel=1e-15)
         assert magnitude(0.0, 0.0) == 0.0
         assert magnitude(3.0, 4.0) == 5.0
+
+    def test_magnitude_is_an_array_kernel(self):
+        # normal, underflowing, zero and one-sided pairs mixed in one call
+        # give the scalar call's bits, which follow the rescale rule exactly
+        def rule(u, v):
+            total, scale = u * u + v * v, max(u, v)
+            if total < sys.float_info.min and scale > 0.0:
+                u, v = u / scale, v / scale
+                return scale * math.sqrt(u * u + v * v)
+            return math.sqrt(total)
+
+        values = [0.0, 3e-300, 4e-300, 5e-324, 1e-160, 2.2e-154, 0.6, 0.8, 1.0, 1.7e153]
+        us, vs = np.array(values)[:, None], np.array(values)[None, :]
+        got = magnitude(us, vs)
+        assert got.shape == (len(values), len(values))
+        for i, u in enumerate(values):
+            for j, v in enumerate(values):
+                assert got[i, j] == magnitude(u, v) == rule(u, v), (u, v)
+        assert got[1, 2] == pytest.approx(5e-300, rel=1e-15)
+        assert got[0, 0] == 0.0 and got[0, 1] == 3e-300 and got[3, 0] == 5e-324
 
 
 class TestUnitImaginaryDirection:
