@@ -12,17 +12,19 @@ Floats print with 17 significant digits, reproducible bit for bit.  A sweep
 is one array call in one process on its axes, each along its own dimension
 and broadcast by the kernel, which rejects the first invalid grid point in
 row order; each axis value is printed once, and --workers is ignored.
---format is checked before --out is opened.  Every table turns its array
-columns into rows by chunk (_rows) and streams through one writer, one
-%-format line per row.  sweep and field keep no formula of their own: the
-fraction and abs_psi are the array kernels of closedform and quaternion.
+--format is checked before --out is opened.  Every table streams through
+one writer (_write_table), _CHUNK rows at a time, in CSV and JSON alike: its
+float columns are rendered by numpy into '%.17g' byte fields (_digits), its
+text columns are byte tables gathered by index, and a chunk is one uint8
+matrix, separators included, whose NUL padding is dropped in one pass.
+sweep and field keep no formula of their own: the fraction and abs_psi are
+the array kernels of closedform and quaternion.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import logging
 import math
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._digits import render
 from .closedform import (
     amplitudes_closed,
     exterior_amplitudes_grid,
@@ -61,7 +64,7 @@ _SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
 _CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
                                        "seg_a", "seg_b", "gap"))
 _MAX_GRID = 1_000_000
-_CHUNK = 4096      # table rows converted from arrays to Python values at a time
+_CHUNK = 1024      # table rows rendered at a time
 
 
 def _fmt(x: float) -> str:
@@ -98,13 +101,21 @@ def _output(path: str | None):
             yield handle
 
 
-def _write_table(handle, fmt: str, config, columns, rows) -> None:
-    """Stream a table as CSV or JSON, one %-format line per row.
+def _text(cells) -> np.ndarray:
+    """Text cells as a byte table for _write_table, one NUL-padded row each."""
+    table = np.array([cell.encode() for cell in cells], dtype=bytes)
+    return table.view(np.uint8).reshape(table.size, -1)
 
-    The line is typed by the first row: a float cell prints as "%.17g", and
-    a str cell is text already written for fmt (a bare name in CSV, a JSON
-    string or several joined cells in JSON), which is never quoted.  config
-    is the JSON table's "config" field; CSV has none.
+
+def _write_table(handle, fmt: str, config, columns, n_rows: int, cells) -> None:
+    """Stream a table of n_rows rows as CSV or JSON, _CHUNK rows at a time.
+
+    cells(rows) gives the cells of the slice rows, one array per column: a
+    float array prints as "%.17g", and a uint8 byte table (_text) holds text
+    already written for fmt (a bare name in CSV, a JSON string in JSON),
+    which is never quoted.  A chunk is laid out as one uint8 matrix, a row
+    per table row, whose NUL padding is dropped in one pass.  config is the
+    JSON table's "config" field; CSV has none.
     """
     if fmt == "csv":
         handle.write(",".join(columns) + "\n")
@@ -113,25 +124,22 @@ def _write_table(handle, fmt: str, config, columns, rows) -> None:
         handle.write('{"config": %s, "columns": %s, "rows": ['
                      % (_json_dump(config), _json_dump(columns)))
         sep, row_open, row_close, between, tail = ", ", "[", "]", ", ", "]}\n"
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        line = row_open + sep.join("%s" if isinstance(cell, str) else "%.17g"
-                                   for cell in first) + row_close
-        handle.write(line % tuple(first))
-        line = between + line
-        handle.writelines(line % tuple(row) for row in rows)
+    # the text before each cell and after the last, a row per chunk row;
+    # every row but the table's first opens with between
+    glue = [np.tile(np.frombuffer(text.encode(), np.uint8), (min(_CHUNK, n_rows), 1))
+            for text in [between + row_open, *[sep] * (len(columns) - 1), row_close]]
+    for start in range(0, n_rows, _CHUNK):
+        chunk = cells(slice(start, min(start + _CHUNK, n_rows)))
+        size = len(chunk[0])
+        numbers = [cell for cell in chunk if cell.dtype.kind == "f"]
+        fields = iter(render(np.stack(numbers, axis=1))
+                      .reshape(size, len(numbers), -1).transpose(1, 0, 2))
+        pieces = [glue[0][:size]]
+        for cell, text in zip(chunk, glue[1:]):
+            pieces += [next(fields) if cell.dtype.kind == "f" else cell, text[:size]]
+        block = np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
+        handle.write(block[len(between) if start == 0 else 0:].decode("ascii"))
     handle.write(tail)
-
-
-def _rows(*columns):
-    """Rows of columns of cells; an array column is converted _CHUNK rows at a time."""
-    def cells(column):
-        if not isinstance(column, np.ndarray):
-            return column
-        return itertools.chain.from_iterable(
-            column[i:i + _CHUNK].tolist() for i in range(0, len(column), _CHUNK))
-    return zip(*map(cells, columns))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -251,10 +259,11 @@ def cmd_solve(args, config) -> int:
             }
             fh.write(_json_dump(payload) + "\n")
         else:
+            labels = _text(names)
+            numbers = (solved.real, solved.imag, closed_form.real, closed_form.imag)
             _write_table(fh, "csv", None, ["amplitude", "re_solve", "im_solve",
-                                           "re_closed", "im_closed"],
-                         _rows(names, solved.real, solved.imag,
-                               closed_form.real, closed_form.imag))
+                                           "re_closed", "im_closed"], len(names),
+                         lambda rows: [labels[rows], *(c[rows] for c in numbers)])
     return 0
 
 
@@ -276,14 +285,21 @@ def cmd_sweep(args, config) -> int:
     # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
     c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
                       map(np.ravel, exterior_amplitudes_grid(**dict(base, **axes))))
-    # each axis value is formatted once; a point's axis cells join into one cell
-    sep = "," if args.format == "csv" else ", "
-    points = map(sep.join, itertools.product(*(map(_fmt, axis) for axis in values)))
+    numbers = (c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8))
+    # each axis value is formatted once; a row gathers its point's axis cells
+    labels = [_text(map(_fmt, axis)) for axis in values]
+    shape = tuple(map(len, values))
+
+    def cells(rows):
+        point = np.unravel_index(np.arange(rows.start, rows.stop), shape)
+        return [*(table.take(i, axis=0) for table, i in zip(labels, point)),
+                *(c[rows] for c in numbers)]
+
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
-    rows = _rows(points, c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8))
     with _output(args.out) as fh:
-        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns, rows)
+        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns,
+                     math.prod(shape), cells)
     return 0
 
 
@@ -301,15 +317,17 @@ def cmd_field(args, config) -> int:
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
     alpha, beta = field.values[:2]
-    # the writer prints str cells as they are, so JSON's names carry quotes
-    names = np.array(REGIONS if args.format == "csv"
-                     else [json.dumps(n) for n in REGIONS], dtype=object)
+    # the writer prints text cells as they are, so JSON's names carry quotes
+    regions = _text(REGIONS if args.format == "csv" else map(json.dumps, REGIONS))
     # np.hypot rounds as abs(complex), so abs_psi is SymplecticPair.norm()'s
     abs_psi = magnitude(np.hypot(alpha.real, alpha.imag), np.hypot(beta.real, beta.imag))
+    numbers = (field.x, alpha.real, alpha.imag, beta.real, beta.imag, abs_psi)
+
+    def cells(rows):
+        return [*(c[rows] for c in numbers), regions.take(field.region[rows], axis=0)]
+
     with _output(args.out) as fh:
-        _write_table(fh, args.format, asdict(spec), columns, _rows(
-            field.x, alpha.real, alpha.imag, beta.real, beta.imag, abs_psi,
-            names[field.region]))
+        _write_table(fh, args.format, asdict(spec), columns, len(field.x), cells)
     return 0
 
 

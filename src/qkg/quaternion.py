@@ -48,10 +48,14 @@ class SymplecticPair:
 def rescaled(u, v):
     """(scale, u / scale, v / scale) on broadcasting arrays of magnitudes: scale
     is 1 unless a nonzero pair's u^2 + v^2 falls below the smallest normal
-    float, and there the larger of u and v, so the quotients' squares do not."""
+    float or overflows while u and v are finite, and there the larger of u
+    and v, so the quotients' squares do neither."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     big = np.maximum(u, v)
-    scale = np.where((u * u + v * v < sys.float_info.min) & (big > 0.0), big, 1.0)
+    with np.errstate(over="ignore"):
+        square = u * u + v * v
+    scale = np.where(((square < sys.float_info.min) & (big > 0.0))
+                     | ((square == math.inf) & (big < math.inf)), big, 1.0)
     return scale, u / scale, v / scale
 
 
@@ -59,7 +63,9 @@ def magnitude(abs_alpha, abs_beta):
     """|alpha + j beta| = sqrt(|alpha|^2 + |beta|^2) on broadcasting arrays of
     the two magnitudes (a float for two floats), squared after rescaled."""
     scale, u, v = rescaled(abs_alpha, abs_beta)
-    return scale * np.sqrt(u * u + v * v)
+    with np.errstate(over="ignore"):    # where u or v is inf, and only there
+        square = u * u + v * v
+    return scale * np.sqrt(square)
 
 
 @dataclass(frozen=True)

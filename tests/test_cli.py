@@ -5,11 +5,15 @@ import logging
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkg import cli, matcher
+from qkg._digits import render
 from qkg.cli import main
 from qkg.model import BarrierSpec
 
@@ -265,19 +269,100 @@ def test_library_logs_nothing_without_a_handler():
     ("json", '{"config": {"a": 1}, "columns": ["x", "region"], '
              '"rows": [[1.5, "left"], [2.5, "left"]'),
 ], ids=("csv", "json"))
-def test_table_rows_stream_before_the_source_ends(fmt, written):
-    # each row is written as it comes, so no format holds the table whole
-    name = "left" if fmt == "csv" else json.dumps("left")
+def test_table_rows_stream_before_the_source_ends(monkeypatch, fmt, written):
+    # each chunk of rows is written as it comes, so no format holds the
+    # table whole: the column source fails at row 2, on a chunk edge
+    names = cli._text(["left" if fmt == "csv" else json.dumps("left")])
+    x = np.array([1.5, 2.5, 3.5])
 
-    def rows():
-        yield 1.5, name
-        yield 2.5, name
-        raise RuntimeError("row source failed")
+    def cells(rows):
+        if rows.start >= 2:
+            raise RuntimeError("column source failed")
+        return [x[rows], np.repeat(names, len(x[rows]), axis=0)]
 
-    handle = io.StringIO()
-    with pytest.raises(RuntimeError, match="row source failed"):
-        cli._write_table(handle, fmt, {"a": 1.0}, ["x", "region"], rows())
-    assert handle.getvalue() == written
+    for chunk in (1, 2):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        handle = io.StringIO()
+        with pytest.raises(RuntimeError, match="column source failed"):
+            cli._write_table(handle, fmt, {"a": 1.0}, ["x", "region"], len(x), cells)
+        assert handle.getvalue() == written
+
+
+class TestFloatRenderer:
+    """The table writer's numpy renderer prints what '%.17g' % x prints."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        lines = np.concatenate([render(values), np.full((values.size, 1), 10, np.uint8)],
+                               axis=1).tobytes().translate(None, b"\0").decode("ascii")
+        assert lines.splitlines() == ["%.17g" % v for v in values.tolist()]
+
+    @staticmethod
+    def floats(bits):
+        return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+    @given(st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        self.check(self.floats([bits]))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @settings(max_examples=500, deadline=None)
+    def test_any_float(self, x):
+        self.check([x, -x])
+
+    def test_seeded_draws(self):
+        # 2^20 draws in chunks: uniform on [0, 1), log-uniform over 1e-12..1e17
+        # with either sign, and raw bit patterns (both signs, subnormals,
+        # inf and nan included)
+        rng = np.random.default_rng(20160415)
+        for _ in range(16):
+            self.check(rng.random(1 << 14))
+            self.check(rng.choice([-1.0, 1.0], 1 << 15) * 10 ** rng.uniform(-12, 17, 1 << 15))
+            self.check(self.floats(rng.integers(0, 2 ** 64, 1 << 14, dtype=np.uint64,
+                                                endpoint=False)))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+        for x in (tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)):
+            self.check(np.concatenate([x, -x]))
+
+    def test_half_way_ties_at_the_17th_digit(self):
+        # x = j / 2^(k+1) with j odd and j 5^k odd makes x 10^k = j 5^k / 2
+        # an exact tie between two 17-digit integers; half go to the even
+        # neighbour below, half to the one above
+        rng = np.random.default_rng(7)
+        ties = []
+        for k in range(1, 21):
+            lo, hi = -(-2 * 10 ** 16 // 5 ** k), min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+            for j in rng.integers(lo, hi, 200).tolist():
+                if j | 1 < hi:
+                    ties.append(((j | 1) / 2 ** (k + 1), k))
+        assert len(ties) > 3000
+        assert all(Fraction(x) * 10 ** k % 1 == Fraction(1, 2) for x, k in ties)
+        ties = np.array([x for x, _ in ties])
+        self.check(np.concatenate([ties, -ties]))
+
+    def test_window_edges(self):
+        # the numpy window is 1e-4 <= |x| < 1e16, where '%g' prints the fixed
+        # form: each edge, values that round across it or across a power of
+        # ten, and eight ulps either side of each
+        x = np.array([1e-4, 1e16, 9.99999999999999995e-5, 9999999999999999.0,
+                      1e15, 0.001, 1.0, 99999999999999.99, 0.99999999999999999])
+        for _ in range(8):
+            x = np.unique(np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)]))
+        self.check(np.concatenate([x, -x]))
+
+    def test_fallback_cells_keep_their_whole_text(self):
+        # cells outside the window print through '%.17g' in a field wide
+        # enough for the longest text; a 22-byte field once cut
+        # 2.8959020883846385e-300, which `qkg sweep --a 1 --omega0 1e-150
+        # --v0 1e150` prints, to ...e-30
+        self.check([2.8959020883846385e-300, -2.2250738585072014e-308,
+                    -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0,
+                    math.inf, -math.inf, math.nan, 1.0773237722871074e-300,
+                    9.9999999999999991e-5, 1e16, -1.2345678901234567e-100])
 
 
 class TestSweep:

@@ -189,6 +189,12 @@ class TestDerivedQuantities:
         fake = types.SimpleNamespace(c7=3e-300 + 0j, c8=4e-300j)
         assert quaternionic_fraction(fake) == pytest.approx(0.64, rel=1e-15)
 
+    def test_fraction_rescales_overflowing_squares(self):
+        # no overflow RuntimeWarning: both magnitudes are divided by 1e200
+        assert quaternionic_fraction_grid(1e200, 1e200) == 0.5
+        fake = types.SimpleNamespace(c7=3e200 + 0j, c8=4e200j)
+        assert quaternionic_fraction(fake) == pytest.approx(0.64, rel=1e-15)
+
     def test_fraction_exact_where_the_squares_are_subnormal(self):
         # |c7|^2 + |c8|^2 = 9.16e-312 is subnormal, not 0.  BarrierSpec inputs
         # that small round k_plus and k_minus to the same float, so c8 comes

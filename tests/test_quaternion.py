@@ -173,17 +173,29 @@ class TestSymplecticSplit:
         assert magnitude(0.0, 0.0) == 0.0
         assert magnitude(3.0, 4.0) == 5.0
 
+    def test_norm_of_overflowing_squares(self):
+        # the squares overflow to inf; magnitude rescales by the larger one
+        assert magnitude(1e200, 1e200) == 1.4142135623730951e200
+        assert SymplecticPair(1e200, 0j).norm() == 1e200
+        assert SymplecticPair(3e200, 4e200j).norm() == pytest.approx(5e200, rel=1e-15)
+        assert magnitude(math.inf, 1.0) == magnitude(1e300, math.inf) == math.inf
+        # a magnitude beyond the float range still overflows, with its warning
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert magnitude(1.7e308, 1.7e308) == math.inf
+
     def test_magnitude_is_an_array_kernel(self):
-        # normal, underflowing, zero and one-sided pairs mixed in one call
-        # give the scalar call's bits, which follow the rescale rule exactly
+        # normal, underflowing, overflowing, zero and one-sided pairs mixed in
+        # one call give the scalar call's bits, which follow the rescale rule
         def rule(u, v):
             total, scale = u * u + v * v, max(u, v)
-            if total < sys.float_info.min and scale > 0.0:
+            if ((total < sys.float_info.min and scale > 0.0)
+                    or (total == math.inf and scale < math.inf)):
                 u, v = u / scale, v / scale
                 return scale * math.sqrt(u * u + v * v)
             return math.sqrt(total)
 
-        values = [0.0, 3e-300, 4e-300, 5e-324, 1e-160, 2.2e-154, 0.6, 0.8, 1.0, 1.7e153]
+        values = [0.0, 3e-300, 4e-300, 5e-324, 1e-160, 2.2e-154, 0.6, 0.8, 1.0, 1.7e153,
+                  1e155, 1e200, 1e308, math.inf]
         us, vs = np.array(values)[:, None], np.array(values)[None, :]
         got = magnitude(us, vs)
         assert got.shape == (len(values), len(values))
