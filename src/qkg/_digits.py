@@ -19,6 +19,8 @@ next to a power of ten) is formatted by '%.17g' itself.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 FIELD = 40      # bytes per value: sign, "0.000", then 17 digits each with a free byte
@@ -27,19 +29,6 @@ _WORD = np.dtype("<u8")
 _ONE, _LOW32 = np.uint64(1), np.uint64(0xFFFFFFFF)
 _D_MIN, _D_END = np.uint64(10 ** 16), np.uint64(10 ** 17)
 _POW5 = np.array([5 ** k for k in range(23)], dtype=_WORD)   # 5^22 < 2^53
-
-# group g as the bytes of "%04d" % g, each followed by a NUL (one word),
-# and the number of trailing zeros in "%04d" % g
-_GROUPS = np.full(10_000, 0x0030003000300030, _WORD)
-_TRAILING = np.zeros(10_000, np.int64)
-_g, _zeros = np.arange(10_000, dtype=_WORD), np.ones(10_000, bool)
-for _shift in (48, 32, 16, 0):
-    _digit = _g % 10
-    _GROUPS |= _digit << _shift
-    _zeros &= _digit == 0
-    _TRAILING += _zeros
-    _g //= 10
-del _g, _zeros, _shift, _digit
 
 
 def _word(text: bytes) -> int:
@@ -51,15 +40,6 @@ def _digit_byte(j: int) -> tuple[int, int]:
     return (0, 6) if j == 0 else ((j + 3) // 4, 2 * ((j - 1) % 4))
 
 
-# word 0 for decimal exponent X in [-4, 15]: a sign byte, then "0." and
-# -X - 1 zeros when X < 0
-_PREFIX = np.array([_word(b"\0" + (b"0." + b"0" * (-x - 1) if x < 0 else b""))
-                    for x in range(-4, 16)], dtype=_WORD)
-# (word, value) of the point after digit X >= 0, in that digit's free byte
-_POINT = np.array([(w, 46 << 8 * (b + 1)) for w, b in map(_digit_byte, range(16))],
-                  dtype=np.uint64)
-
-
 def _kept(keep: int) -> list[int]:
     words = [2 ** 64 - 1] * 5
     for w, b in map(_digit_byte, range(keep, 17)):
@@ -67,8 +47,34 @@ def _kept(keep: int) -> list[int]:
     return words
 
 
-# the mask that turns digits keep..16 into NUL
-_KEEP = np.array([_kept(keep) for keep in range(18)], dtype=_WORD)
+@functools.cache
+def _tables():
+    """render's tables, built on its first call, so that a command that prints
+    no table does not pay for them:
+
+    groups[g]    "%04d" % g as bytes, each followed by a NUL (one word);
+    zeros[g]     the number of trailing zeros in "%04d" % g;
+    prefix[X+4]  word 0 for decimal exponent X in [-4, 15]: a sign byte, then
+                 "0." and -X - 1 zeros when X < 0;
+    dot[X]       (word, value) of the point after digit X >= 0, in that
+                 digit's free byte;
+    mask[n]      the mask that turns digits n..16 into NUL.
+    """
+    groups = np.full(10_000, 0x0030003000300030, _WORD)
+    zeros = np.zeros(10_000, np.int64)
+    g, zero = np.arange(10_000, dtype=_WORD), np.ones(10_000, bool)
+    for shift in (48, 32, 16, 0):
+        digit = g % 10
+        groups |= digit << shift
+        zero &= digit == 0
+        zeros += zero
+        g //= 10
+    prefix = np.array([_word(b"\0" + (b"0." + b"0" * (-x - 1) if x < 0 else b""))
+                       for x in range(-4, 16)], dtype=_WORD)
+    dot = np.array([(w, 46 << 8 * (b + 1)) for w, b in map(_digit_byte, range(16))],
+                   dtype=np.uint64)
+    mask = np.array([_kept(n) for n in range(18)], dtype=_WORD)
+    return groups, zeros, prefix, dot, mask
 
 
 def _scaled(m, e, k):
@@ -91,6 +97,7 @@ def _scaled(m, e, k):
 def render(x) -> np.ndarray:
     """'%.17g' % v for each v of the float array x, as an (x.size, FIELD) uint8
     array whose NUL bytes are padding."""
+    groups, zeros, prefix, dot, mask = _tables()
     x = np.asarray(x, dtype=float).ravel()
     size = np.abs(x)
     fixed = (size >= 1e-4) & (size < 1e16)
@@ -108,17 +115,16 @@ def render(x) -> np.ndarray:
     g1, g2 = np.divmod(rest, 10 ** 4)
     g3, g4 = np.divmod(low.astype(np.int64), 10 ** 4)
     out = np.empty((x.size, 5), _WORD)
-    out[:, 0] = (_PREFIX.take(point + 4) | (d0 + 48).astype(_WORD) << 48
+    out[:, 0] = (prefix.take(point + 4) | (d0 + 48).astype(_WORD) << 48
                  | np.where(x < 0, np.uint64(45), np.uint64(0)))
     for j, g in enumerate((g1, g2, g3, g4), 1):
-        out[:, j] = _GROUPS.take(g)
-    zeros = _TRAILING.take
-    trailing = zeros(g4) + (g4 == 0) * (zeros(g3) + (g3 == 0) * (
-        zeros(g2) + (g2 == 0) * zeros(g1)))
+        out[:, j] = groups.take(g)
+    trailing = zeros.take(g4) + (g4 == 0) * (zeros.take(g3) + (g3 == 0) * (
+        zeros.take(g2) + (g2 == 0) * zeros.take(g1)))
     keep = np.maximum(17 - trailing, point + 1)
-    out &= _KEEP.take(keep, axis=0)
+    out &= mask.take(keep, axis=0)
     dotted = np.flatnonzero((keep > point + 1) & (point >= 0))
-    word, value = _POINT[point[dotted]].T
+    word, value = dot[point[dotted]].T
     out.reshape(-1)[dotted * 5 + word.astype(np.intp)] |= value
 
     other = np.flatnonzero(~fixed)

@@ -9,9 +9,11 @@ Subcommands:
   verify    run the built-in verification suite
 
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-is one array call in one process on its axes, each along its own dimension
-and broadcast by the kernel, which rejects the first invalid grid point in
-row order; each axis value is printed once, and --workers is ignored.
+runs in one process and holds one chunk of its grid: the kernel's factors
+are formed once on its axes, each along its own dimension, after the whole
+grid is checked, so the first invalid point in row order is rejected before
+any output; each chunk of rows gathers them at its points and forms its
+amplitudes.  Each axis value is formatted once, and --workers is ignored.
 --format is checked before --out is opened.  Every table streams through
 one writer (_write_table), _CHUNK rows at a time, in CSV and JSON alike: its
 float columns are rendered by numpy into '%.17g' byte fields (_digits), its
@@ -37,7 +39,8 @@ import numpy as np
 from ._digits import render
 from .closedform import (
     amplitudes_closed,
-    exterior_amplitudes_grid,
+    exterior_combine,
+    exterior_factors,
     exterior_magnitude_sum,
     quaternionic_fraction,
     quaternionic_fraction_grid,
@@ -65,6 +68,7 @@ _CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
                                        "seg_a", "seg_b", "gap"))
 _MAX_GRID = 1_000_000
 _CHUNK = 1024      # table rows rendered at a time
+_TEXT = 24         # bytes of a text cell: '%.17g' prints at most 24 characters
 
 
 def _fmt(x: float) -> str:
@@ -102,9 +106,10 @@ def _output(path: str | None):
 
 
 def _text(cells) -> np.ndarray:
-    """Text cells as a byte table for _write_table, one NUL-padded row each."""
-    table = np.array([cell.encode() for cell in cells], dtype=bytes)
-    return table.view(np.uint8).reshape(table.size, -1)
+    """ASCII text cells of at most _TEXT characters as a byte table for
+    _write_table, one NUL-padded row each."""
+    table = np.fromiter(cells, dtype=f"S{_TEXT}")
+    return table.view(np.uint8).reshape(table.size, _TEXT)
 
 
 def _write_table(handle, fmt: str, config, columns, n_rows: int, cells) -> None:
@@ -180,7 +185,7 @@ def _params(args, config) -> dict[str, float]:
             for key in _SWEEPABLE}
 
 
-def _grid_values(start: float, stop: float, step: float) -> list[float]:
+def _grid_values(start: float, stop: float, step: float) -> np.ndarray:
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("sweep bounds must be finite")
     if step <= 0:
@@ -193,11 +198,13 @@ def _grid_values(start: float, stop: float, step: float) -> list[float]:
     count = int(math.floor(span + 1e-9)) + 1
     if count > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
-    # start + i * step can round one ulp past stop
-    return [min(start + i * step, stop) for i in range(count)]
+    # start + i * step can round one ulp past stop; where it equals stop it
+    # is kept, as min(value, stop) keeps 0.0 against stop = -0.0
+    values = start + np.arange(count) * step
+    return np.where(stop < values, stop, values)
 
 
-def _parse_sweep(text: str) -> tuple[str, list[float]]:
+def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"bad sweep {text!r}: expected param:start:stop:step")
@@ -267,6 +274,16 @@ def cmd_solve(args, config) -> int:
     return 0
 
 
+def _gather(stack, point):
+    """The rows of an exterior_factors stack at the grid points point, by one
+    index: along an axis the stack does not read, its length is 1 and the
+    index clips to 0.  A stack that reads no axis is one value a row, whole."""
+    if stack.ndim == 1:
+        return stack
+    flat = np.ravel_multi_index(point, stack.shape[1:], mode="clip")
+    return stack.reshape(len(stack), -1).take(flat, axis=1)
+
+
 def cmd_sweep(args, config) -> int:
     sweeps = args.sweep or []
     if not sweeps:
@@ -276,24 +293,25 @@ def cmd_sweep(args, config) -> int:
     names, values = zip(*map(_parse_sweep, sweeps))
     if len(set(names)) != len(names):
         raise ValueError("swept parameters must differ")
-    if math.prod(map(len, values)) > _MAX_GRID:
+    shape = tuple(map(len, values))
+    if math.prod(shape) > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
     base = _params(args, config)
-    # np.ix_ lays each axis along its own dimension; the kernel broadcasts them
-    axes = dict(zip(names, np.ix_(*values)))
-    # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
-    c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in
-                      map(np.ravel, exterior_amplitudes_grid(**dict(base, **axes))))
-    numbers = (c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8))
+    # np.ix_ lays each axis along its own dimension, so every factor keeps the
+    # shape of the axes it reads; the whole grid is checked here, before any
+    # output, and its points are formed a chunk of rows at a time
+    factors = exterior_factors(**dict(base, **dict(zip(names, np.ix_(*values)))))
     # each axis value is formatted once; a row gathers its point's axis cells
     labels = [_text(map(_fmt, axis)) for axis in values]
-    shape = tuple(map(len, values))
 
     def cells(rows):
         point = np.unravel_index(np.arange(rows.start, rows.stop), shape)
+        at = (_gather(stack, point) for stack in factors)
+        # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
+        c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in exterior_combine(*at))
         return [*(table.take(i, axis=0) for table, i in zip(labels, point)),
-                *(c[rows] for c in numbers)]
+                c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)]
 
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]

@@ -94,20 +94,28 @@ def coupled(f_minus, f_plus, n1, cross):
     N = [[n1, conj(cross)], [cross, -n1]], cross = n3 + i n2; the arguments
     may be numbers or broadcasting arrays.
     """
-    mean = 0.5 * (f_minus + f_plus)
-    half = 0.5 * (f_minus - f_plus)
+    mean, half = _mean_and_half(f_minus, f_plus)
     return mean + half * n1, half * cross, half * cross.conjugate(), mean - half * n1
 
 
-def direction_terms(theta, phi):
-    """coupled's (n1, cross) = (cos theta, i sin(theta) e^{-i phi}) on broadcasting arrays.
+def _mean_and_half(f_minus, f_plus):
+    return 0.5 * (f_minus + f_plus), 0.5 * (f_minus - f_plus)
 
-    cross = n3 + i n2 is formed part by part, without a complex exponential."""
+
+def direction_terms(theta, phi):
+    """coupled's (n1, cross) = (cos theta, i sin(theta) e^{-i phi}), one complex
+    stack over the broadcast (theta, phi).
+
+    n1 is stored as a complex number, as numpy's complex product would cast
+    it anyway; cross = n3 + i n2 is formed part by part, without a complex
+    exponential."""
     sin_theta = np.sin(theta)
-    cross = np.empty(np.broadcast(theta, phi).shape, dtype=complex)
+    terms = np.empty((2, *np.broadcast(theta, phi).shape), dtype=complex)
+    terms[0] = np.cos(theta)
+    cross = terms[1, ...]       # a view, 0-d at one direction
     cross.real = sin_theta * np.sin(phi)
     cross.imag = sin_theta * np.cos(phi)
-    return np.cos(theta), cross
+    return terms
 
 
 def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
@@ -140,15 +148,36 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
 
     The same formulas with numpy's sin, cos and exp: the two agree to
     rounding, and c2 = c8 = 0 exactly at theta = 0.  Raises what BarrierSpec
-    raises at the first invalid point in C order."""
+    raises at the first invalid point in C order.  It is exterior_combine of
+    exterior_factors, which a caller may also gather at a few grid points
+    at a time."""
+    return np.broadcast_arrays(*exterior_combine(*exterior_factors(a, v0, omega0, theta, phi)))
+
+
+def exterior_factors(a, v0, omega0, theta, phi):
+    """The factors of exterior_amplitudes_grid, each at the shape of its inputs.
+
+    Checks every point of the broadcast grid first, and raises what
+    BarrierSpec raises at the first invalid one in C order.  Returns two
+    complex stacks: branch, over the broadcast (a, v0, omega0), holds the
+    mean and half-difference of the two branches' r, then of their t, as
+    coupled forms them, then e^{-i a omega0}; direction is direction_terms."""
     require_each(slab_rules, a, v0, theta, phi, omega0)
     rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a, np.sin, np.cos)
     rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a, np.sin, np.cos)
-    n1, cross = direction_terms(theta, phi)
-    c1, c2, _, _ = coupled(rm, rp, n1, cross)
-    c7, c8, _, _ = coupled(tm, tp, n1, cross)
     back = np.exp(-1j * a * omega0)
-    return np.broadcast_arrays(c1, c2, c7 * back, c8 * back)
+    branch = np.broadcast_arrays(*_mean_and_half(rm, rp), *_mean_and_half(tm, tp), back)
+    return np.stack(branch), direction_terms(theta, phi)
+
+
+def exterior_combine(branch, direction):
+    """(c1, c2, c7, c8) from exterior_factors' stacks, or from both gathered at
+    the same grid points: coupled's (f00, f10) of r and of t, the latter
+    times e^{-i a omega0}."""
+    r_mean, r_half, t_mean, t_half, back = branch
+    n1, cross = direction
+    return (r_mean + r_half * n1, r_half * cross,
+            (t_mean + t_half * n1) * back, t_half * cross * back)
 
 
 def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:

@@ -48,24 +48,26 @@ class SymplecticPair:
 def rescaled(u, v):
     """(scale, u / scale, v / scale) on broadcasting arrays of magnitudes: scale
     is 1 unless a nonzero pair's u^2 + v^2 falls below the smallest normal
-    float or overflows while u and v are finite, and there the larger of u
-    and v, so the quotients' squares do neither."""
+    float or overflows, and there the larger of u and v, so the quotients'
+    squares do neither.  Where that is inf, an infinite quotient is 1 and a
+    finite one 0."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     big = np.maximum(u, v)
     with np.errstate(over="ignore"):
         square = u * u + v * v
-    scale = np.where(((square < sys.float_info.min) & (big > 0.0))
-                     | ((square == math.inf) & (big < math.inf)), big, 1.0)
-    return scale, u / scale, v / scale
+    scale = np.where(((square < sys.float_info.min) & (big > 0.0)) | (square == math.inf),
+                     big, 1.0)
+    infinite = scale == math.inf
+    with np.errstate(invalid="ignore"):     # inf / inf, replaced by 1
+        return (scale, np.where(infinite, u == math.inf, u / scale),
+                np.where(infinite, v == math.inf, v / scale))
 
 
 def magnitude(abs_alpha, abs_beta):
     """|alpha + j beta| = sqrt(|alpha|^2 + |beta|^2) on broadcasting arrays of
     the two magnitudes (a float for two floats), squared after rescaled."""
     scale, u, v = rescaled(abs_alpha, abs_beta)
-    with np.errstate(over="ignore"):    # where u or v is inf, and only there
-        square = u * u + v * v
-    return scale * np.sqrt(square)
+    return scale * np.sqrt(u * u + v * v)
 
 
 @dataclass(frozen=True)

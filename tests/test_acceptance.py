@@ -122,13 +122,13 @@ def test_criterion_9_parallel_sweep_deterministic(results):
 
 
 def test_criterion_9_trips_on_a_moved_in_process_sweep(monkeypatch):
-    grid = cli.exterior_amplitudes_grid
+    combine = cli.exterior_combine
 
-    def moved(**params):
-        c1, c2, c7, c8 = grid(**params)
+    def moved(branch, direction):
+        c1, c2, c7, c8 = combine(branch, direction)
         return c1, c2, c7 * (1.0 + 1e-15), c8
 
-    monkeypatch.setattr(cli, "exterior_amplitudes_grid", moved)
+    monkeypatch.setattr(cli, "exterior_combine", moved)
     res = verify.check_determinism()
     assert not res.passed
     assert res.detail.startswith("csv identical: False")

@@ -3,8 +3,10 @@ import io
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from qkg import cli, matcher
 from qkg._digits import render
 from qkg.cli import main
+from qkg.closedform import exterior_amplitudes_grid
 from qkg.model import BarrierSpec
 
 
@@ -403,10 +406,10 @@ class TestSweep:
 
     def test_underflowing_fraction_rescaled(self, monkeypatch, capsys):
         # both magnitudes nonzero, both squares 0: 4^2 / (3^2 + 4^2)
-        def grid(**params):
-            shape = np.shape(params["theta"])
+        def combine(branch, direction):
+            shape = np.shape(direction[0])     # the chunk's theta points
             return np.array([np.full(shape, value) for value in (1.0, 0.0, 3e-300, 4e-300)])
-        monkeypatch.setattr(cli, "exterior_amplitudes_grid", grid)
+        monkeypatch.setattr(cli, "exterior_combine", combine)
         assert main(["sweep", "--sweep", "theta:0:1:1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
@@ -450,6 +453,51 @@ class TestSweep:
         for row in rows:
             assert abs(sum(c * c for c in row[1:5]) - 1.0) <= 1e-12
 
+    def test_grid_values_follow_the_scalar_rule(self):
+        # the array axis is the list min(start + i * step, stop) bit for bit,
+        # a zero's sign included: min keeps 0.0 against stop = -0.0
+        rng = np.random.default_rng(23)
+        grids = [(-0.0, -0.0, 1.0), (-1.0, -0.0, 1.0), (0.0, math.pi, math.pi / 799)]
+        for _ in range(300):
+            start, step = rng.uniform(-10, 10), rng.uniform(1e-3, 1.0)
+            grids.append((start, start + step * rng.uniform(0, 2000), step))
+        for start, stop, step in grids:
+            got = cli._grid_values(start, stop, step)
+            want = [min(start + i * step, stop) for i in range(len(got))]
+            assert got.dtype == np.float64
+            assert [math.copysign(1, v) for v in got.tolist()] == \
+                [math.copysign(1, v) for v in want]
+            assert got.tolist() == want
+
+    def test_invalid_grid_point_leaves_out_file_alone(self, tmp_path):
+        # the last three of 3145 points have theta > pi: the whole grid is
+        # checked before the first chunk of rows is written or --out opened
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"old bytes")
+        proc = run_cli("sweep", "--sweep", "theta:0:3.144:0.001", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: theta must lie in [0, pi]")
+        assert out.read_bytes() == b"old bytes"
+
+    def test_memory_holds_one_chunk_of_the_grid(self):
+        # 4x the rows of a v0 x theta grid leave the traced peak in place: the
+        # kernel's factors stay at axis shape, and each chunk of rows is
+        # formed, rendered and written before the next
+        main(["sweep", "--sweep", "theta:0:1:0.5", "--out", os.devnull])  # render's tables
+        peaks = []
+        for rows in (48, 192):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--omega0", "100", "--phi", "1",
+                             "--sweep", f"v0:1:{rows}:1",
+                             "--sweep", f"theta:0:{math.pi!r}:{math.pi / 799!r}",
+                             "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4e6
+        assert max(peaks) <= 1.25 * min(peaks)
+
     def test_last_point_clamped_to_stop(self):
         # 25 steps of pi/25 round one ulp past pi
         proc = run_cli("sweep", "--sweep", "theta:0:3.141592653589793:0.12566370614359174")
@@ -485,8 +533,8 @@ class TestSweep:
                      "--sweep", "theta:0:3.141592653589793:0.12566370614359174"]) == 0
         rows = np.array([[float(x) for x in line.split(",")]
                          for line in capsys.readouterr().out.splitlines()[1:]])
-        grid = cli.exterior_amplitudes_grid(a=1.0, v0=rows[:, 0], omega0=1.0,
-                                            theta=rows[:, 1], phi=0.0)
+        grid = exterior_amplitudes_grid(a=1.0, v0=rows[:, 0], omega0=1.0,
+                                        theta=rows[:, 1], phi=0.0)
         assert rows[:, 2:6].T.tolist() == [[abs(z) for z in c.tolist()] for c in grid]
 
     @pytest.mark.parametrize("command, args", [
@@ -494,6 +542,8 @@ class TestSweep:
         # v0 = 0 and V0 = omega0 rows, theta from pole to pole
         ("sweep", "--sweep v0:0:2:0.5 --sweep theta:0:3.141592653589793:0.7853981633974483"),
         ("sweep", "--sweep theta:0:3.141592653589793:0.7853981633974483 --sweep a:0:1:0.5"),
+        # the slab factors and e^{-i a omega0} vary along both axes
+        ("sweep", "--sweep a:0:2:0.5 --sweep omega0:0.5:2:0.25"),
         ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5"),
         ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --sweep phi:0:6:3"),
         # one grid point: the table is its first row only

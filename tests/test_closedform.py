@@ -195,6 +195,15 @@ class TestDerivedQuantities:
         fake = types.SimpleNamespace(c7=3e200 + 0j, c8=4e200j)
         assert quaternionic_fraction(fake) == pytest.approx(0.64, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_fraction_of_infinite_magnitudes(self):
+        # no overflow RuntimeWarning: an infinite magnitude outweighs any
+        # finite one, two infinite ones share equally, and (0, 0) stays NaN
+        got = quaternionic_fraction_grid([1e300, math.inf, 0.6, math.inf, 0.0],
+                                         [math.inf, 1e300, math.inf, math.inf, 0.0])
+        assert got[:4].tolist() == [1.0, 0.0, 1.0, 0.5]
+        assert math.isnan(got[4])
+
     def test_fraction_exact_where_the_squares_are_subnormal(self):
         # |c7|^2 + |c8|^2 = 9.16e-312 is subnormal, not 0.  BarrierSpec inputs
         # that small round k_plus and k_minus to the same float, so c8 comes
