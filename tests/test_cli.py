@@ -233,6 +233,118 @@ def test_import_leaves_out_scipy():
     assert proc.stdout.strip() == "False"
 
 
+# `qkg [COMMAND] --help` at COLUMNS=80, as argparse of Python 3.10 and 3.11
+# lays it out: the flags, their order, metavars, choices and help texts.
+HELP = {
+    "": """\
+usage: qkg [-h] {solve,sweep,field,ordering,verify} ...
+
+scattering off rectangular quaternionic potentials
+
+positional arguments:
+  {solve,sweep,field,ordering,verify}
+    solve               amplitudes for a single barrier
+    sweep               scan one or two parameters
+    field               sample the wavefunction
+    ordering            swap two barriers and compare transmission
+    verify              run the verification suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "solve": """\
+usage: qkg solve [-h] [--a A] [--v0 V0] [--omega0 OMEGA0] [--theta THETA]
+                 [--phi PHI] [--format {text,csv,json}] [--out OUT]
+                 [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 barrier width
+  --v0 V0               potential magnitude
+  --omega0 OMEGA0       incident frequency
+  --theta THETA         polar angle of the imaginary direction
+  --phi PHI             azimuthal angle of the imaginary direction
+  --format {text,csv,json}
+                        output format (default: text)
+  --out OUT             write output to this file
+  --config CONFIG       key=value defaults file
+""",
+    "sweep": """\
+usage: qkg sweep [-h] [--a A] [--v0 V0] [--omega0 OMEGA0] [--theta THETA]
+                 [--phi PHI] [--sweep PARAM:START:STOP:STEP]
+                 [--workers WORKERS] [--format {csv,json}] [--out OUT]
+                 [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 barrier width
+  --v0 V0               potential magnitude
+  --omega0 OMEGA0       incident frequency
+  --theta THETA         polar angle of the imaginary direction
+  --phi PHI             azimuthal angle of the imaginary direction
+  --sweep PARAM:START:STOP:STEP
+                        axis to scan; repeat once for a 2-d grid
+  --workers WORKERS     ignored: a sweep runs in one process
+  --format {csv,json}   output format (default: csv)
+  --out OUT             write output to this file
+  --config CONFIG       key=value defaults file
+""",
+    "field": """\
+usage: qkg field [-h] [--a A] [--v0 V0] [--omega0 OMEGA0] [--theta THETA]
+                 [--phi PHI] [--xmin XMIN] [--xmax XMAX] [--points POINTS]
+                 [--format {csv,json}] [--out OUT] [--config CONFIG]
+
+options:
+  -h, --help           show this help message and exit
+  --a A                barrier width
+  --v0 V0              potential magnitude
+  --omega0 OMEGA0      incident frequency
+  --theta THETA        polar angle of the imaginary direction
+  --phi PHI            azimuthal angle of the imaginary direction
+  --xmin XMIN          left edge of the grid
+  --xmax XMAX          right edge of the grid (default: a + 2)
+  --points POINTS      number of samples
+  --format {csv,json}  output format (default: csv)
+  --out OUT            write output to this file
+  --config CONFIG      key=value defaults file
+""",
+    "ordering": """\
+usage: qkg ordering [-h] [--seg-a LENGTH:V0:THETA:PHI]
+                    [--seg-b LENGTH:V0:THETA:PHI] [--gap GAP]
+                    [--omega0 OMEGA0] [--format {text,json}] [--out OUT]
+                    [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --seg-a LENGTH:V0:THETA:PHI
+                        first barrier
+  --seg-b LENGTH:V0:THETA:PHI
+                        second barrier
+  --gap GAP             free gap between them
+  --omega0 OMEGA0       incident frequency
+  --format {text,json}  output format (default: text)
+  --out OUT             write output to this file
+  --config CONFIG       key=value defaults file
+""",
+    "verify": """\
+usage: qkg verify [-h] [--quick]
+
+options:
+  -h, --help  show this help message and exit
+  --quick     smaller samples, skip the subprocess check
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda command: command or "qkg")
+def test_help_text_pinned(command):
+    proc = subprocess.run([sys.executable, "-m", "qkg.cli", *command.split(), "--help"],
+                          capture_output=True, text=True, env=dict(os.environ, COLUMNS="80"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == HELP[command]
+
+
 @pytest.mark.parametrize("args", [
     ("solve", "--a", "1e308", "--omega0", "10"),
     ("solve", "--omega0", "1e200"),
@@ -843,6 +955,32 @@ class TestConfigAndOutput:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {conf}:3: unknown config key 'thetaa'\n"
         assert out.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("command, line, error", [
+        (("field",), "points = many",
+         "config key 'points': invalid literal for int() with base 10: 'many'"),
+        (("ordering", "--seg-a", "1:0.3:1:0", "--seg-b", "1:0.3:1:1"), "gap = x",
+         "config key 'gap': could not convert string to float: 'x'"),
+        (("field",), "xmin = x", "config key 'xmin': could not convert string to float: 'x'"),
+    ], ids=("points", "gap", "xmin"))
+    def test_config_value_failing_its_cast_leaves_out_file_alone(self, tmp_path, command,
+                                                                 line, error):
+        conf = tmp_path / "cast.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "kept.txt"
+        out.write_bytes(b"old bytes")
+        proc = run_cli(*command, "--config", str(conf), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {error}\n"
+        assert out.read_bytes() == b"old bytes"
+
+    def test_config_negative_xmin_starts_the_field_grid(self, tmp_path):
+        conf = tmp_path / "window.conf"
+        conf.write_text("xmin = -1\npoints = 3\n")
+        proc = run_cli("field", "--config", str(conf))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [-1.0, 1.0, 3.0]
 
     def test_shared_config_file(self, tmp_path):
         # keys one command ignores are ones another command reads
