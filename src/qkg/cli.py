@@ -1,26 +1,16 @@
-"""Command line front end.
+"""Command line front end: qkg solve, sweep, field, ordering and verify.
 
-Subcommands:
-
-  solve     amplitudes for one barrier, linear solve and closed form side by side
-  sweep     amplitude magnitudes over one or two swept parameters
-  field     wavefunction samples on an x grid
-  ordering  transmission change when two barriers are swapped
-  verify    run the built-in verification suite
+Two tables declare it.  PARAMS holds each flag once: type, default, help,
+metavar, whether a --config file may set it and whether --sweep scans it.
+COMMANDS holds each command once: help, function, flags in --help order,
+formats (the default first) and the message that rejects any other format.
+build_parser, the config keys, the defaults, the rule that a flag beats the
+config file beats the default, and the format check all derive from them.
 
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-runs in one process and holds one chunk of its grid: the kernel's factors
-are formed once on its axes, each along its own dimension, after the whole
-grid is checked, so the first invalid point in row order is rejected before
-any output; each chunk of rows gathers them at its points and forms its
-amplitudes.  Each axis value is formatted once, and --workers is ignored.
---format is checked before --out is opened.  Every table streams through
-one writer (_write_table), _CHUNK rows at a time, in CSV and JSON alike: its
-float columns are rendered by numpy into '%.17g' byte fields (_digits), its
-text columns are byte tables gathered by index, and a chunk is one uint8
-matrix, separators included, whose NUL padding is dropped in one pass.
-sweep and field keep no formula of their own: the fraction and abs_psi are
-the array kernels of closedform and quaternion.
+runs in one process (--workers is ignored) and holds one chunk of its grid.
+Every table streams through one writer (_write_table), in CSV and JSON alike;
+the fraction and abs_psi are the array kernels of closedform and quaternion.
 """
 
 from __future__ import annotations
@@ -30,9 +20,11 @@ import contextlib
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,20 +44,48 @@ from .multilayer import Segment, ordering_report
 from .quaternion import magnitude
 from .wavefield import REGIONS, sample_field
 
-DEFAULTS = {
-    "a": 1.0,
-    "v0": 0.3,
-    "omega0": 1.0,
-    "theta": math.pi / 2,
-    "phi": 0.0,
-    "xmin": -2.0,
-    "points": 201,
-}
 
-_SWEEPABLE = ("a", "v0", "omega0", "theta", "phi")
-# every key some command reads from a --config file
-_CONFIG_KEYS = frozenset(_SWEEPABLE + ("xmin", "xmax", "points", "format",
-                                       "seg_a", "seg_b", "gap"))
+class Param(NamedTuple):
+    """One flag, --NAME with dashes for underscores; a bool is a switch and a
+    list a repeatable flag."""
+
+    type: type
+    default: object
+    help: str
+    metavar: str | None = None
+    config: bool = True
+    sweep: bool = False
+
+    def options(self, choices) -> dict:
+        """add_argument's keywords, choices only for --format."""
+        if self.type is bool:
+            return {"action": "store_true"}
+        kind = {"action": "append"} if self.type is list else {"type": self.type}
+        return dict(kind, metavar=self.metavar, choices=choices)
+
+
+PARAMS = {
+    "a": Param(float, 1.0, "barrier width", sweep=True),
+    "v0": Param(float, 0.3, "potential magnitude", sweep=True),
+    "omega0": Param(float, 1.0, "incident frequency", sweep=True),
+    "theta": Param(float, math.pi / 2, "polar angle of the imaginary direction", sweep=True),
+    "phi": Param(float, 0.0, "azimuthal angle of the imaginary direction", sweep=True),
+    "sweep": Param(list, None, "axis to scan; repeat once for a 2-d grid",
+                   "PARAM:START:STOP:STEP", config=False),
+    "workers": Param(int, None, "ignored: a sweep runs in one process", config=False),
+    "xmin": Param(float, -2.0, "left edge of the grid"),
+    "xmax": Param(float, None, "right edge of the grid (default: a + 2)"),
+    "points": Param(int, 201, "number of samples"),
+    "seg_a": Param(str, None, "first barrier", "LENGTH:V0:THETA:PHI"),
+    "seg_b": Param(str, None, "second barrier", "LENGTH:V0:THETA:PHI"),
+    "gap": Param(float, 0.0, "free gap between them"),
+    # a command's formats are the choices; the first is the default and fills {}
+    "format": Param(str, None, "output format (default: {})"),
+    "out": Param(str, None, "write output to this file", config=False),
+    "config": Param(str, None, "key=value defaults file", config=False),
+    "quick": Param(bool, False, "smaller samples, skip the subprocess check", config=False),
+}
+_SPEC = tuple(name for name, param in PARAMS.items() if param.sweep)   # BarrierSpec fields
 _MAX_GRID = 1_000_000
 _CHUNK = 1024      # table rows rendered at a time
 _TEXT = 24         # bytes of a text cell: '%.17g' prints at most 24 characters
@@ -96,13 +116,8 @@ def _json_dump(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-@contextlib.contextmanager
 def _output(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as handle:
-            yield handle
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def _text(cells) -> np.ndarray:
@@ -159,30 +174,15 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in PARAMS or not PARAMS[key].config:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        table[key] = value.strip()
+        table[key] = value
     return table
 
 
-def _setting(args, config: dict[str, str], key: str, cast, default):
-    """Flag beats config file beats built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def _params(args, config) -> dict[str, float]:
-    return {key: _setting(args, config, key, float, DEFAULTS[key])
-            for key in _SWEEPABLE}
+def _params(args) -> dict[str, float]:
+    return {name: getattr(args, name) for name in _SPEC}
 
 
 def _grid_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -209,9 +209,9 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     if len(parts) != 4:
         raise ValueError(f"bad sweep {text!r}: expected param:start:stop:step")
     name = parts[0]
-    if name not in _SWEEPABLE:
+    if name not in _SPEC:
         raise ValueError(f"bad sweep parameter {name!r}: choose from "
-                         + ", ".join(_SWEEPABLE))
+                         + ", ".join(_SPEC))
     try:
         start, stop, step = (float(p) for p in parts[1:])
     except ValueError:
@@ -230,8 +230,8 @@ def _parse_segment(text: str, label: str) -> Segment:
     return Segment(length, v0, theta, phi)
 
 
-def cmd_solve(args, config) -> int:
-    spec = BarrierSpec(**_params(args, config))
+def cmd_solve(args) -> int:
+    spec = BarrierSpec(**_params(args))
     amps = solve_spec(spec)
     closed = amplitudes_closed(spec)
     disp = asdict(closed.dispersion)
@@ -284,7 +284,7 @@ def _gather(stack, point):
     return stack.reshape(len(stack), -1).take(flat, axis=1)
 
 
-def cmd_sweep(args, config) -> int:
+def cmd_sweep(args) -> int:
     sweeps = args.sweep or []
     if not sweeps:
         raise ValueError("sweep requires --sweep param:start:stop:step")
@@ -297,7 +297,7 @@ def cmd_sweep(args, config) -> int:
     if math.prod(shape) > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
-    base = _params(args, config)
+    base = _params(args)
     # np.ix_ lays each axis along its own dimension, so every factor keeps the
     # shape of the axes it reads; the whole grid is checked here, before any
     # output, and its points are formed a chunk of rows at a time
@@ -321,17 +321,13 @@ def cmd_sweep(args, config) -> int:
     return 0
 
 
-def cmd_field(args, config) -> int:
-    spec = BarrierSpec(**_params(args, config))
+def cmd_field(args) -> int:
+    spec = BarrierSpec(**_params(args))
     amps = amplitudes_closed(spec)
-    x_min = _setting(args, config, "xmin", float, DEFAULTS["xmin"])
-    x_max = _setting(args, config, "xmax", float, None)
-    if x_max is None:
-        x_max = spec.a + 2.0
-    points = int(_setting(args, config, "points", int, DEFAULTS["points"]))
-    if points > _MAX_GRID:
+    if args.points > _MAX_GRID:
         raise ValueError(f"field grid exceeds {_MAX_GRID} points")
-    field = sample_field(spec, amps, x_min, x_max, points)
+    x_max = spec.a + 2.0 if args.xmax is None else args.xmax
+    field = sample_field(spec, amps, args.xmin, x_max, args.points)
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
     alpha, beta = field.values[:2]
@@ -349,19 +345,15 @@ def cmd_field(args, config) -> int:
     return 0
 
 
-def cmd_ordering(args, config) -> int:
-    seg_a_text = _setting(args, config, "seg_a", str, None)
-    seg_b_text = _setting(args, config, "seg_b", str, None)
-    if not seg_a_text or not seg_b_text:
+def cmd_ordering(args) -> int:
+    if not args.seg_a or not args.seg_b:
         raise ValueError("ordering requires --seg-a and --seg-b")
-    seg_a = _parse_segment(seg_a_text, "--seg-a")
-    seg_b = _parse_segment(seg_b_text, "--seg-b")
-    gap = _setting(args, config, "gap", float, 0.0)
-    omega0 = _setting(args, config, "omega0", float, DEFAULTS["omega0"])
-    report = ordering_report(seg_a, seg_b, gap, omega0)
+    seg_a = _parse_segment(args.seg_a, "--seg-a")
+    seg_b = _parse_segment(args.seg_b, "--seg-b")
+    report = ordering_report(seg_a, seg_b, args.gap, args.omega0)
     with _output(args.out) as fh:
         if args.format == "text":
-            fh.write(f"gap={_fmt(gap)} omega0={_fmt(omega0)}\n")
+            fh.write(f"gap={_fmt(args.gap)} omega0={_fmt(args.omega0)}\n")
             for label, pair in (("a-then-b", report.transmission_ab),
                                 ("b-then-a", report.transmission_ba)):
                 fh.write(f"transmission {label} alpha={_fmt_complex(pair.alpha)} "
@@ -369,13 +361,13 @@ def cmd_ordering(args, config) -> int:
             fh.write(f"d_prob {_fmt(report.d_prob)}\n")
             fh.write(f"d_amp {_fmt(report.d_amp)}\n")
         else:
-            setup = {"seg_a": seg_a_text, "seg_b": seg_b_text,
-                     "gap": gap, "omega0": omega0}
+            setup = {"seg_a": args.seg_a, "seg_b": args.seg_b,
+                     "gap": args.gap, "omega0": args.omega0}
             fh.write(_json_dump({"config": setup, **asdict(report)}) + "\n")
     return 0
 
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_all     # only this command pays for the suite
 
     results = run_all(quick=args.quick)
@@ -388,82 +380,92 @@ def cmd_verify(args, config) -> int:
     return 1 if failures else 0
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, help="barrier width")
-    parser.add_argument("--v0", type=float, help="potential magnitude")
-    parser.add_argument("--omega0", type=float, help="incident frequency")
-    parser.add_argument("--theta", type=float,
-                        help="polar angle of the imaginary direction")
-    parser.add_argument("--phi", type=float,
-                        help="azimuthal angle of the imaginary direction")
+class Command(NamedTuple):
+    """One subcommand: func runs on the settled flags of params, in --help
+    order; format_error, given its repr, rejects a value not in formats."""
+
+    help: str
+    func: object
+    params: tuple[str, ...]
+    formats: tuple[str, ...] = ()
+    format_error: str = ""
+
+    def __call__(self, args, config: dict[str, str]) -> int:
+        """Settle each flag a config file may set, check the format before
+        any work or --out is opened, and run."""
+        for name in self.params:
+            param = PARAMS[name]
+            if not param.config or getattr(args, name) is not None:
+                continue
+            default = self.formats[0] if name == "format" else param.default
+            try:
+                setattr(args, name, param.type(config[name]) if name in config else default)
+            except ValueError as exc:
+                raise ValueError(f"config key {name!r}: {exc}") from exc
+        if self.formats and args.format not in self.formats:
+            raise ValueError(self.format_error.format(repr(args.format)))
+        return self.func(args)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, formats, bad_format_error: str) -> None:
-    parser.add_argument("--format", choices=formats,
-                        help="output format (default: %s)" % formats[0])
-    parser.add_argument("--out", help="write output to this file")
-    parser.add_argument("--config", help="key=value defaults file")
-    parser.set_defaults(formats=formats, bad_format_error=bad_format_error)
+_IO = ("format", "out", "config")
+COMMANDS = {
+    "solve": Command("amplitudes for a single barrier", cmd_solve, _SPEC + _IO,
+                     ("text", "csv", "json"), "unknown format {}"),
+    "sweep": Command("scan one or two parameters", cmd_sweep,
+                     _SPEC + ("sweep", "workers") + _IO,
+                     ("csv", "json"), "sweep supports csv or json output"),
+    "field": Command("sample the wavefunction", cmd_field,
+                     _SPEC + ("xmin", "xmax", "points") + _IO,
+                     ("csv", "json"), "field supports csv or json output"),
+    "ordering": Command("swap two barriers and compare transmission", cmd_ordering,
+                        ("seg_a", "seg_b", "gap", "omega0") + _IO,
+                        ("text", "json"), "ordering supports text or json output"),
+    "verify": Command("run the verification suite", cmd_verify, ("quick",)),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qkg",
-        description="scattering off rectangular quaternionic potentials")
+        prog="qkg", description="scattering off rectangular quaternionic potentials")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="amplitudes for a single barrier")
-    _add_spec_flags(p_solve)
-    _add_io_flags(p_solve, ("text", "csv", "json"), "unknown format {}")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="scan one or two parameters")
-    _add_spec_flags(p_sweep)
-    p_sweep.add_argument("--sweep", action="append", metavar="PARAM:START:STOP:STEP",
-                         help="axis to scan; repeat once for a 2-d grid")
-    p_sweep.add_argument("--workers", type=int,
-                         help="ignored: a sweep runs in one process")
-    _add_io_flags(p_sweep, ("csv", "json"), "sweep supports csv or json output")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_field = sub.add_parser("field", help="sample the wavefunction")
-    _add_spec_flags(p_field)
-    p_field.add_argument("--xmin", type=float, help="left edge of the grid")
-    p_field.add_argument("--xmax", type=float,
-                         help="right edge of the grid (default: a + 2)")
-    p_field.add_argument("--points", type=int, help="number of samples")
-    _add_io_flags(p_field, ("csv", "json"), "field supports csv or json output")
-    p_field.set_defaults(func=cmd_field)
-
-    p_order = sub.add_parser("ordering",
-                             help="swap two barriers and compare transmission")
-    p_order.add_argument("--seg-a", metavar="LENGTH:V0:THETA:PHI",
-                         help="first barrier")
-    p_order.add_argument("--seg-b", metavar="LENGTH:V0:THETA:PHI",
-                         help="second barrier")
-    p_order.add_argument("--gap", type=float, help="free gap between them")
-    p_order.add_argument("--omega0", type=float, help="incident frequency")
-    _add_io_flags(p_order, ("text", "json"), "ordering supports text or json output")
-    p_order.set_defaults(func=cmd_ordering)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="smaller samples, skip the subprocess check")
-    p_verify.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help)
+        for key in command.params:
+            param = PARAMS[key]
+            p_command.add_argument(
+                _flag(key), help=param.help.format(*command.formats[:1]),
+                **param.options(command.formats if key == "format" else None))
+        p_command.set_defaults(func=command)
     return parser
 
 
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """'--xmin -1e-3' as '--xmin=-1e-3', for any negative decimal given to one
+    of the command's float flags: argparse on Python 3.10 and 3.11 reads only
+    -1 and -.5 as negative numbers, and takes -1e-3 for an option."""
+    command = COMMANDS.get(argv[0] if argv else None)
+    floats = {_flag(name) for name in (command.params if command else ())
+              if PARAMS[name].type is float}
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in floats
+                and re.fullmatch(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
     logging.basicConfig(format="%(message)s")    # warnings to stderr
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
-        if hasattr(args, "formats"):    # before any work or --out is opened
-            args.format = _setting(args, config, "format", str, args.formats[0])
-            if args.format not in args.formats:
-                raise ValueError(args.bad_format_error.format(repr(args.format)))
         return args.func(args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -471,10 +473,6 @@ def main(argv=None) -> int:
     except (SingularSystemError, UndefinedFractionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -164,6 +164,11 @@ class TestSolve:
         assert proc.returncode == 2
         assert "theta" in proc.stderr
 
+    def test_negative_exponent_form_potential_rejected(self):
+        proc = run_cli("solve", "--v0", "-1e-3")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: potential must satisfy v0 >= 0, got -0.001\n"
+
     def test_degenerate_potential_answered(self):
         # V0 = omega0: both routes answer in the entire interior basis
         proc = run_cli("solve", "--v0", "1", "--omega0", "1", "--format", "json")
@@ -792,6 +797,14 @@ class TestField:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: field grid exceeds 1000000 points\n"
+
+    def test_negative_exponent_form_bound(self):
+        # argparse on Python 3.10 and 3.11 would take -1e-3 for an option
+        window = ("--xmax", "1", "--points", "2")
+        proc = run_cli("field", "--xmin", "-1e-3", *window)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli("field", "--xmin", "-0.001", *window).stdout
+        assert proc.stdout == run_cli("field", "--xmin=-1e-3", *window).stdout
 
 
 class TestOrdering:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qkg import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                     re.MULTILINE | re.DOTALL)
@@ -15,6 +17,13 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
 
 def test_readme_has_python_blocks():
     assert BLOCKS
+
+
+def test_readme_lists_every_config_key():
+    keys = re.search(r"command reads \(`([^`]*)`\)", (ROOT / "README.md").read_text())
+    assert keys is not None
+    assert set(keys.group(1).split()) == {name for name, param in cli.PARAMS.items()
+                                          if param.config}
 
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block {i}" for i in range(len(BLOCKS))])
