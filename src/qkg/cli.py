@@ -8,9 +8,11 @@ build_parser, the config keys, the defaults, the rule that a flag beats the
 config file beats the default, and the format check all derive from them.
 
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-runs in one process (--workers is ignored) and holds one chunk of its grid.
-Every table streams through one writer (_write_table), in CSV and JSON alike;
-the fraction and abs_psi are the array kernels of closedform and quaternion.
+runs in one process (--workers is ignored): it checks its whole grid, then
+runs the closed-form kernel on one block of whole grid rows at a time.
+Every table streams through one writer (_write_table), in CSV and JSON alike,
+from an iterable of row blocks; the fraction and abs_psi are the array
+kernels of closedform and quaternion.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ import numpy as np
 from ._digits import render
 from .closedform import (
     amplitudes_closed,
-    exterior_combine,
-    exterior_factors,
+    exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
     quaternionic_fraction_grid,
 )
 from .errors import SingularSystemError, UndefinedFractionError
 from .matcher import solve_spec
-from .model import BarrierSpec
+from .model import BarrierSpec, require_each, slab_rules
 from .multilayer import Segment, ordering_report
 from .quaternion import magnitude
 from .wavefield import REGIONS, sample_field
@@ -127,15 +128,15 @@ def _text(cells) -> np.ndarray:
     return table.view(np.uint8).reshape(table.size, _TEXT)
 
 
-def _write_table(handle, fmt: str, config, columns, n_rows: int, cells) -> None:
-    """Stream a table of n_rows rows as CSV or JSON, _CHUNK rows at a time.
+def _write_table(handle, fmt: str, config, columns, chunks) -> None:
+    """Stream a table as CSV or JSON from chunks, an iterable of row blocks.
 
-    cells(rows) gives the cells of the slice rows, one array per column: a
-    float array prints as "%.17g", and a uint8 byte table (_text) holds text
-    already written for fmt (a bare name in CSV, a JSON string in JSON),
-    which is never quoted.  A chunk is laid out as one uint8 matrix, a row
-    per table row, whose NUL padding is dropped in one pass.  config is the
-    JSON table's "config" field; CSV has none.
+    A block holds the cells of its rows, one array per column: a float array
+    prints as "%.17g", and a uint8 byte table (_text) holds text already
+    written for fmt (a bare name in CSV, a JSON string in JSON), which is
+    never quoted.  At most _CHUNK rows of a block are laid out at a time, as
+    one uint8 matrix, a row per table row, whose NUL padding is dropped in
+    one pass.  config is the JSON table's "config" field; CSV has none.
     """
     if fmt == "csv":
         handle.write(",".join(columns) + "\n")
@@ -146,19 +147,22 @@ def _write_table(handle, fmt: str, config, columns, n_rows: int, cells) -> None:
         sep, row_open, row_close, between, tail = ", ", "[", "]", ", ", "]}\n"
     # the text before each cell and after the last, a row per chunk row;
     # every row but the table's first opens with between
-    glue = [np.tile(np.frombuffer(text.encode(), np.uint8), (min(_CHUNK, n_rows), 1))
+    glue = [np.tile(np.frombuffer(text.encode(), np.uint8), (_CHUNK, 1))
             for text in [between + row_open, *[sep] * (len(columns) - 1), row_close]]
-    for start in range(0, n_rows, _CHUNK):
-        chunk = cells(slice(start, min(start + _CHUNK, n_rows)))
-        size = len(chunk[0])
-        numbers = [cell for cell in chunk if cell.dtype.kind == "f"]
-        fields = iter(render(np.stack(numbers, axis=1))
-                      .reshape(size, len(numbers), -1).transpose(1, 0, 2))
-        pieces = [glue[0][:size]]
-        for cell, text in zip(chunk, glue[1:]):
-            pieces += [next(fields) if cell.dtype.kind == "f" else cell, text[:size]]
-        block = np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
-        handle.write(block[len(between) if start == 0 else 0:].decode("ascii"))
+    skip = len(between)
+    for block in chunks:
+        for start in range(0, len(block[0]), _CHUNK):
+            chunk = [cell[start:start + _CHUNK] for cell in block]
+            size = len(chunk[0])
+            numbers = [cell for cell in chunk if cell.dtype.kind == "f"]
+            fields = iter(render(np.stack(numbers, axis=1))
+                          .reshape(size, len(numbers), -1).transpose(1, 0, 2))
+            pieces = [glue[0][:size]]
+            for cell, text in zip(chunk, glue[1:]):
+                pieces += [next(fields) if cell.dtype.kind == "f" else cell, text[:size]]
+            lines = np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
+            handle.write(lines[skip:].decode("ascii"))
+            skip = 0
     handle.write(tail)
 
 
@@ -269,19 +273,8 @@ def cmd_solve(args) -> int:
             labels = _text(names)
             numbers = (solved.real, solved.imag, closed_form.real, closed_form.imag)
             _write_table(fh, "csv", None, ["amplitude", "re_solve", "im_solve",
-                                           "re_closed", "im_closed"], len(names),
-                         lambda rows: [labels[rows], *(c[rows] for c in numbers)])
+                                           "re_closed", "im_closed"], [[labels, *numbers]])
     return 0
-
-
-def _gather(stack, point):
-    """The rows of an exterior_factors stack at the grid points point, by one
-    index: along an axis the stack does not read, its length is 1 and the
-    index clips to 0.  A stack that reads no axis is one value a row, whole."""
-    if stack.ndim == 1:
-        return stack
-    flat = np.ravel_multi_index(point, stack.shape[1:], mode="clip")
-    return stack.reshape(len(stack), -1).take(flat, axis=1)
 
 
 def cmd_sweep(args) -> int:
@@ -298,26 +291,36 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
     base = _params(args)
-    # np.ix_ lays each axis along its own dimension, so every factor keeps the
-    # shape of the axes it reads; the whole grid is checked here, before any
-    # output, and its points are formed a chunk of rows at a time
-    factors = exterior_factors(**dict(base, **dict(zip(names, np.ix_(*values)))))
-    # each axis value is formatted once; a row gathers its point's axis cells
+
+    def grid(axes):
+        # np.ix_ lays each axis along its own dimension; the kernel broadcasts them
+        return dict(base, **dict(zip(names, np.ix_(*axes))))
+
+    # the whole grid is checked once, before any output
+    require_each(slab_rules, *map(grid(values).get, ("a", "v0", "theta", "phi", "omega0")))
+    # each axis value is formatted once; a row takes its point's axis cells
     labels = [_text(map(_fmt, axis)) for axis in values]
 
-    def cells(rows):
-        point = np.unravel_index(np.arange(rows.start, rows.stop), shape)
-        at = (_gather(stack, point) for stack in factors)
+    # blocks of whole rows, ceil(_CHUNK / n_inner) of them, while a row fits in
+    # _CHUNK, else one row in pieces of _CHUNK points; a 1-d grid's rows are points
+    n_outer, n_inner = (*shape, 1)[:2]
+    rows = -(-_CHUNK // n_inner)
+    cuts = ((slice(i, i + rows), slice(j, j + _CHUNK))
+            for i in range(0, n_outer, rows) for j in range(0, n_inner, _CHUNK))
+
+    def block(at):
+        axes = [axis[cut] for axis, cut in zip(values, at)]
         # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
-        c1, c2, c7, c8 = (np.hypot(c.real, c.imag) for c in exterior_combine(*at))
-        return [*(table.take(i, axis=0) for table, i in zip(labels, point)),
+        c1, c2, c7, c8 = (np.hypot(c.real, c.imag).ravel()
+                          for c in exterior_amplitudes_grid(**grid(axes)))
+        point = np.unravel_index(np.arange(c1.size), tuple(map(len, axes)))
+        return [*(table[cut].take(i, axis=0) for table, cut, i in zip(labels, at, point)),
                 c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)]
 
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",
                "quaternionic_fraction"]
     with _output(args.out) as fh:
-        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns,
-                     math.prod(shape), cells)
+        _write_table(fh, args.format, dict(base, sweep=list(sweeps)), columns, map(block, cuts))
     return 0
 
 
@@ -337,11 +340,11 @@ def cmd_field(args) -> int:
     abs_psi = magnitude(np.hypot(alpha.real, alpha.imag), np.hypot(beta.real, beta.imag))
     numbers = (field.x, alpha.real, alpha.imag, beta.real, beta.imag, abs_psi)
 
-    def cells(rows):
-        return [*(c[rows] for c in numbers), regions.take(field.region[rows], axis=0)]
-
+    rows = (slice(start, start + _CHUNK) for start in range(0, len(field.x), _CHUNK))
+    chunks = ([*(c[cut] for c in numbers), regions.take(field.region[cut], axis=0)]
+              for cut in rows)
     with _output(args.out) as fh:
-        _write_table(fh, args.format, asdict(spec), columns, len(field.x), cells)
+        _write_table(fh, args.format, asdict(spec), columns, chunks)
     return 0
 
 

@@ -122,13 +122,13 @@ def test_criterion_9_parallel_sweep_deterministic(results):
 
 
 def test_criterion_9_trips_on_a_moved_in_process_sweep(monkeypatch):
-    combine = cli.exterior_combine
+    grid = cli.exterior_amplitudes_grid
 
-    def moved(branch, direction):
-        c1, c2, c7, c8 = combine(branch, direction)
+    def moved(**spec):
+        c1, c2, c7, c8 = grid(**spec)
         return c1, c2, c7 * (1.0 + 1e-15), c8
 
-    monkeypatch.setattr(cli, "exterior_combine", moved)
+    monkeypatch.setattr(cli, "exterior_amplitudes_grid", moved)
     res = verify.check_determinism()
     assert not res.passed
     assert res.detail.startswith("csv identical: False")

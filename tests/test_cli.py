@@ -391,20 +391,22 @@ def test_library_logs_nothing_without_a_handler():
 ], ids=("csv", "json"))
 def test_table_rows_stream_before_the_source_ends(monkeypatch, fmt, written):
     # each chunk of rows is written as it comes, so no format holds the
-    # table whole: the column source fails at row 2, on a chunk edge
+    # table whole: the source of chunks fails at row 2, on a chunk edge
     names = cli._text(["left" if fmt == "csv" else json.dumps("left")])
     x = np.array([1.5, 2.5, 3.5])
 
-    def cells(rows):
-        if rows.start >= 2:
-            raise RuntimeError("column source failed")
-        return [x[rows], np.repeat(names, len(x[rows]), axis=0)]
+    def chunks():
+        for start in range(0, len(x), cli._CHUNK):
+            if start >= 2:
+                raise RuntimeError("column source failed")
+            rows = slice(start, start + cli._CHUNK)
+            yield [x[rows], np.repeat(names, len(x[rows]), axis=0)]
 
     for chunk in (1, 2):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         handle = io.StringIO()
         with pytest.raises(RuntimeError, match="column source failed"):
-            cli._write_table(handle, fmt, {"a": 1.0}, ["x", "region"], len(x), cells)
+            cli._write_table(handle, fmt, {"a": 1.0}, ["x", "region"], chunks())
         assert handle.getvalue() == written
 
 
@@ -523,10 +525,10 @@ class TestSweep:
 
     def test_underflowing_fraction_rescaled(self, monkeypatch, capsys):
         # both magnitudes nonzero, both squares 0: 4^2 / (3^2 + 4^2)
-        def combine(branch, direction):
-            shape = np.shape(direction[0])     # the chunk's theta points
+        def grid(a, v0, omega0, theta, phi):
+            shape = np.shape(theta)     # the block's theta points
             return np.array([np.full(shape, value) for value in (1.0, 0.0, 3e-300, 4e-300)])
-        monkeypatch.setattr(cli, "exterior_combine", combine)
+        monkeypatch.setattr(cli, "exterior_amplitudes_grid", grid)
         assert main(["sweep", "--sweep", "theta:0:1:1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
@@ -597,23 +599,39 @@ class TestSweep:
         assert out.read_bytes() == b"old bytes"
 
     def test_memory_holds_one_chunk_of_the_grid(self):
-        # 4x the rows of a v0 x theta grid leave the traced peak in place: the
-        # kernel's factors stay at axis shape, and each chunk of rows is
-        # formed, rendered and written before the next
+        # 4x the rows of a v0 x theta grid, or of an a x omega0 grid whose
+        # slab factors vary along both axes, leave the traced peak in place:
+        # each block of rows is formed, rendered and written before the next
         main(["sweep", "--sweep", "theta:0:1:0.5", "--out", os.devnull])  # render's tables
-        peaks = []
-        for rows in (48, 192):
-            tracemalloc.start()
-            try:
-                assert main(["sweep", "--omega0", "100", "--phi", "1",
-                             "--sweep", f"v0:1:{rows}:1",
-                             "--sweep", f"theta:0:{math.pi!r}:{math.pi / 799!r}",
-                             "--out", os.devnull]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < 4e6
-        assert max(peaks) <= 1.25 * min(peaks)
+        for grid in ("--sweep v0:1:{rows}:1 --sweep theta:0:%r:%r" % (math.pi, math.pi / 799),
+                     "--sweep a:1:{rows}:1 --sweep omega0:100:107.99:0.01"):
+            peaks = []
+            for rows in (48, 192):
+                tracemalloc.start()
+                try:
+                    assert main(["sweep", "--omega0", "100", "--phi", "1",
+                                 *grid.format(rows=rows).split(), "--out", os.devnull]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) < 4e6, grid
+            assert max(peaks) <= 1.25 * min(peaks), grid
+
+    def test_render_gets_at_most_one_chunk(self, monkeypatch):
+        # the benchmark's 48 x 800 v0 x theta grid runs in blocks of two
+        # whole rows, 1600 points; the writer renders them _CHUNK rows at a time
+        sizes = []
+
+        def counted(values):
+            sizes.append(len(values))
+            return render(values)
+
+        monkeypatch.setattr(cli, "render", counted)
+        assert main(["sweep", "--omega0", "1", "--phi", "1", "--sweep", "v0:0.02:0.96:0.02",
+                     "--sweep", f"theta:0:{math.pi!r}:{math.pi / 799!r}",
+                     "--out", os.devnull]) == 0
+        assert sum(sizes) == 48 * 800
+        assert max(sizes) == cli._CHUNK
 
     def test_last_point_clamped_to_stop(self):
         # 25 steps of pi/25 round one ulp past pi
@@ -661,6 +679,8 @@ class TestSweep:
         ("sweep", "--sweep theta:0:3.141592653589793:0.7853981633974483 --sweep a:0:1:0.5"),
         # the slab factors and e^{-i a omega0} vary along both axes
         ("sweep", "--sweep a:0:2:0.5 --sweep omega0:0.5:2:0.25"),
+        # rows of 9 points: at a chunk of 7 each row runs as two blocks
+        ("sweep", "--sweep a:0:1:0.5 --sweep theta:0:3.141592653589793:0.39269908169872414"),
         ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5"),
         ("sweep", "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --sweep phi:0:6:3"),
         # one grid point: the table is its first row only
