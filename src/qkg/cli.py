@@ -8,8 +8,9 @@ build_parser, the config keys, the defaults, the rule that a flag beats the
 config file beats the default, and the format check all derive from them.
 
 Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-runs in one process (--workers is ignored): it checks its whole grid, then
-runs the closed-form kernel on one block of whole grid rows at a time.
+runs in one process (--workers is ignored) on blocks of whole grid rows: it
+checks every block, in output order, then runs the closed-form kernel on one
+block at a time, forming the block's axis values and axis cells with it.
 Every table streams through one writer (_write_table), in CSV and JSON alike,
 from an iterable of row blocks; the fraction and abs_psi are the array
 kernels of closedform and quaternion.
@@ -189,7 +190,7 @@ def _params(args) -> dict[str, float]:
     return {name: getattr(args, name) for name in _SPEC}
 
 
-def _grid_values(start: float, stop: float, step: float) -> np.ndarray:
+def _grid_size(start: float, stop: float, step: float) -> int:
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("sweep bounds must be finite")
     if step <= 0:
@@ -202,13 +203,18 @@ def _grid_values(start: float, stop: float, step: float) -> np.ndarray:
     count = int(math.floor(span + 1e-9)) + 1
     if count > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
+    return count
+
+
+def _grid_values(start: float, stop: float, step: float, cut=slice(None)) -> np.ndarray:
+    """The points min(start + i * step, stop) of a sweep axis, for the i in cut."""
+    values = start + np.arange(*cut.indices(_grid_size(start, stop, step))) * step
     # start + i * step can round one ulp past stop; where it equals stop it
     # is kept, as min(value, stop) keeps 0.0 against stop = -0.0
-    values = start + np.arange(count) * step
     return np.where(stop < values, stop, values)
 
 
-def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
+def _parse_sweep(text: str) -> tuple[str, tuple[float, float, float], int]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"bad sweep {text!r}: expected param:start:stop:step")
@@ -220,7 +226,7 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         start, stop, step = (float(p) for p in parts[1:])
     except ValueError:
         raise ValueError(f"bad sweep {text!r}: start, stop, step must be numbers")
-    return name, _grid_values(start, stop, step)
+    return name, (start, stop, step), _grid_size(start, stop, step)
 
 
 def _parse_segment(text: str, label: str) -> Segment:
@@ -283,38 +289,50 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep requires --sweep param:start:stop:step")
     if len(sweeps) > 2:
         raise ValueError("at most two --sweep axes are supported")
-    names, values = zip(*map(_parse_sweep, sweeps))
+    names, bounds, shape = zip(*map(_parse_sweep, sweeps))
     if len(set(names)) != len(names):
         raise ValueError("swept parameters must differ")
-    shape = tuple(map(len, values))
     if math.prod(shape) > _MAX_GRID:
         raise ValueError(f"sweep grid exceeds {_MAX_GRID} points")
 
     base = _params(args)
+    # blocks of whole rows, ceil(_CHUNK / n_inner) of them, while a row fits in
+    # _CHUNK, else one row in pieces of _CHUNK points; a 1-d grid's rows are points
+    n_outer, n_inner = (*shape, 1)[:2]
+    rows = -(-_CHUNK // n_inner)
+    cuts = [(slice(i, i + rows), slice(j, j + _CHUNK))
+            for i in range(0, n_outer, rows) for j in range(0, n_inner, _CHUNK)]
+
+    def block_axes(at):
+        return [_grid_values(*bound, cut) for bound, cut in zip(bounds, at)]
 
     def grid(axes):
         # np.ix_ lays each axis along its own dimension; the kernel broadcasts them
         return dict(base, **dict(zip(names, np.ix_(*axes))))
 
-    # the whole grid is checked once, before any output
-    require_each(slab_rules, *map(grid(values).get, ("a", "v0", "theta", "phi", "omega0")))
-    # each axis value is formatted once; a row takes its point's axis cells
-    labels = [_text(map(_fmt, axis)) for axis in values]
-
-    # blocks of whole rows, ceil(_CHUNK / n_inner) of them, while a row fits in
-    # _CHUNK, else one row in pieces of _CHUNK points; a 1-d grid's rows are points
-    n_outer, n_inner = (*shape, 1)[:2]
-    rows = -(-_CHUNK // n_inner)
-    cuts = ((slice(i, i + rows), slice(j, j + _CHUNK))
-            for i in range(0, n_outer, rows) for j in range(0, n_inner, _CHUNK))
+    # every block is checked, in the output's order, before any output
+    for at in cuts:
+        require_each(slab_rules, *map(grid(block_axes(at)).get,
+                                      ("a", "v0", "theta", "phi", "omega0")))
+    # an axis value that heads several rows of a block is formatted once, as
+    # a text cell: the outer axis's per block, the inner axis's once while
+    # whole rows fit in a block
+    whole = [None, None]
+    if len(bounds) == 2 and n_inner <= _CHUNK:
+        whole[1] = _text(map(_fmt, _grid_values(*bounds[1])))
 
     def block(at):
-        axes = [axis[cut] for axis, cut in zip(values, at)]
+        axes = block_axes(at)
         # np.hypot, unlike np.abs, rounds as abs(complex), so |c| matches qkg solve's
         c1, c2, c7, c8 = (np.hypot(c.real, c.imag).ravel()
                           for c in exterior_amplitudes_grid(**grid(axes)))
         point = np.unravel_index(np.arange(c1.size), tuple(map(len, axes)))
-        return [*(table[cut].take(i, axis=0) for table, cut, i in zip(labels, at, point)),
+        # an axis with a value per row of the block (a 1-d grid, or a long
+        # row's pieces) is a float column, rendered with the numbers
+        labels = (axis if len(axis) == c1.size else
+                  _text(map(_fmt, axis)) if table is None else table
+                  for axis, table in zip(axes, whole))
+        return [*(table.take(i, axis=0) for table, i in zip(labels, point)),
                 c1, c2, c7, c8, quaternionic_fraction_grid(c7, c8)]
 
     columns = [*names, "abs_c1", "abs_c2", "abs_c7", "abs_c8",

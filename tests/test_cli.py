@@ -599,12 +599,16 @@ class TestSweep:
         assert out.read_bytes() == b"old bytes"
 
     def test_memory_holds_one_chunk_of_the_grid(self):
-        # 4x the rows of a v0 x theta grid, or of an a x omega0 grid whose
-        # slab factors vary along both axes, leave the traced peak in place:
-        # each block of rows is formed, rendered and written before the next
+        # 4x the rows of a v0 x theta grid, of an a x omega0 grid whose slab
+        # factors vary along both axes, of an omega0 x v0 grid whose float-range
+        # rule reads both, or 4x the points of a 1-d sweep, leave the traced
+        # peak in place: each block of rows is checked, then formed, labelled,
+        # rendered and written before the next
         main(["sweep", "--sweep", "theta:0:1:0.5", "--out", os.devnull])  # render's tables
         for grid in ("--sweep v0:1:{rows}:1 --sweep theta:0:%r:%r" % (math.pi, math.pi / 799),
-                     "--sweep a:1:{rows}:1 --sweep omega0:100:107.99:0.01"):
+                     "--sweep a:1:{rows}:1 --sweep omega0:100:107.99:0.01",
+                     "--sweep omega0:1:{rows}:1 --sweep v0:0:7.99:0.01",
+                     "--sweep a:0:{rows}:0.001"):
             peaks = []
             for rows in (48, 192):
                 tracemalloc.start()
@@ -616,6 +620,21 @@ class TestSweep:
                     tracemalloc.stop()
             assert max(peaks) < 4e6, grid
             assert max(peaks) <= 1.25 * min(peaks), grid
+
+    def test_first_invalid_point_in_a_later_block_reported(self, tmp_path):
+        # blocks of two 801-point rows: only rows v0 = 5, 6 and 7, in the third
+        # and fourth blocks, hold points where 2 a (omega0 + v0) overflows
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"old bytes")
+        proc = run_cli("sweep", "--omega0", "1", "--sweep", "v0:0:7:1",
+                       "--sweep", "a:0:1.6e307:2e304", "--out", str(out))
+        first = next(a for a in cli._grid_values(0.0, 1.6e307, 2e304).tolist()
+                     if not math.isfinite(2.0 * a * 6.0))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"error: a = {first!r}, v0 = 5.0, omega0 = 1.0 leave the float range")
+        assert proc.stderr.count("\n") == 1
+        assert out.read_bytes() == b"old bytes"
 
     def test_render_gets_at_most_one_chunk(self, monkeypatch):
         # the benchmark's 48 x 800 v0 x theta grid runs in blocks of two
@@ -632,6 +651,21 @@ class TestSweep:
                      "--out", os.devnull]) == 0
         assert sum(sizes) == 48 * 800
         assert max(sizes) == cli._CHUNK
+
+    @pytest.mark.parametrize("sweep", [
+        # a 1-d grid, rows of more than _CHUNK points, and an inner axis of one point
+        "--sweep theta:0:3:0.0011",
+        "--sweep v0:0:0.2:0.1 --sweep theta:0:3:0.0011",
+        "--sweep theta:0:3:0.0011 --sweep phi:1:1:1",
+    ])
+    def test_axis_cells_print_each_value_as_fmt(self, capsys, sweep):
+        # an axis printed as a float column or as text cells reads '%.17g'
+        assert main(["sweep", *sweep.split()]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        axes = [cli._grid_values(*map(float, text.split(":")[1:]))
+                for text in sweep.split()[1::2]]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        assert [row[:len(axes)] for row in rows] == [list(map(cli._fmt, p)) for p in points]
 
     def test_last_point_clamped_to_stop(self):
         # 25 steps of pi/25 round one ulp past pi
