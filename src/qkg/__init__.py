@@ -17,9 +17,9 @@ import importlib
 import logging
 
 _EXPORTS = {
-    "closedform": ("COMPLEX_LIMIT", "EXACT", "TAYLOR", "amplitudes_closed",
-                   "amplitudes_taylor", "exterior_amplitudes_grid", "exterior_magnitude_sum",
-                   "quaternionic_fraction", "quaternionic_fraction_grid"),
+    "closedform": ("EXACT", "amplitudes_closed", "exterior_amplitudes_grid",
+                   "exterior_magnitude_sum", "quaternionic_fraction",
+                   "quaternionic_fraction_grid"),
     "errors": ("InvalidDirectionError", "SingularSystemError", "UndefinedFractionError"),
     "matcher": ("REGULARIZED", "MatchingSystem", "build_system", "solve", "solve_spec"),
     "model": ("Amplitudes", "BarrierSpec", "DispersionData", "ModeRatios",

@@ -7,13 +7,14 @@ formats (the default first) and the message that rejects any other format.
 build_parser, the config keys, the defaults, the rule that a flag beats the
 config file beats the default, and the format check all derive from them.
 
-Floats print with 17 significant digits, reproducible bit for bit.  A sweep
-runs in one process (--workers is ignored) on blocks of whole grid rows: it
-checks every block, in output order, then runs the closed-form kernel on one
-block at a time, forming the block's axis values and axis cells with it.
-Every table streams through one writer (_write_table), in CSV and JSON alike,
-from an iterable of row blocks; the fraction and abs_psi are the array
-kernels of closedform and quaternion.
+Floats print with 17 significant digits, reproducible bit for bit at one
+numpy SIMD dispatch level.  A sweep runs in one process (--workers is
+ignored) on blocks of whole grid rows: it checks every block, in output
+order, then runs the closed-form kernel on one block at a time, forming the
+block's axis values and axis cells with it.  Every table streams through one
+writer (_write_table), in CSV and JSON alike, from an iterable of row
+blocks; the fraction and abs_psi are the array kernels of closedform and
+quaternion.
 """
 
 from __future__ import annotations

@@ -27,16 +27,10 @@ off the left face, where psi = 1 + r and psi' / (i k0) = 1 - r:
     c4 = -w_minus (1 - r(k+))              c6 = w_plus (1 - r(k-))
 
 all finite at V0 = omega0.  In the complex limit theta -> 0 this collapses
-to the scalar k_minus problem: c2 = c8 = 0 and |c1|^2 + |c7|^2 = 1.
-A first-order expansion in small (theta, a, V0) gives the leading behavior
-
-    c1 = -i a V0                 c5 = 1 - i a V0
-    c2 = a theta e^{-i phi} V0   c6 = 1 + i a V0
-    c3 = c4 = 0                  c7 = 1 - i a V0
-                                 c8 = a theta e^{-i phi} V0
-
-so a quaternionic barrier leaks a transmitted beta component linear in each
-of the three small parameters.
+to the scalar k_minus problem: c2 = c8 = 0 and |c1|^2 + |c7|^2 = 1.  To
+first order in small (theta, a, V0), c8 = a theta e^{-i phi} V0: a
+quaternionic barrier leaks a transmitted beta component linear in each of
+the three small parameters (qkg verify checks this expansion).
 """
 
 from __future__ import annotations
@@ -47,20 +41,10 @@ import math
 import numpy as np
 
 from .errors import UndefinedFractionError
-from .model import (
-    EPS_THETA,
-    Amplitudes,
-    BarrierSpec,
-    mode_ratios,
-    require_each,
-    slab_rules,
-    wavenumbers,
-)
+from .model import Amplitudes, BarrierSpec, mode_ratios, require_each, slab_rules, wavenumbers
 from .quaternion import rescaled
 
 EXACT = "exact"
-COMPLEX_LIMIT = "complex-limit"
-TAYLOR = "taylor"
 
 
 def slab_rt(q, k0, length, sin=math.sin, cos=math.cos, faces=False):
@@ -114,8 +98,8 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     """Evaluate the exact closed-form amplitudes for spec.
 
     Valid for every theta in [0, pi]; only the regular angle combinations
-    enter, so the poles need no special casing.  The route is
-    "complex-limit" at a pole and "exact" elsewhere.
+    enter, so the poles need no special casing and the route is "exact" at
+    every angle.
     """
     disp = wavenumbers(spec)
     ratios = mode_ratios(spec.theta, spec.phi)
@@ -127,11 +111,10 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     c7, c8, _, _ = coupled(tm, tp, n1, cross)
     back = cmath.exp(-1j * a * k0)
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-    route = COMPLEX_LIMIT if math.sin(spec.theta) <= EPS_THETA else EXACT
     # (ep, op) and (em, om): psi(0) and psi'(0) / (i k0) of each branch, unweighted
     return Amplitudes(
         c1=c1, c2=c2, c3=-wm * ep, c4=-wm * op, c5=wp * em, c6=wp * om,
-        c7=c7 * back, c8=c8 * back, dispersion=disp, ratios=ratios, route=route,
+        c7=c7 * back, c8=c8 * back, dispersion=disp, route=EXACT,
         interior_beta=(-wx * ep, -wx * op, wx * em, wx * om))
 
 
@@ -151,29 +134,6 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     c7, c8, _, _ = coupled(tm, tp, n1, cross)
     back = np.exp(-1j * a * omega0)
     return np.broadcast_arrays(c1, c2, c7 * back, c8 * back)
-
-
-def amplitudes_taylor(spec: BarrierSpec) -> Amplitudes:
-    """First-order amplitudes in small (theta, a, V0).
-
-    Meaningful when a * omega0, V0 / omega0 and theta are all small; the
-    exact amplitudes then agree with these to second order.  The result
-    carries no interior coefficients.
-    """
-    disp = wavenumbers(spec)
-    ratios = mode_ratios(spec.theta, spec.phi)
-    a, v0 = spec.a, spec.v0
-    cross = a * spec.theta * v0 * cmath.exp(-1j * spec.phi)
-    return Amplitudes(
-        c1=-1j * a * v0,
-        c2=cross,
-        c3=0j,
-        c4=0j,
-        c5=1.0 - 1j * a * v0,
-        c6=1.0 + 1j * a * v0,
-        c7=1.0 - 1j * a * v0,
-        c8=cross,
-        dispersion=disp, ratios=ratios, route=TAYLOR, interior_beta=None)
 
 
 def quaternionic_fraction_grid(abs_c7, abs_c8):

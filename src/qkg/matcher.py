@@ -170,7 +170,7 @@ def solve(system: MatchingSystem) -> Amplitudes:
     c1, c2, c3, c4, c5, c6, c7, c8 = (system.column_scale * u).tolist()
     return Amplitudes(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
-        dispersion=system.dispersion, ratios=system.ratios, route=REGULARIZED,
+        dispersion=system.dispersion, route=REGULARIZED,
         interior_beta=tuple((system.beta_scale * u[2:6]).tolist()), residual=residual,
         condition=condition, solution=u)
 

@@ -57,11 +57,6 @@ import numpy as np
 
 from .quaternion import UnitImaginaryDirection
 
-# At or below this value of sin(theta) the closed form takes its
-# complex-limit route.
-EPS_THETA = 1e-9
-
-
 def require(holds, message: str, *values) -> None:
     if not holds:
         raise ValueError(message.format(*values))
@@ -148,9 +143,6 @@ class BarrierSpec:
     def __post_init__(self) -> None:
         slab_rules(require, self.a, self.v0, self.theta, self.phi, self.omega0)
 
-    def direction(self) -> UnitImaginaryDirection:
-        return UnitImaginaryDirection.from_angles(self.theta, self.phi)
-
 
 @dataclass(frozen=True)
 class DispersionData:
@@ -227,19 +219,18 @@ def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
 class Amplitudes:
     """Scattering amplitudes c1..c8 of one barrier, from any route.
 
-    route names the formula used: "regularized" (matching solve), "exact"
-    or, at a pole, "complex-limit" (closed forms), "taylor"
-    (small-parameter expansion).
+    route names the formula used: "regularized" (matching solve) or "exact"
+    (closed form), at every angle.
 
     c3..c6 are the alpha parts of the interior field in the entire basis
     {cos qx, sin(qx)/q} of each branch q: c3 and c5 belong to the k_plus and
     k_minus components of psi(0), c4 and c6 to those of psi'(0) / (i k0), and
     all four are finite at every V0, k_minus = 0 included.  interior_beta holds
-    the matching beta parts, None on the Taylor route: w_cross times the alpha
-    part over w_minus (k_plus) or w_plus (k_minus), formed without dividing,
-    so finite at every theta.  The matching solve also reports residual
-    (infinity norm of rhs - M u), condition (1-norm condition number of M) and
-    solution (the solved unknowns u); the other routes leave them None.
+    the matching beta parts: w_cross times the alpha part over w_minus
+    (k_plus) or w_plus (k_minus), formed without dividing, so finite at every
+    theta.  The matching solve also reports residual (infinity norm of
+    rhs - M u), condition (1-norm condition number of M) and solution (the
+    solved unknowns u); the closed form leaves them None.
     """
 
     c1: complex
@@ -251,9 +242,8 @@ class Amplitudes:
     c7: complex
     c8: complex
     dispersion: DispersionData
-    ratios: ModeRatios
     route: str
-    interior_beta: tuple[complex, complex, complex, complex] | None
+    interior_beta: tuple[complex, complex, complex, complex]
     residual: float | None = None
     condition: float | None = None
     solution: np.ndarray | None = None

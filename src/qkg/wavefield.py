@@ -82,9 +82,6 @@ def _eval(x: np.ndarray, amps: Amplitudes, region: str) -> tuple[np.ndarray, ...
     d = amps.dispersion
     terms = []      # ((alpha, beta), f, (alpha', beta'), g): psi += pair f, psi' += pair' g
     if region == BARRIER:
-        if amps.interior_beta is None:
-            raise ValueError("amplitudes carry no interior coefficients "
-                             "(Taylor-route values cannot drive a field evaluation)")
         b3, b4, b5, b6 = amps.interior_beta
         ik0 = 1j * d.k0
         for q, (ea, eb), (oa, ob) in ((d.k_plus, (amps.c3, b3), (amps.c4, b4)),
@@ -126,8 +123,7 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
                  x_max: float, n_points: int) -> FieldSamples:
     """Sample psi and psi' on a uniform grid of n_points positions.
 
-    Only regions the grid reaches are evaluated (Taylor amplitudes have no
-    barrier waves)."""
+    Only regions the grid reaches are evaluated."""
     window_rule(require, x_min, x_max, n_points)
     xs = np.linspace(x_min, x_max, n_points)
     # the grid ascends, so each region is the slice between two cuts

@@ -9,7 +9,7 @@ returns, solve the equation of motion.
 import numpy as np
 
 from qkg.model import BarrierSpec, direction_coupling
-from qkg.quaternion import SymplecticPair
+from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
 
 
 def interior_matrix(k: float, spec: BarrierSpec) -> np.ndarray:
@@ -20,7 +20,8 @@ def interior_matrix(k: float, spec: BarrierSpec) -> np.ndarray:
     """
     w0, v0 = spec.omega0, spec.v0
     base = w0 * w0 + v0 * v0 - k * k
-    return base * np.eye(2, dtype=complex) - (2.0 * w0 * v0) * direction_coupling(spec.direction())
+    n = UnitImaginaryDirection.from_angles(spec.theta, spec.phi)
+    return base * np.eye(2, dtype=complex) - (2.0 * w0 * v0) * direction_coupling(n)
 
 
 def free_matrix(k: float, spec: BarrierSpec) -> np.ndarray:

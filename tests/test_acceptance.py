@@ -68,8 +68,36 @@ def test_criterion_3_complex_limit_kills_quaternionic_parts(results):
     gate(results, 3)
 
 
+def test_criterion_3_trips_on_a_nonzero_pole_c8(monkeypatch):
+    solve_spec = verify.solve_spec
+
+    def moved(spec):
+        amps = solve_spec(spec)
+        return dataclasses.replace(amps, c8=1e-30) if spec.theta == 0.0 else amps
+
+    monkeypatch.setattr(verify, "solve_spec", moved)
+    res = verify.check_complex_limit(quick=True)
+    assert not res.passed
+    assert "exact: False" in res.detail
+
+
 def test_criterion_4_small_parameter_expansion_first_order(results):
     gate(results, 4)
+
+
+def test_criterion_4_trips_on_a_lost_first_order_term(monkeypatch):
+    # the expansion without its transmitted beta term c8 = a theta e^{-i phi} V0
+    taylor = verify._taylor
+
+    def moved(spec):
+        terms = taylor(spec)
+        terms[7] = 0.0
+        return terms
+
+    monkeypatch.setattr(verify, "_taylor", moved)
+    res = verify.check_taylor_regime(quick=True)
+    assert not res.passed
+    assert res.detail.startswith("worst rel err inf")
 
 
 def test_criterion_5_transmitted_wave_never_damps(results):

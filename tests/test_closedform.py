@@ -10,11 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkg.closedform import (
-    COMPLEX_LIMIT,
     EXACT,
-    TAYLOR,
     amplitudes_closed,
-    amplitudes_taylor,
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
@@ -24,7 +21,7 @@ from qkg.closedform import (
 from qkg.errors import UndefinedFractionError
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec, wavenumbers
-from qkg.verify import random_specs
+from qkg.verify import _taylor, random_specs
 
 
 def scalar_barrier(q: float, k0: float, a: float) -> tuple[complex, complex]:
@@ -48,7 +45,7 @@ class TestAgainstScalarOracle:
         r, t = scalar_barrier(d.k_minus, d.k0, spec.a)
         assert amps.c1 == pytest.approx(r, abs=1e-12)
         assert amps.c7 == pytest.approx(t, abs=1e-12)
-        assert amps.route == COMPLEX_LIMIT
+        assert amps.route == EXACT
 
     def test_antipole_reduces_to_fast_scalar_barrier(self):
         spec = BarrierSpec(a=2.3, v0=0.6, omega0=1.1, theta=math.pi, phi=0.0)
@@ -116,21 +113,19 @@ class TestTaylorRegime:
     SPEC = BarrierSpec(a=1e-3, v0=1e-3, omega0=1.0, theta=1e-3, phi=math.pi / 4)
 
     def test_first_order_values(self):
-        t = amplitudes_taylor(self.SPEC)
+        c1, c2, c3, c4, c5, c6, c7, c8 = _taylor(self.SPEC).tolist()
         a, v0, th, ph = 1e-3, 1e-3, 1e-3, math.pi / 4
-        assert t.c1 == -1j * a * v0
-        assert t.c2 == a * th * v0 * cmath.exp(-1j * ph)
-        assert t.c3 == 0 and t.c4 == 0
-        assert t.c5 == 1.0 - 1j * a * v0
-        assert t.c6 == 1.0 + 1j * a * v0
-        assert t.c7 == 1.0 - 1j * a * v0
-        assert t.c8 == t.c2
-        assert t.route == TAYLOR
-        assert t.interior_beta is None
+        assert c1 == -1j * a * v0
+        assert c2 == a * th * v0 * cmath.exp(-1j * ph)
+        assert c3 == 0 and c4 == 0
+        assert c5 == 1.0 - 1j * a * v0
+        assert c6 == 1.0 + 1j * a * v0
+        assert c7 == 1.0 - 1j * a * v0
+        assert c8 == c2
 
     def test_exact_matches_expansion(self):
         exact = amplitudes_closed(self.SPEC).as_array()
-        approx = amplitudes_taylor(self.SPEC).as_array()
+        approx = _taylor(self.SPEC)
         scale = np.abs(approx).max()
         for e, t in zip(exact, approx):
             ref = abs(t) if abs(t) > 0 else scale
@@ -146,8 +141,7 @@ class TestTaylorRegime:
         def errors(scale):
             spec = BarrierSpec(a=1e-3 * scale, v0=1e-3 * scale, omega0=1.0,
                                theta=1e-3 * scale, phi=math.pi / 4)
-            return np.abs(amplitudes_closed(spec).as_array()
-                          - amplitudes_taylor(spec).as_array())
+            return np.abs(amplitudes_closed(spec).as_array() - _taylor(spec))
 
         full, half = errors(1.0), errors(0.5)
         for f, h in zip(full, half):

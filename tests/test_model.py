@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qkg.closedform import amplitudes_closed
 from qkg.matcher import solve_spec
 from qkg.model import (
-    EPS_THETA,
     BarrierSpec,
     check_nondegenerate,
     direction_coupling,
@@ -38,7 +37,7 @@ def raw_ratios(theta, phi):
 class TestBarrierSpec:
     def test_accepts_reasonable_values(self):
         spec = BarrierSpec(1.0, 0.3, 1.0, 0.5, 0.5)
-        assert spec.direction().n1 == pytest.approx(math.cos(0.5))
+        assert spec == BarrierSpec(a=1.0, v0=0.3, omega0=1.0, theta=0.5, phi=0.5)
 
     @pytest.mark.parametrize("kwargs", [
         {"a": -0.1}, {"a": math.inf},
@@ -137,9 +136,6 @@ class TestDispersion:
             solved, closed = solve_spec(spec).as_array(), amplitudes_closed(spec).as_array()
             assert np.isfinite(closed).all()
             assert np.abs(solved - closed).max() <= 1e-14
-
-    def test_band_width_constants(self):
-        assert EPS_THETA == 1e-9
 
 
 class TestModeRatios:

@@ -1,11 +1,16 @@
 """The package's export list names only what exists, each name once, and
 resolves it from its defining module on first use: importing the package
 loads no layer, and importing the command line leaves the verification
-suite unloaded."""
+suite unloaded.  Names removed from the API stay gone, and both amplitude
+routes answer with their full interior at the poles and at V0 = omega0."""
 
+import dataclasses
 import importlib
+import math
 import subprocess
 import sys
+
+import pytest
 
 import qkg
 
@@ -54,3 +59,23 @@ def test_cli_import_leaves_the_verification_suite_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\n"
+
+
+@pytest.mark.parametrize("name", ["amplitudes_taylor", "TAYLOR", "COMPLEX_LIMIT"])
+def test_removed_names_are_gone(name):
+    assert name not in qkg.__all__
+    with pytest.raises(AttributeError):
+        getattr(qkg, name)
+
+
+def test_amplitudes_keep_no_mode_ratios():
+    assert "ratios" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
+
+
+@pytest.mark.parametrize("route", [qkg.solve_spec, qkg.amplitudes_closed])
+@pytest.mark.parametrize("v0, theta", [(0.3, 0.0), (0.3, math.pi), (1.0, 1.0)],
+                         ids=("theta=0", "theta=pi", "V0=omega0"))
+def test_both_routes_answer_at_the_poles_and_the_edge(route, v0, theta):
+    amps = route(qkg.BarrierSpec(a=1.0, v0=v0, omega0=1.0, theta=theta, phi=0.5))
+    assert amps.route in {"exact", "regularized"}
+    assert isinstance(amps.interior_beta, tuple) and len(amps.interior_beta) == 4

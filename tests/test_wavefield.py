@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qkg.closedform import amplitudes_closed, amplitudes_taylor
+from qkg.closedform import amplitudes_closed
 from qkg.matcher import solve_spec
 from qkg.model import BarrierSpec
 from qkg.quaternion import SymplecticPair
@@ -112,19 +112,6 @@ class TestFieldValues:
         amps = solve_spec(spec)
         for sample in sample_field(spec, amps, -3.0, 5.0, 33):
             assert sample.psi.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_taylor_amplitudes_cannot_drive_interior(self):
-        spec = BarrierSpec(1e-3, 1e-3, 1.0, 1e-3, 0.0)
-        taylor = amplitudes_taylor(spec)
-        # exterior evaluation needs no interior coefficients
-        assert sample_at(spec, taylor, -1.0).psi.alpha != 0
-        samples = sample_field(spec, taylor, -3.0, -1.0, 9)
-        assert [s.region for s in samples] == [LEFT] * 9
-        assert (samples[0].psi - basis_sum(-3.0, spec, taylor)[0]).norm() < 1e-14
-        # windows that reach the barrier: across it, ending on x = 0, inside
-        for window in ((-1.0, 2.0, 7), (-1.0, 0.0, 5), (2e-4, 8e-4, 3)):
-            with pytest.raises(ValueError, match="interior"):
-                sample_field(spec, taylor, *window)
 
 
 class TestContinuity:
