@@ -355,7 +355,7 @@ def cmd_field(args) -> int:
     alpha, beta = field.values[:2]
     # the writer prints text cells as they are, so JSON's names carry quotes
     regions = _text(REGIONS if args.format == "csv" else map(json.dumps, REGIONS))
-    # np.hypot rounds as abs(complex), so abs_psi is SymplecticPair.norm()'s
+    # np.hypot rounds as abs(complex): abs_psi is magnitude(abs(psi.alpha), abs(psi.beta))
     abs_psi = magnitude(np.hypot(alpha.real, alpha.imag), np.hypot(beta.real, beta.imag))
     numbers = (field.x, alpha.real, alpha.imag, beta.real, beta.imag, abs_psi)
 

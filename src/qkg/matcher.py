@@ -171,8 +171,8 @@ def solve(system: MatchingSystem) -> Amplitudes:
     return Amplitudes(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
         dispersion=system.dispersion, route=REGULARIZED,
-        interior_beta=tuple((system.beta_scale * u[2:6]).tolist()), residual=residual,
-        condition=condition, solution=u)
+        interior_beta=tuple((system.beta_scale * u[2:6]).tolist()), condition=condition,
+        solution=u)
 
 
 def solve_spec(spec: BarrierSpec) -> Amplitudes:

@@ -79,12 +79,16 @@ def frequency_rule(check, omega0, isfinite=math.isfinite):
     check((omega0 > 0.0) & isfinite(omega0), "frequency must satisfy omega0 > 0, got {}", omega0)
 
 
-def window_rule(check, x_min, x_max, n_points, isfinite=math.isfinite):
-    """Rules of a sample grid: n_points >= 2 positions ascending from x_min to x_max."""
+def window_rule(check, x_min, x_max, n_points, omega0, isfinite=math.isfinite):
+    """Rules of a sample grid: n_points >= 2 positions ascending from x_min to x_max,
+    whose exterior phases omega0 x stay in the float range (interior phases are
+    bounded by slab_rules)."""
     check(n_points >= 2, "n_points must be >= 2, got {}", n_points)
     span = x_max - x_min
     check((span > 0.0) & isfinite(span), "need x_min < x_max with x_max - x_min in the "
           "float range, got [{}, {}]", x_min, x_max)
+    check(isfinite(omega0 * max(abs(x_min), abs(x_max))), "window [{}, {}] at omega0 = {}: "
+          "omega0 * max(|x_min|, |x_max|) leaves the float range", x_min, x_max, omega0)
 
 
 def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite):
@@ -228,9 +232,9 @@ class Amplitudes:
     all four are finite at every V0, k_minus = 0 included.  interior_beta holds
     the matching beta parts: w_cross times the alpha part over w_minus
     (k_plus) or w_plus (k_minus), formed without dividing, so finite at every
-    theta.  The matching solve also reports residual (infinity norm of
-    rhs - M u), condition (1-norm condition number of M) and solution (the
-    solved unknowns u); the closed form leaves them None.
+    theta.  The matching solve also reports condition (1-norm condition
+    number of M) and solution (the solved unknowns u); the closed form leaves
+    them None.
     """
 
     c1: complex
@@ -244,7 +248,6 @@ class Amplitudes:
     dispersion: DispersionData
     route: str
     interior_beta: tuple[complex, complex, complex, complex]
-    residual: float | None = None
     condition: float | None = None
     solution: np.ndarray | None = None
 

@@ -32,17 +32,8 @@ class SymplecticPair:
     alpha: complex
     beta: complex
 
-    def __add__(self, other: "SymplecticPair") -> "SymplecticPair":
-        return SymplecticPair(self.alpha + other.alpha, self.beta + other.beta)
-
-    def __sub__(self, other: "SymplecticPair") -> "SymplecticPair":
-        return SymplecticPair(self.alpha - other.alpha, self.beta - other.beta)
-
     def norm2(self) -> float:
         return abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
-
-    def norm(self) -> float:
-        return float(magnitude(abs(self.alpha), abs(self.beta)))
 
 
 def rescaled(u, v):

@@ -14,13 +14,11 @@ a as arrays.
 sample_field returns one FieldSamples record of arrays over an ascending
 grid.  Each region is a contiguous slice of it, found by binary search, and
 is evaluated in one array pass; FieldSample objects are built only when the
-record is indexed or iterated.
+record is iterated.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +46,13 @@ def _sample(x, region, psi_a, psi_b, dpsi_a, dpsi_b) -> FieldSample:
 
 
 @dataclass(frozen=True, eq=False)
-class FieldSamples(Sequence):
+class FieldSamples:
     """psi and psi' on a grid, held as arrays.
 
     x has shape (N,); region, shape (N,), indexes REGIONS; values, shape
     (4, N) complex, holds the rows psi.alpha, psi.beta, psi'.alpha and
-    psi'.beta.  As a sequence its items are FieldSample objects, built when
-    indexed or iterated; a slice is a FieldSamples.
+    psi'.beta.  len() counts the points, and iteration yields them as
+    FieldSample objects, built as they are reached.
     """
 
     x: np.ndarray
@@ -63,14 +61,6 @@ class FieldSamples(Sequence):
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FieldSamples(self.x[index], self.region[index],
-                                self.values[:, index])
-        index = operator.index(index)
-        return _sample(self.x[index].item(), self.region[index],
-                       *self.values[:, index].tolist())
 
     def __iter__(self):
         return map(_sample, self.x.tolist(), self.region.tolist(),
@@ -124,7 +114,7 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
     """Sample psi and psi' on a uniform grid of n_points positions.
 
     Only regions the grid reaches are evaluated."""
-    window_rule(require, x_min, x_max, n_points)
+    window_rule(require, x_min, x_max, n_points, spec.omega0)
     xs = np.linspace(x_min, x_max, n_points)
     # the grid ascends, so each region is the slice between two cuts
     cuts = (0, int(np.searchsorted(xs, 0.0, "left")),

@@ -361,6 +361,9 @@ def test_help_text_pinned(command):
     # each bound is finite; the grid's span overflows
     ("sweep", "--sweep=theta:-1e308:1e308:1e307"),
     ("field", "--xmin=-1e308", "--xmax", "1e308", "--points", "5"),
+    # the span is finite; the exterior phase omega0 * xmax overflows
+    ("field", "--omega0", "1e13", "--a", "0.3", "--xmin", "1e9", "--xmax",
+     "1.7976931348623157e308", "--points", "2"),
     ("solve", "--omega0", "1e-300", "--v0", "0"),
 ], ids=" ".join)
 def test_out_of_float_range_exits_2_with_one_line(args):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -388,6 +389,22 @@ class TestStarProductRoute:
             ref = transfer_scatter(stack)
             diff = np.abs(scatter_column(stack) - ref).max()
             assert diff <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_stack_route_is_phi_covariant(self, seed):
+        # turning every barrier's direction about the i axis by delta leaves
+        # the alpha parts and multiplies the beta parts by e^{-i delta}
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            stack = random_stack(rng, int(rng.integers(1, 40)))
+            delta = rng.uniform(0.0, 2.0 * math.pi)
+            turned = LayerStack(tuple(
+                dataclasses.replace(seg, phi=(seg.phi + delta) % (2.0 * math.pi)) if seg.v0
+                else seg for seg in stack.segments), stack.omega0)
+            phase = cmath.exp(-1j * delta)
+            for base, rotated in zip(stack_scatter(stack), stack_scatter(turned)):
+                assert abs(rotated.alpha - base.alpha) <= 1e-13
+                assert abs(rotated.beta - phase * base.beta) <= 1e-13
 
     def test_hard_mirror_floor_on_both_sides(self, rng):
         # small omega0 under V0 ~ 0.5 makes every barrier a strong mirror;

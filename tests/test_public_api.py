@@ -1,8 +1,10 @@
 """The package's export list names only what exists, each name once, and
 resolves it from its defining module on first use: importing the package
 loads no layer, and importing the command line leaves the verification
-suite unloaded.  Names removed from the API stay gone, and both amplitude
-routes answer with their full interior at the poles and at V0 = omega0."""
+suite unloaded.  The exports are the 21 names the paper needs; names removed
+from the package stay gone, or resolve only from their defining module, and
+both amplitude routes answer with their full interior at the poles and at
+V0 = omega0."""
 
 import dataclasses
 import importlib
@@ -61,6 +63,43 @@ def test_cli_import_leaves_the_verification_suite_unloaded():
     assert proc.stdout == "False False\n"
 
 
+PUBLIC = {
+    "BarrierSpec", "Amplitudes", "amplitudes_closed", "solve_spec",
+    "exterior_amplitudes_grid", "quaternionic_fraction", "quaternionic_fraction_grid",
+    "exterior_magnitude_sum",
+    "sample_field", "FieldSamples", "REGIONS",
+    "Segment", "free_gap", "LayerStack", "stack_scatter", "ordering_report", "OrderingReport",
+    "SymplecticPair", "magnitude", "SingularSystemError", "UndefinedFractionError",
+}
+
+# name -> the module that still defines it, for each name that left qkg.__all__
+MODULE_ONLY = {
+    "closedform": ("EXACT",),
+    "errors": ("InvalidDirectionError",),
+    "matcher": ("REGULARIZED", "MatchingSystem", "build_system", "solve"),
+    "model": ("DispersionData", "ModeRatios", "mode_ratios", "wavenumbers",
+              "direction_coupling"),
+    "multilayer": ("compose", "segment_transfer", "stack_transfer", "transfer_smatrix",
+                   "stack_smatrix"),
+    "quaternion": ("UnitImaginaryDirection",),
+    "wavefield": ("BARRIER", "LEFT", "RIGHT", "FieldSample", "continuity_residuals"),
+}
+
+
+def test_exports_are_the_papers_api():
+    assert set(qkg.__all__) == PUBLIC
+    assert len(qkg.__all__) == 21
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in
+                                          MODULE_ONLY.items() for name in names])
+def test_module_only_names_leave_the_package(module, name):
+    assert name not in qkg.__all__
+    with pytest.raises(AttributeError):
+        getattr(qkg, name)
+    assert hasattr(importlib.import_module(f"qkg.{module}"), name)
+
+
 @pytest.mark.parametrize("name", ["amplitudes_taylor", "TAYLOR", "COMPLEX_LIMIT"])
 def test_removed_names_are_gone(name):
     assert name not in qkg.__all__
@@ -70,6 +109,13 @@ def test_removed_names_are_gone(name):
 
 def test_amplitudes_keep_no_mode_ratios():
     assert "ratios" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
+
+
+def test_members_only_tests_read_are_gone():
+    pair = qkg.SymplecticPair(1 + 2j, 3 - 1j)
+    assert not any(hasattr(pair, name) for name in ("__add__", "__sub__", "norm"))
+    assert not hasattr(qkg.FieldSamples, "__getitem__")
+    assert "residual" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
 
 
 @pytest.mark.parametrize("route", [qkg.solve_spec, qkg.amplitudes_closed])
