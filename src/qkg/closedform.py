@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import UndefinedFractionError
-from .model import Amplitudes, BarrierSpec, mode_ratios, require_each, slab_rules, wavenumbers
+from .model import Amplitudes, BarrierSpec, _mode_terms, require_each, slab_rules, wavenumbers
 from .quaternion import rescaled
 
 EXACT = "exact"
@@ -102,20 +102,16 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     every angle.
     """
     disp = wavenumbers(spec)
-    ratios = mode_ratios(spec.theta, spec.phi)
+    n1, wp, wm, wx = _mode_terms(spec.theta, spec.phi)
     k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
     rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
     rm, tm, em, om = slab_rt(km, k0, a, faces=True)
-    n1, cross = math.cos(spec.theta), 2.0 * ratios.w_cross
+    cross, back = 2.0 * wx, cmath.exp(-1j * a * k0)
     c1, c2, _, _ = coupled(rm, rp, n1, cross)
     c7, c8, _, _ = coupled(tm, tp, n1, cross)
-    back = cmath.exp(-1j * a * k0)
-    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
-    # (ep, op) and (em, om): psi(0) and psi'(0) / (i k0) of each branch, unweighted
-    return Amplitudes(
-        c1=c1, c2=c2, c3=-wm * ep, c4=-wm * op, c5=wp * em, c6=wp * om,
-        c7=c7 * back, c8=c8 * back, dispersion=disp, route=EXACT,
-        interior_beta=(-wx * ep, -wx * op, wx * em, wx * om))
+    # Amplitudes' fields in order; (ep, op), (em, om): each branch's psi(0), psi'(0) / (i k0)
+    return Amplitudes(c1, c2, -wm * ep, -wm * op, wp * em, wp * om, c7 * back, c8 * back,
+                      disp, EXACT, (-wx * ep, -wx * op, wx * em, wx * om))
 
 
 def exterior_amplitudes_grid(a, v0, omega0, theta, phi):

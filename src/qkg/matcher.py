@@ -36,12 +36,14 @@ where rho is the smallest pivot over the largest matrix entry.  Rejecting
 cond_1 >= 1 / (8 _PIVOT_FLOOR) therefore rejects every matrix whose pivot
 ratio falls below _PIVOT_FLOOR.
 
-Both gates read their matrix norms from one |M|: its largest column sum is
-||M||_1 for the condition number and its largest row sum ||M||_inf for the
-backward error, which also needs only ||rhs||_inf = 1.  These are
-the float operations np.linalg.norm performs, so every gate and every answer
-is bit-identical to a norm-by-norm evaluation; qkg.verify keeps one for its
-backward-error criterion.
+Both gates read their norms from one np.abs of (M, M^-1): the largest column
+sums give cond_1, the largest row sum of |M| ||M||_inf for the backward error,
+which also needs only ||rhs||_inf = 1.  build_system copies one flat template of
+the fixed entries of M, rhs and the scales and fills in the 35 that depend on the
+spec with one indexed assignment, each the scalar expression of a row-by-row
+assembly.  No float operation differs from a row-by-row, norm-by-norm
+evaluation, so every gate and answer is bit-identical to it; qkg.verify keeps
+one for its backward-error criterion.
 """
 
 from __future__ import annotations
@@ -73,6 +75,22 @@ _RESIDUAL_ACCEPT = 1e-10      # backward error beyond which the solve fails
 _COND_WARN = 1e8
 
 REGULARIZED = "regularized"
+
+# matrix (row-major), rhs, column_scale, beta_scale / w_cross; build_system fills each _
+_ = math.nan
+_FIXED = np.array((1, 0, _, 0, _, 0, 0, 0,
+                   0, 1, -1, 0, -1, 0, 0, 0,
+                   _, 0, 0, _, 0, _, 0, 0,
+                   0, _, 0, -1, 0, _, 0, 0,
+                   0, 0, _, _, _, _, -1, 0,
+                   0, 0, _, _, _, _, 0, -1,
+                   0, 0, _, _, _, _, _, 0,
+                   0, 0, _, _, _, _, 0, _,
+                   1, 0, _, 0, 0, 0, 0, 0,
+                   1, _, _, _, _, _, _, _, 1, _, 1, _), dtype=complex)
+_FIXED[64:72] = -_FIXED[64:72]          # rhs = -(1, 0, _, 0, ...) in complex: -0 - 0j zeros
+_FILLED = np.flatnonzero(np.isnan(_FIXED))
+del _
 
 # the ufunc reductions behind np.linalg.norm, called without the ndarray
 # method wrappers, which cost a few microseconds per scalar solve
@@ -111,24 +129,15 @@ def build_system(spec: BarrierSpec) -> MatchingSystem:
     wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     x0, xm, xu = k0 / kp, km / kp, um / kp
 
-    # one flat fill; the entries keep their scalar arithmetic, so every bit
-    # matches a row-by-row assembly
-    m = np.array((
-        1, 0, -wm, 0, -wp, 0, 0, 0,
-        0, 1, -1, 0, -1, 0, 0, 0,
-        -x0, 0, 0, -wm, 0, -wp * xu, 0, 0,
-        0, -x0, 0, -1, 0, -xu, 0, 0,
-        0, 0, wm * cp, 1j * wm * sp, wp * cm, 1j * wp * lm, -1, 0,
-        0, 0, cp, 1j * sp, cm, 1j * lm, 0, -1,
-        0, 0, 1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0, 0,
-        0, 0, 1j * sp, cp, 1j * xm * sm, xu * cm, 0, -x0,
-    ), dtype=complex).reshape(8, 8)
     back = cmath.exp(-1j * a * k0)
-    beta_scale = wx * np.array([1, kp / k0, 1, um / k0])
-    column_scale = np.array([1, wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back])
-    rhs = -np.array([1, 0, x0, 0, 0, 0, 0, 0], dtype=complex)
-    return MatchingSystem(matrix=m, rhs=rhs, column_scale=column_scale,
-                          beta_scale=beta_scale, spec=spec, dispersion=disp, ratios=ratios)
+    t = _FIXED.copy()
+    t[_FILLED] = (-wm, -wp, -x0, -wm, -wp * xu, -x0, -xu,
+                  wm * cp, 1j * wm * sp, wp * cm, 1j * wp * lm, cp, 1j * sp, cm, 1j * lm,
+                  1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0,
+                  1j * sp, cp, 1j * xm * sm, xu * cm, -x0, -complex(x0),
+                  wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back, kp / k0, um / k0)
+    t[80:] = wx * t[80:]
+    return MatchingSystem(t[:64].reshape(8, 8), t[64:72], t[72:80], t[80:], spec, disp, ratios)
 
 
 def solve(system: MatchingSystem) -> Amplitudes:
@@ -143,23 +152,21 @@ def solve(system: MatchingSystem) -> Amplitudes:
         inverse = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"matching matrix is singular: {exc}") from exc
-    abs_m = np.abs(m)
-    condition = float(_max(_sum(abs_m, 0)) * _max(_sum(np.abs(inverse), 0)))
+    abs_mi = np.abs((m, inverse))
+    condition = math.prod(_max(_sum(abs_mi, 1), 1).tolist())      # ||M||_1 ||M^-1||_1
     if not condition < _COND_REJECT:
         raise SingularSystemError(
             f"matching matrix is numerically singular (cond_1 {condition:.3e})")
-    # backward error ||r|| / (||M|| ||u|| + ||rhs||) in the infinity norm;
-    # ||rhs|| = 1, as rhs = -(1, 0, k0 / k_plus, 0, ...) with k0 <= k_plus
-    norm_m = float(_max(_sum(abs_m, 1)))
+    # backward error ||r|| / (||M|| ||u|| + ||rhs||) in the infinity norm, ||rhs|| = 1 as
+    # k0 <= k_plus; past the gate every entry is finite, so max() of a list is numpy's max
+    norm_m = max(_sum(abs_mi[0], 1).tolist())
     u = inverse @ rhs
     r = rhs - m @ u
-    residual = float(_max(np.abs(r)))
-    err = residual / (norm_m * float(_max(np.abs(u))) + 1.0)
+    err = max(np.abs(r).tolist()) / (norm_m * max(np.abs(u).tolist()) + 1.0)
     if err > _REFINE_TRIGGER:
         u = u + inverse @ r
         r = rhs - m @ u
-        residual = float(_max(np.abs(r)))
-        err = residual / (norm_m * float(_max(np.abs(u))) + 1.0)
+        err = max(np.abs(r).tolist()) / (norm_m * max(np.abs(u).tolist()) + 1.0)
     if err > _RESIDUAL_ACCEPT:
         raise SingularSystemError(
             f"matching solve did not converge: backward error {err:.3e}")
@@ -167,12 +174,9 @@ def solve(system: MatchingSystem) -> Amplitudes:
         log.warning("matching matrix badly conditioned: cond_1 = %.3e "
                     "(theta=%.6g)", condition, system.spec.theta)
 
-    c1, c2, c3, c4, c5, c6, c7, c8 = (system.column_scale * u).tolist()
-    return Amplitudes(
-        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8,
-        dispersion=system.dispersion, route=REGULARIZED,
-        interior_beta=tuple((system.beta_scale * u[2:6]).tolist()), condition=condition,
-        solution=u)
+    # Amplitudes' fields in order, interior_beta the u_2..u_5 times beta_scale
+    return Amplitudes(*(system.column_scale * u).tolist(), system.dispersion, REGULARIZED,
+                      tuple((system.beta_scale * u[2:6]).tolist()), condition, u)
 
 
 def solve_spec(spec: BarrierSpec) -> Amplitudes:

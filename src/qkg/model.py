@@ -163,11 +163,7 @@ def wavenumbers(spec: BarrierSpec) -> DispersionData:
     All three are reported non-negative; propagation direction is carried by
     the sign in the exponent, never by the wavenumber itself.
     """
-    return DispersionData(
-        k0=spec.omega0,
-        k_plus=abs(spec.omega0 + spec.v0),
-        k_minus=abs(spec.omega0 - spec.v0),
-    )
+    return DispersionData(spec.omega0, abs(spec.omega0 + spec.v0), abs(spec.omega0 - spec.v0))
 
 
 def check_nondegenerate(spec: BarrierSpec) -> None:
@@ -200,9 +196,14 @@ def mode_ratios(theta: float, phi: float) -> ModeRatios:
         w_minus = (cos theta - 1) / 2
         w_cross = (i/2) sin(theta) e^{-i phi}
     """
+    return ModeRatios(*_mode_terms(theta, phi)[1:])
+
+
+def _mode_terms(theta: float, phi: float) -> tuple[float, complex, complex, complex]:
+    """(cos theta, w_plus, w_minus, w_cross): mode_ratios without the record."""
     n1 = math.cos(theta)
-    return ModeRatios(complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
-                      0.5j * math.sin(theta) * cmath.exp(-1j * phi))
+    return (n1, complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
+            0.5j * math.sin(theta) * cmath.exp(-1j * phi))
 
 
 def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:

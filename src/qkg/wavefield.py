@@ -76,7 +76,8 @@ def _eval(x: np.ndarray, amps: Amplitudes, region: str) -> tuple[np.ndarray, ...
         ik0 = 1j * d.k0
         for q, (ea, eb), (oa, ob) in ((d.k_plus, (amps.c3, b3), (amps.c4, b4)),
                                       (d.k_minus, (amps.c5, b5), (amps.c6, b6))):
-            cos, sin = np.cos(q * x), np.sin(q * x)
+            qx = q * x
+            cos, sin = np.cos(qx), np.sin(qx)
             odd = (ik0 * oa, ik0 * ob)
             terms += [((ea, eb), cos, (-q * ea, -q * eb), sin),
                       (odd, sin / q if q else x, odd, cos)]
@@ -115,7 +116,12 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
 
     Only regions the grid reaches are evaluated."""
     window_rule(require, x_min, x_max, n_points, spec.omega0)
-    xs = np.linspace(x_min, x_max, n_points)
+    # np.linspace's float operations, with its branch for a step that underflows to 0
+    span, div = x_max - x_min, n_points - 1
+    step = span / div
+    xs = np.arange(n_points) * step if step else np.arange(n_points) / div * span
+    xs += x_min
+    xs[-1] = x_max
     # the grid ascends, so each region is the slice between two cuts
     cuts = (0, int(np.searchsorted(xs, 0.0, "left")),
             int(np.searchsorted(xs, spec.a, "right")), n_points)
@@ -123,5 +129,5 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
     for name, lo, hi in zip(REGIONS, cuts, cuts[1:]):
         if lo < hi:
             values[:, lo:hi] = _eval(xs[lo:hi], amps, name)
-    region = np.repeat(np.arange(len(REGIONS)), np.diff(cuts))
+    region = np.arange(len(REGIONS)).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])])
     return FieldSamples(xs, region, values)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qkg.closedform import (
     EXACT,
     amplitudes_closed,
+    coupled,
     exterior_amplitudes_grid,
     exterior_magnitude_sum,
     quaternionic_fraction,
@@ -20,7 +21,7 @@ from qkg.closedform import (
 )
 from qkg.errors import UndefinedFractionError
 from qkg.matcher import solve_spec
-from qkg.model import BarrierSpec, wavenumbers
+from qkg.model import Amplitudes, BarrierSpec, mode_ratios, wavenumbers
 from qkg.verify import _taylor, random_specs
 
 
@@ -223,6 +224,38 @@ class TestDerivedQuantities:
         for _ in range(50):
             total = exterior_magnitude_sum(amplitudes_closed(spec_factory()))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_closed(spec):
+    """amplitudes_closed through the records: wavenumbers, mode_ratios and a
+    keyword Amplitudes."""
+    disp = wavenumbers(spec)
+    ratios = mode_ratios(spec.theta, spec.phi)
+    k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
+    rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
+    rm, tm, em, om = slab_rt(km, k0, a, faces=True)
+    n1, cross = math.cos(spec.theta), 2.0 * ratios.w_cross
+    c1, c2, _, _ = coupled(rm, rp, n1, cross)
+    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    back = cmath.exp(-1j * a * k0)
+    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
+    return Amplitudes(
+        c1=c1, c2=c2, c3=-wm * ep, c4=-wm * op, c5=wp * em, c6=wp * om,
+        c7=c7 * back, c8=c8 * back, dispersion=disp, route=EXACT,
+        interior_beta=(-wx * ep, -wx * op, wx * em, wx * om))
+
+
+class TestBitIdentity:
+    def test_matches_record_reference(self, bit_identity_specs):
+        for spec in bit_identity_specs:
+            got, want = amplitudes_closed(spec), _reference_closed(spec)
+            assert got.as_array().tobytes() == want.as_array().tobytes()
+            assert (np.array(got.interior_beta).tobytes()
+                    == np.array(want.interior_beta).tobytes())
+            d, e = got.dispersion, want.dispersion
+            assert (np.array([d.k0, d.k_plus, d.k_minus]).tobytes()
+                    == np.array([e.k0, e.k_plus, e.k_minus]).tobytes())
+            assert (got.route, got.condition, got.solution) == (EXACT, None, None)
 
 
 class TestInteriorCoefficients:

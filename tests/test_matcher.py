@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import warnings
@@ -18,7 +19,7 @@ from qkg.matcher import (
 )
 from qkg.model import BarrierSpec, mode_ratios, wavenumbers
 from qkg.quaternion import SymplecticPair
-from qkg.verify import ORACLE_FLUX_TOL, ORACLE_TOL, _transcribed_matrix, random_specs
+from qkg.verify import ORACLE_FLUX_TOL, ORACLE_TOL, _transcribed_matrix
 
 from mode_equations import dispersion_residual
 
@@ -162,8 +163,9 @@ class TestSolveFailureModes:
             solve(system)
 
 
-def _reference_matrix(spec):
-    """The matching matrix assembled row by row into a zeroed array.
+def _reference_system(spec):
+    """(matrix, rhs, column_scale, beta_scale), the matrix assembled row by row
+    into a zeroed array.
 
     Unknowns (c1, c2 / wx, c3 / wm, psi'_+(0) / (i k+ wm), c5 / wp,
     psi'_-(0) / (i um wp), c7 e^{i k0 a}, c8 e^{i k0 a} / wx), with
@@ -176,7 +178,7 @@ def _reference_matrix(spec):
     slow = sm / km if km else a
     um = max(k0, km) if max(k0, km) * abs(slow) <= 1.0 else 1.0 / abs(slow)
     lm = um * slow
-    wp, wm = ratios.w_plus, ratios.w_minus
+    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     x0, xm, xu = k0 / kp, km / kp, um / kp
     m = np.zeros((8, 8), dtype=complex)
     m[0] = [1, 0, -wm, 0, -wp, 0, 0, 0]
@@ -187,7 +189,11 @@ def _reference_matrix(spec):
     m[5] = [0, 0, cp, 1j * sp, cm, 1j * lm, 0, -1]
     m[6] = [0, 0, 1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0, 0]
     m[7] = [0, 0, 1j * sp, cp, 1j * xm * sm, xu * cm, 0, -x0]
-    return m
+    back = cmath.exp(-1j * a * k0)
+    rhs = -np.array([1, 0, x0, 0, 0, 0, 0, 0], dtype=complex)
+    column_scale = np.array([1, wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back])
+    beta_scale = wx * np.array([1, kp / k0, 1, um / k0])
+    return m, rhs, column_scale, beta_scale
 
 
 def _reference_solve(system, refine_trigger):
@@ -213,30 +219,29 @@ def _reference_solve(system, refine_trigger):
     return condition, float(np.linalg.norm(r, np.inf)), u
 
 
-def _edge_specs():
-    base = dict(a=1.7, v0=0.5, omega0=1.0, phi=0.9)
-    yield BarrierSpec(theta=0.0, **base)
-    yield BarrierSpec(theta=math.pi, **base)
-    yield BarrierSpec(a=2.0, v0=0.0, omega0=1.0, theta=1.1, phi=0.4)
-    yield BarrierSpec(a=0.0, v0=0.7, omega0=1.0, theta=1.0, phi=2.0)
-    yield BarrierSpec(a=1e-8, v0=0.5e8, omega0=1e8, theta=1.0, phi=0.3)
-    yield BarrierSpec(a=1.3, v0=0.8, omega0=0.8, theta=1.0, phi=0.3)
-    yield BarrierSpec(a=1.3, v0=1e9, omega0=0.8, theta=2.0, phi=0.3)
+def _amplitude_bytes(amps):
+    """Every number amps reports, as bytes, and its route."""
+    d = amps.dispersion
+    return (amps.as_array().tobytes(), np.array(amps.interior_beta).tobytes(),
+            np.array([d.k0, d.k_plus, d.k_minus]).tobytes(),
+            np.float64(amps.condition).tobytes(), amps.solution.tobytes(), amps.route)
 
 
 class TestBitIdentity:
-    """The lean gates reproduce the norm-by-norm arithmetic bit for bit."""
+    """The template fill and the lean gates reproduce the row-by-row,
+    norm-by-norm arithmetic bit for bit, and solve_spec is build then solve."""
 
     # 4e-17 is near the median backward error of these specs, so about half
     # of them refine: a slip in the error's arithmetic flips some decisions
     @pytest.mark.parametrize("trigger", [matcher._REFINE_TRIGGER, 4e-17, 0.0],
                              ids=["as-shipped", "half-refine", "always-refine"])
-    def test_matches_norm_by_norm_reference(self, monkeypatch, trigger):
+    def test_matches_norm_by_norm_reference(self, monkeypatch, trigger, bit_identity_specs):
         monkeypatch.setattr(matcher, "_REFINE_TRIGGER", trigger)
-        specs = [*random_specs(np.random.default_rng(2024), 500), *_edge_specs()]
-        for spec in specs:
+        for spec in bit_identity_specs:
             system = build_system(spec)
-            assert system.matrix.tobytes() == _reference_matrix(spec).tobytes()
+            parts = (system.matrix, system.rhs, system.column_scale, system.beta_scale)
+            for got, want in zip(parts, _reference_system(spec)):
+                assert got.tobytes() == want.tobytes()
             amps = solve(system)
             condition, residual, u = _reference_solve(system, trigger)
             assert amps.condition == condition
@@ -245,6 +250,17 @@ class TestBitIdentity:
             assert amps.as_array().tobytes() == (system.column_scale * u).tobytes()
             want = system.beta_scale * u[2:6]
             assert np.array(amps.interior_beta).tobytes() == want.tobytes()
+            assert _amplitude_bytes(solve_spec(spec)) == _amplitude_bytes(amps)
+
+    def test_solve_spec_builds_and_solves_once(self, monkeypatch, spec_point):
+        calls = []
+        for name in ("build_system", "solve"):
+            def counted(arg, _name=name, _original=getattr(matcher, name)):
+                calls.append(_name)
+                return _original(arg)
+            monkeypatch.setattr(matcher, name, counted)
+        solve_spec(spec_point)
+        assert calls == ["build_system", "solve"]
 
 
 def _route_defects(spec):

@@ -226,6 +226,21 @@ class TestSampling:
             for s in sample_field(spec, amps, -2.0, spec.a + 2.0, 41):
                 assert s.psi.beta == 0
 
+    def test_grid_is_linspace_bit_for_bit(self, spec_point):
+        amps = amplitudes_closed(spec_point)
+        windows = [(-2.0, 3.0, 401), (-1.0, 2.0, 2), (-1e-3, 1.0, 3), (1e9, 1e12, 17),
+                   (0.0, 1e-320, 1000),                     # a subnormal step
+                   (0.0, 5e-324, 3), (-5e-324, 5e-324, 5)]  # steps that underflow to 0
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            x_min = rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-320, 100)
+            x_max = x_min + 10.0 ** rng.uniform(-323.5, 100.0)
+            if x_max > x_min:
+                windows.append((x_min, x_max, int(rng.integers(2, 100))))
+        for window in windows:
+            field = sample_field(spec_point, amps, *window)
+            assert field.x.tobytes() == np.linspace(*window).tobytes()
+
     @pytest.mark.parametrize("bounds", [
         (0.0, 1.0, 1),
         (1.0, 1.0, 5),
