@@ -49,8 +49,8 @@ from .wavefield import REGIONS, sample_field
 
 
 class Param(NamedTuple):
-    """One flag, --NAME with dashes for underscores; a bool is a switch and a
-    list a repeatable flag."""
+    """One flag, --NAME with dashes for underscores; a list is a repeatable
+    flag."""
 
     type: type
     default: object
@@ -61,8 +61,6 @@ class Param(NamedTuple):
 
     def options(self, choices) -> dict:
         """add_argument's keywords, choices only for --format."""
-        if self.type is bool:
-            return {"action": "store_true"}
         kind = {"action": "append"} if self.type is list else {"type": self.type}
         return dict(kind, metavar=self.metavar, choices=choices)
 
@@ -86,7 +84,6 @@ PARAMS = {
     "format": Param(str, None, "output format (default: {})"),
     "out": Param(str, None, "write output to this file", config=False),
     "config": Param(str, None, "key=value defaults file", config=False),
-    "quick": Param(bool, False, "smaller samples, skip the subprocess check", config=False),
 }
 _SPEC = tuple(name for name, param in PARAMS.items() if param.sweep)   # BarrierSpec fields
 _MAX_GRID = 1_000_000
@@ -392,7 +389,7 @@ def cmd_ordering(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all     # only this command pays for the suite
 
-    results = run_all(quick=args.quick)
+    results = run_all()
     for result in results:
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -442,7 +439,7 @@ COMMANDS = {
     "ordering": Command("swap two barriers and compare transmission", cmd_ordering,
                         ("seg_a", "seg_b", "gap", "omega0") + _IO,
                         ("text", "json"), "ordering supports text or json output"),
-    "verify": Command("run the verification suite", cmd_verify, ("quick",)),
+    "verify": Command("run the verification suite", cmd_verify, ()),
 }
 
 

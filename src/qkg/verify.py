@@ -1,10 +1,12 @@
 """End-to-end verification suite.
 
 Ten independent checks cross-validate the solvers against each other and
-against frozen expectations.  The criterion decorator times each check,
-applies its time budget and builds its CheckResult; the command line prints
-them as a table and the acceptance tests assert them one by one.  All
-tolerances are pinned here as constants.  `import qkg` does not load this.
+against frozen expectations.  The suite has one configuration: every size,
+tolerance and time budget is pinned here as a constant, and together they
+are the floor that no check runs below.  The criterion decorator times each
+check, applies its time budget and builds its CheckResult; the command line
+prints them as a table and the acceptance tests assert them one by one.
+`import qkg` does not load this.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ BISECTION_TOL = 1e-11
 GAP_INSERT_TOL = 1e-13
 
 ORDER_IDENTICAL_TOL = 1e-13
+ORDER_COMPLEX_DRAWS = 20
 ORDER_COMPLEX_TOL = 1e-12
 FIXTURE_TOL = 1e-10
 
@@ -77,7 +80,7 @@ FIDELITY_MIN_SIN = 0.1
 
 STACK_DEEP_PAIRS = 1000
 STACK_DEEP_COUNT = 10
-STACK_HUGE_PAIRS = 10_000     # one such stack, full mode only
+STACK_HUGE_PAIRS = 10_000     # one such stack
 STACK_UNITARITY_TOL = 1e-12
 STACK_SHORT_MAX_PAIRS = 20
 STACK_SHORT_COUNT = 100
@@ -102,31 +105,27 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
-    skipped: bool = False
 
     def line(self) -> str:
-        tag = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
+        tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.index} {self.name:<18} {self.detail} ({self.seconds:.2f}s)"
 
 
 def criterion(index: int, name: str, budget: float = math.inf):
-    """Make check(quick) -> (passed, detail) | None return a timed CheckResult.
+    """Make check() -> (passed, detail) return a timed CheckResult.
 
-    None means skipped in quick mode.  In full mode a check that takes
-    `budget` seconds or more fails.
+    A check that takes `budget` seconds or more fails, and its detail then
+    ends with the budget it overran.
     """
     def decorate(check):
         @functools.wraps(check)
-        def run(quick: bool = False) -> CheckResult:
+        def run() -> CheckResult:
             start = time.perf_counter()
-            outcome = check(quick)
+            passed, detail = check()
             elapsed = time.perf_counter() - start
-            if outcome is None:
-                return CheckResult(index, name, True, "skipped in quick mode", 0.0,
-                                   skipped=True)
-            passed, detail = outcome
-            return CheckResult(index, name, bool(passed) and (quick or elapsed < budget),
-                               detail, elapsed)
+            if elapsed >= budget:
+                passed, detail = False, f"{detail}, over its {budget:g} s budget"
+            return CheckResult(index, name, bool(passed), detail, elapsed)
         return run
     return decorate
 
@@ -169,18 +168,16 @@ def random_stack(rng: np.random.Generator, pairs: int) -> LayerStack:
 
 
 @criterion(1, "oracle-equivalence", budget=ORACLE_SECONDS)
-def check_oracle_equivalence(quick: bool):
+def check_oracle_equivalence():
     """Criterion 1: linear solve and closed forms agree, and both conserve flux.
 
     ORACLE_EDGE_SPECS more random_specs, from their own stream, are moved to
     V0 = omega0 (even draws) or into the Klein zone, V0 on [omega0, 2 omega0)."""
-    count = 100 if quick else ORACLE_SPECS
-    edge = 10 if quick else ORACLE_EDGE_SPECS
     worst = worst_flux = 0.0
     rng = np.random.default_rng(SEED + 7)
-    specs = random_specs(np.random.default_rng(SEED), count) + [
+    specs = random_specs(np.random.default_rng(SEED), ORACLE_SPECS) + [
         replace(spec, v0=spec.omega0 * (1.0 + (i % 2) * rng.random()))
-        for i, spec in enumerate(random_specs(rng, edge))]
+        for i, spec in enumerate(random_specs(rng, ORACLE_EDGE_SPECS))]
     for spec in specs:
         routes = (solve_spec(spec), amplitudes_closed(spec))
         solved, closed = (amps.as_array() for amps in routes)
@@ -189,7 +186,7 @@ def check_oracle_equivalence(quick: bool):
                                        for amps in routes))
     return (worst <= ORACLE_TOL and worst_flux <= ORACLE_FLUX_TOL,
             f"max rel diff {worst:.3e}, flux defect {worst_flux:.3e} "
-            f"over {count} + {edge} (V0 >= omega0) specs")
+            f"over {ORACLE_SPECS} + {ORACLE_EDGE_SPECS} (V0 >= omega0) specs")
 
 
 def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> float:
@@ -200,13 +197,12 @@ def _system_backward_error(matrix: np.ndarray, c: np.ndarray, rhs: np.ndarray) -
 
 
 @criterion(2, "back-substitution")
-def check_back_substitution(quick: bool):
+def check_back_substitution():
     """Criterion 2: solutions satisfy the matching equations and continuity."""
-    count = 60 if quick else BACKSUB_SPECS
     rng = np.random.default_rng(SEED + 1)
     worst_eq = 0.0
     worst_cont = 0.0
-    for spec in random_specs(rng, count):
+    for spec in random_specs(rng, BACKSUB_SPECS):
         system = build_system(spec)
         amps = solve(system)
         worst_eq = max(worst_eq, _system_backward_error(
@@ -217,17 +213,16 @@ def check_back_substitution(quick: bool):
                 raw_m, amps.as_array(), raw_rhs))
         worst_cont = max(worst_cont, *continuity_residuals(spec, amps))
     return (worst_eq <= BACKSUB_TOL and worst_cont <= BACKSUB_TOL,
-            f"residual {worst_eq:.3e}, continuity {worst_cont:.3e} over {count} specs")
+            f"residual {worst_eq:.3e}, continuity {worst_cont:.3e} over {BACKSUB_SPECS} specs")
 
 
 @criterion(3, "complex-limit")
-def check_complex_limit(quick: bool):
+def check_complex_limit():
     """Criterion 3: theta = 0 gives c2 = c8 = 0 exactly and unit |c1|^2+|c7|^2."""
-    grid = 8 if quick else LIMIT_GRID
     exact_zero = True
     worst_unitarity = 0.0
-    for a in np.linspace(0.25, 10.0, grid):
-        for v0 in np.linspace(0.05, 0.95, grid):
+    for a in np.linspace(0.25, 10.0, LIMIT_GRID):
+        for v0 in np.linspace(0.05, 0.95, LIMIT_GRID):
             spec = BarrierSpec(a=float(a), v0=float(v0), omega0=1.0,
                                theta=0.0, phi=0.0)
             amps = solve_spec(spec)
@@ -237,7 +232,7 @@ def check_complex_limit(quick: bool):
                                   abs(abs(amps.c1) ** 2 + abs(amps.c7) ** 2 - 1.0))
     return (exact_zero and worst_unitarity <= LIMIT_UNITARITY_TOL,
             f"c2=c8=0 exact: {exact_zero}, unitarity defect "
-            f"{worst_unitarity:.3e} on {grid}x{grid} grid")
+            f"{worst_unitarity:.3e} on {LIMIT_GRID}x{LIMIT_GRID} grid")
 
 
 def _taylor(spec: BarrierSpec) -> np.ndarray:
@@ -264,7 +259,7 @@ def _taylor_errors(scale: float) -> np.ndarray:
 
 
 @criterion(4, "taylor-regime")
-def check_taylor_regime(quick: bool):
+def check_taylor_regime():
     """Criterion 4: small-parameter expansion matches, errors second order."""
     spec = BarrierSpec(a=1e-3, v0=1e-3, omega0=1.0, theta=1e-3, phi=math.pi / 4)
     taylor = np.abs(_taylor(spec))
@@ -287,12 +282,11 @@ def check_taylor_regime(quick: bool):
 
 
 @criterion(5, "no-damping", budget=DAMPING_SECONDS)
-def check_no_damping(quick: bool):
+def check_no_damping():
     """Criterion 5: |c8| does not decay with barrier width."""
-    step = 0.05 if quick else DAMPING_STEP
     # widths i * step for i = 1 .. 100 / step; c8[i - 1] belongs to width i * step
-    half = int(round(50.0 / step))
-    widths = np.arange(1, 2 * half + 1) * step
+    half = int(round(50.0 / DAMPING_STEP))
+    widths = np.arange(1, 2 * half + 1) * DAMPING_STEP
     c8 = np.abs(exterior_amplitudes_grid(widths, 0.3, 1.0, math.pi / 2, 0.0)[3])
     near = float(c8[:half].max())
     far = float(c8[half - 1:].max())
@@ -301,14 +295,13 @@ def check_no_damping(quick: bool):
 
 
 @criterion(6, "transfer-oracle")
-def check_transfer_oracle(quick: bool):
+def check_transfer_oracle():
     """Criterion 6: transfer-matrix route reproduces the matching solver."""
-    count = 40 if quick else TRANSFER_SPECS
     rng = np.random.default_rng(SEED + 2)
     worst_scatter = 0.0
     worst_bisect = 0.0
     worst_gap = 0.0
-    for spec in random_specs(rng, count):
+    for spec in random_specs(rng, TRANSFER_SPECS):
         amps = solve_spec(spec)
         seg = Segment(spec.a, spec.v0, spec.theta, spec.phi)
         refl, trans = stack_scatter(LayerStack((seg,), spec.omega0))
@@ -332,11 +325,11 @@ def check_transfer_oracle(quick: bool):
     return (worst_scatter <= TRANSFER_TOL and worst_bisect <= BISECTION_TOL
             and worst_gap <= GAP_INSERT_TOL,
             f"scatter {worst_scatter:.3e}, bisection {worst_bisect:.3e}, "
-            f"gap insertion {worst_gap:.3e} over {count} specs")
+            f"gap insertion {worst_gap:.3e} over {TRANSFER_SPECS} specs")
 
 
 @criterion(7, "ordering-sanity")
-def check_ordering_sanity(quick: bool):
+def check_ordering_sanity():
     """Criterion 7: ordering differences vanish when they must; fixture holds."""
     seg = Segment(1.0, 0.45, 1.1, 0.7)
     rep_same = ordering_report(seg, seg, 1.5, 1.0)
@@ -344,7 +337,7 @@ def check_ordering_sanity(quick: bool):
 
     rng = np.random.default_rng(SEED + 3)
     worst_complex = 0.0
-    for _ in range(5 if quick else 20):
+    for _ in range(ORDER_COMPLEX_DRAWS):
         seg_a = Segment(rng.uniform(0.2, 3.0), rng.uniform(0.05, 0.9), 0.0, 0.0)
         seg_b = Segment(rng.uniform(0.2, 3.0), rng.uniform(0.05, 0.9), 0.0, 0.0)
         d_prob = ordering_report(seg_a, seg_b, rng.uniform(0.0, 4.0), 1.0).d_prob
@@ -393,18 +386,17 @@ def _transcribed_matrix(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @criterion(8, "matrix-fidelity")
-def check_matrix_fidelity(quick: bool):
+def check_matrix_fidelity():
     """Criterion 8: the production system is the literal transcription, rescaled.
 
     M_raw diag(column_scale) = diag(1, wx, k+, k+ wx, 1, wx, k+, k+ wx) M_reg
     and rhs_raw = diag(1, wx, k+, ...) rhs_reg hold to rounding, because
     r_plus w_minus = r_minus w_plus = w_cross.
     """
-    count = 20 if quick else FIDELITY_SPECS
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
     done = 0
-    while done < count:
+    while done < FIDELITY_SPECS:
         spec = random_specs(rng, 1)[0]
         if math.sin(spec.theta) <= FIDELITY_MIN_SIN:
             continue
@@ -419,17 +411,16 @@ def check_matrix_fidelity(quick: bool):
         worst = max(worst,
                     float(np.abs(got_m - ref_m).max()) / scale,
                     float(np.abs(row_scale * system.rhs - ref_rhs).max()))
-    return worst <= FIDELITY_TOL, f"max entry deviation {worst:.3e} over {count} specs"
+    return (worst <= FIDELITY_TOL,
+            f"max entry deviation {worst:.3e} over {FIDELITY_SPECS} specs")
 
 
 @criterion(9, "determinism")
-def check_determinism(quick: bool):
+def check_determinism():
     """Criterion 9: a sweep prints the same bytes in a fresh process and in this one.
 
     The in-process run calls the sweep command itself, not cli.main, so it
     adds no logging handler to this process."""
-    if quick:
-        return None
     passed = True
     details = []
     for fmt in ("csv", "json"):
@@ -450,28 +441,25 @@ def check_determinism(quick: bool):
 
 
 @criterion(10, "stack-unitarity")
-def check_stack_unitarity(quick: bool):
+def check_stack_unitarity():
     """Criterion 10: deep stacks keep S unitary; short ones match the transfer route.
 
-    S^H S = I and S S^H = I are checked on STACK_DEEP_PAIRS-pair stacks
-    (plus one STACK_HUGE_PAIRS-pair stack in full mode).  On stacks of 1 to
-    STACK_SHORT_MAX_PAIRS pairs, stack_scatter is held against the incident
-    column of transfer_smatrix, moved to the global coordinate; so are
-    STACK_EDGE_COUNT short stacks, from their own stream, at V0 = omega0.
+    S^H S = I and S S^H = I are checked on STACK_DEEP_COUNT stacks of
+    STACK_DEEP_PAIRS pairs and one of STACK_HUGE_PAIRS pairs.  On stacks of 1
+    to STACK_SHORT_MAX_PAIRS pairs, stack_scatter is held against the
+    incident column of transfer_smatrix, moved to the global coordinate; so
+    are STACK_EDGE_COUNT short stacks, from their own stream, at V0 = omega0.
     """
     rng = np.random.default_rng(SEED + 5)
-    depths = [STACK_DEEP_PAIRS] * (2 if quick else STACK_DEEP_COUNT)
-    if not quick:
-        depths.append(STACK_HUGE_PAIRS)
+    depths = [STACK_DEEP_PAIRS] * STACK_DEEP_COUNT + [STACK_HUGE_PAIRS]
     eye = np.eye(4)
     worst_unitary = 0.0
     for pairs in depths:
         s = stack_smatrix(random_stack(rng, pairs))
         worst_unitary = max(worst_unitary, np.abs(s.conj().T @ s - eye).max(),
                             np.abs(s @ s.conj().T - eye).max())
-    count = 20 if quick else STACK_SHORT_COUNT
     short = [random_stack(rng, int(rng.integers(1, STACK_SHORT_MAX_PAIRS + 1)))
-             for _ in range(count)]
+             for _ in range(STACK_SHORT_COUNT)]
     edge_rng = np.random.default_rng(SEED + 6)
     for _ in range(STACK_EDGE_COUNT):
         stack = random_stack(edge_rng, int(edge_rng.integers(1, STACK_EDGE_MAX_PAIRS + 1)))
@@ -486,13 +474,13 @@ def check_stack_unitarity(quick: bool):
         worst_oracle = max(worst_oracle, np.abs(got - ref).max())
     return (worst_unitary <= STACK_UNITARITY_TOL and worst_oracle <= STACK_ORACLE_TOL,
             f"unitarity {worst_unitary:.3e} to {max(depths)} pairs, "
-            f"transfer route {worst_oracle:.3e} over {count} + "
+            f"transfer route {worst_oracle:.3e} over {STACK_SHORT_COUNT} + "
             f"{STACK_EDGE_COUNT} (V0 = omega0) stacks")
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every criterion in order and collect the results."""
-    return [check(quick) for check in (
+    return [check() for check in (
         check_oracle_equivalence, check_back_substitution, check_complex_limit,
         check_taylor_regime, check_no_damping, check_transfer_oracle,
         check_ordering_sanity, check_matrix_fidelity, check_determinism,

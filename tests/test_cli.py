@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkg import cli, matcher
+from qkg import cli, matcher, verify
 from qkg._digits import render
 from qkg.cli import main
 from qkg.closedform import exterior_amplitudes_grid
@@ -332,11 +332,10 @@ options:
   --config CONFIG       key=value defaults file
 """,
     "verify": """\
-usage: qkg verify [-h] [--quick]
+usage: qkg verify [-h]
 
 options:
   -h, --help  show this help message and exit
-  --quick     smaller samples, skip the subprocess check
 """,
 }
 
@@ -950,28 +949,45 @@ class TestOrdering:
 
 
 class TestVerifyCommand:
-    def test_quick_suite_passes(self):
-        proc = run_cli("verify", "--quick")
+    def test_suite_passes(self):
+        proc = run_cli("verify")
         assert proc.returncode == 0
         assert "[PASS] 1 oracle-equivalence" in proc.stdout
-        assert "[SKIP] 9 determinism" in proc.stdout
+        assert "[PASS] 9 determinism" in proc.stdout
         assert "[PASS] 10 stack-unitarity" in proc.stdout
+
+    def test_failed_criterion_exits_1(self, monkeypatch, capsys):
+        results = [verify.CheckResult(index, f"check-{index}", index != 4, "detail", 0.0)
+                   for index in range(1, 11)]
+        monkeypatch.setattr(verify, "run_all", lambda: results)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] 4 check-4            detail (0.00s)\n" in out
+        assert out.endswith("total 0.00s, 9/10 passed\n")
+
+    def test_quick_flag_rejected(self):
+        # the suite has one configuration, the full floor
+        proc = run_cli("verify", "--quick")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --quick" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_workers_flag_rejected(self):
         # verify runs no sweep pool, so it takes no worker count
-        proc = run_cli("verify", "--quick", "--workers", "3")
+        proc = run_cli("verify", "--workers", "3")
         assert proc.returncode == 2
         assert "unrecognized arguments: --workers" in proc.stderr
 
     def test_config_flag_rejected(self):
         # verify reads no settings, so it takes no defaults file
-        proc = run_cli("verify", "--quick", "--config", "x")
+        proc = run_cli("verify", "--config", "x")
         assert proc.returncode == 2
         assert "unrecognized arguments: --config" in proc.stderr
 
     def test_inject_perturbation_flag_rejected(self):
         # the gate's trip test lives in test_acceptance, on a monkeypatch
-        proc = run_cli("verify", "--quick", "--inject-perturbation")
+        proc = run_cli("verify", "--inject-perturbation")
         assert proc.returncode == 2
         assert "unrecognized arguments: --inject-perturbation" in proc.stderr
 
