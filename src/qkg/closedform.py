@@ -41,32 +41,33 @@ import math
 import numpy as np
 
 from .errors import UndefinedFractionError
-from .model import Amplitudes, BarrierSpec, _mode_terms, require_each, slab_rules, wavenumbers
+from .model import Amplitudes, BarrierSpec, mode_ratios, require_each, slab_rules, wavenumbers
 from .quaternion import rescaled
 
 EXACT = "exact"
 
 
-def slab_rt(q, k0, length, sin=math.sin, cos=math.cos, faces=False):
+def slab_rt(q, k0, length, faces=False):
     """The module's (r, t) of a slab; q^2 is never formed, so any finite q length works.
 
-    Scalar callers pass math's sin and cos; with numpy's, any argument may be
-    an array.  sigma k0/q is k0 length / 2 where q = 0.  With faces, 1 + r and
-    1 - r follow, psi and psi' / (i k0) on the near face, formed as
-    t (cos qL - 2i sigma k0/q) and t (cos qL - 2i sigma q/k0) so that neither
-    cancels at a hard mirror, where r -> -1.
+    A numpy q (array or scalar) takes numpy's sin and cos, and any argument may
+    then be an array; any other q takes math's.  sigma k0/q is k0 length / 2 where
+    q = 0.  With faces, 1 + r and 1 - r follow, psi and psi' / (i k0) on the near
+    face, formed as t (cos qL - 2i sigma k0/q) and t (cos qL - 2i sigma q/k0) so
+    that neither cancels at a hard mirror, where r -> -1.
     """
+    numpy = isinstance(q, (np.ndarray, np.generic))
     phase = q * length
-    sigma = 0.5 * sin(phase)
+    sigma = 0.5 * (np.sin if numpy else math.sin)(phase)
     up = sigma * q / k0
-    if sin is math.sin:
+    if not numpy:
         down = sigma * k0 / q if q else 0.5 * k0 * length
     elif q.all():
         down = sigma * k0 / q
     else:
         with np.errstate(invalid="ignore"):
             down = np.where(q == 0, 0.5 * k0 * length, sigma * k0 / q)
-    cosine = cos(phase)
+    cosine = (np.cos if numpy else math.cos)(phase)
     t = 1.0 / (cosine - 1j * (down + up))
     r = 1j * (up - down) * t
     return (r, t, t * (cosine - 2j * down), t * (cosine - 2j * up)) if faces else (r, t)
@@ -102,8 +103,9 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     every angle.
     """
     disp = wavenumbers(spec)
-    n1, wp, wm, wx = _mode_terms(spec.theta, spec.phi)
-    k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
+    n1, (wp, wm, wx) = math.cos(spec.theta), mode_ratios(spec.theta, spec.phi)
+    # Python floats take slab_rt's math path, also where spec holds numpy scalars
+    k0, kp, km, a = disp.k0, float(disp.k_plus), float(disp.k_minus), spec.a
     rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
     rm, tm, em, om = slab_rt(km, k0, a, faces=True)
     cross, back = 2.0 * wx, cmath.exp(-1j * a * k0)
@@ -123,8 +125,8 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     shape of (a, v0, omega0) and the direction that of (theta, phi), so given
     np.ix_ axes only the amplitudes span the grid."""
     require_each(slab_rules, a, v0, theta, phi, omega0)
-    rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a, np.sin, np.cos)
-    rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a, np.sin, np.cos)
+    rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a)
+    rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a)
     n1, cross = direction_terms(theta, phi)
     c1, c2, _, _ = coupled(rm, rp, n1, cross)
     c7, c8, _, _ = coupled(tm, tp, n1, cross)

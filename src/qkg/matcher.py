@@ -56,14 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import (
-    Amplitudes,
-    BarrierSpec,
-    DispersionData,
-    ModeRatios,
-    mode_ratios,
-    wavenumbers,
-)
+from .model import Amplitudes, BarrierSpec, DispersionData, mode_ratios, wavenumbers
 
 log = logging.getLogger(__name__)
 
@@ -112,13 +105,12 @@ class MatchingSystem:
     beta_scale: np.ndarray
     spec: BarrierSpec
     dispersion: DispersionData
-    ratios: ModeRatios
 
 
 def build_system(spec: BarrierSpec) -> MatchingSystem:
     """Assemble the regularized matching system for spec; any direction, any V0."""
     disp = wavenumbers(spec)
-    ratios = mode_ratios(spec.theta, spec.phi)
+    wp, wm, wx = mode_ratios(spec.theta, spec.phi)
     k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
     cp, sp, cm, sm = math.cos(kp * a), math.sin(kp * a), math.cos(km * a), math.sin(km * a)
     # the k_minus psi'(0) in units of i um, with |um sin(qa)/q| <= 1 also
@@ -126,7 +118,6 @@ def build_system(spec: BarrierSpec) -> MatchingSystem:
     slow = sm / km if km else a
     um = max(k0, km) if max(k0, km) * abs(slow) <= 1.0 else 1.0 / abs(slow)
     lm = um * slow
-    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     x0, xm, xu = k0 / kp, km / kp, um / kp
 
     back = cmath.exp(-1j * a * k0)
@@ -137,7 +128,7 @@ def build_system(spec: BarrierSpec) -> MatchingSystem:
                   1j * sp, cp, 1j * xm * sm, xu * cm, -x0, -complex(x0),
                   wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back, kp / k0, um / k0)
     t[80:] = wx * t[80:]
-    return MatchingSystem(t[:64].reshape(8, 8), t[64:72], t[72:80], t[80:], spec, disp, ratios)
+    return MatchingSystem(t[:64].reshape(8, 8), t[64:72], t[72:80], t[80:], spec, disp)
 
 
 def solve(system: MatchingSystem) -> Amplitudes:

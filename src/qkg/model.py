@@ -28,7 +28,8 @@ and amplitude ratios C_beta / C_alpha
 The raw ratios blow up as sin theta -> 0 (the complex limit, where the
 potential direction aligns with i), so the package never stores them.  Every
 formula downstream needs them only through three combinations that stay
-finite for all angles, and only these are kept:
+finite for all angles, and only these are kept: mode_ratios returns them
+as one tuple, which every route unpacks,
 
     w_plus  = r_plus  / (r_plus - r_minus) = cos^2(theta / 2)
     w_minus = r_minus / (r_plus - r_minus) = -sin^2(theta / 2)
@@ -173,21 +174,8 @@ def check_nondegenerate(spec: BarrierSpec) -> None:
     """
 
 
-@dataclass(frozen=True)
-class ModeRatios:
-    """Regular combinations of the interior amplitude ratios.
-
-    w_plus, w_minus and w_cross are defined for every direction; the raw
-    ratios r_plus and r_minus, which diverge at the poles, are not kept.
-    """
-
-    w_plus: complex
-    w_minus: complex
-    w_cross: complex
-
-
-def mode_ratios(theta: float, phi: float) -> ModeRatios:
-    """Mode ratios for the direction (theta, phi).
+def mode_ratios(theta: float, phi: float) -> tuple[complex, complex, complex]:
+    """(w_plus, w_minus, w_cross) for the direction (theta, phi).
 
     The regular combinations are evaluated from their closed forms in the
     angles, which are finite and smooth everywhere:
@@ -196,13 +184,8 @@ def mode_ratios(theta: float, phi: float) -> ModeRatios:
         w_minus = (cos theta - 1) / 2
         w_cross = (i/2) sin(theta) e^{-i phi}
     """
-    return ModeRatios(*_mode_terms(theta, phi)[1:])
-
-
-def _mode_terms(theta: float, phi: float) -> tuple[float, complex, complex, complex]:
-    """(cos theta, w_plus, w_minus, w_cross): mode_ratios without the record."""
     n1 = math.cos(theta)
-    return (n1, complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
+    return (complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
             0.5j * math.sin(theta) * cmath.exp(-1j * phi))
 
 

@@ -199,7 +199,7 @@ def _star(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray:
     """(4, 4, n, m) S = [[r, t], [t, r]] of every segment."""
     q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
-    rt = np.array(slab_rt(q, k0, length, np.sin, np.cos))
+    rt = np.array(slab_rt(q, k0, length))
     # s[out side, i, in side, j] = [[r, t], [t, r]]: fill the left row,
     # then mirror it into the right one
     s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
@@ -244,10 +244,10 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
         if pairs and not v0[1::2].any():
             # every first-level pair ends in a free gap: fold its phase e into
             # the left neighbour, t -> e t, t' -> t' e, r' -> e r' e, which is
-            # _star(s, [[0, e], [e, 0]]) without the zero blocks; q = k0 is an
-            # array scalar for slab_rt's array path
+            # _star(s, [[0, e], [e, 0]]) without the zero blocks; q = k0 is a
+            # numpy scalar for slab_rt's numpy path
             s = _segment_smatrices(k0, length[::2], v0[::2], theta[::2], phi[::2])
-            e = slab_rt(np.float64(k0), k0, length[1::2], np.sin, np.cos)[1]
+            e = slab_rt(np.float64(k0), k0, length[1::2])[1]
             s[2:, :, :pairs] *= e
             s[:, 2:, :pairs] *= e
         else:

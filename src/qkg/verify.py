@@ -26,7 +26,7 @@ import numpy as np
 from . import cli
 from .closedform import amplitudes_closed, exterior_amplitudes_grid, exterior_magnitude_sum
 from .matcher import build_system, solve, solve_spec
-from .model import BarrierSpec, wavenumbers
+from .model import BarrierSpec, mode_ratios, wavenumbers
 from .multilayer import (
     LayerStack,
     Segment,
@@ -403,7 +403,7 @@ def check_matrix_fidelity():
         done += 1
         system = build_system(spec)
         ref_m, ref_rhs = _transcribed_matrix(spec)
-        kp, wx = system.dispersion.k_plus, system.ratios.w_cross
+        kp, wx = system.dispersion.k_plus, mode_ratios(spec.theta, spec.phi)[2]
         row_scale = np.tile([1.0, wx, kp, kp * wx], 2)
         ref_m = ref_m * system.column_scale
         got_m = row_scale[:, None] * system.matrix

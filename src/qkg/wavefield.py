@@ -12,9 +12,10 @@ in one region; continuity_residuals passes it the boundary positions 0 and
 a as arrays.
 
 sample_field returns one FieldSamples record of arrays over an ascending
-grid.  Each region is a contiguous slice of it, found by binary search, and
-is evaluated in one array pass; FieldSample objects are built only when the
-record is iterated.
+grid, or over one block of its positions, each formed as np.linspace forms it,
+so that blocks laid end to end give the whole grid bit for bit.  Each region is
+a contiguous slice of it, found by binary search, and is evaluated in one array
+pass; FieldSample objects are built only when the record is iterated.
 """
 
 from __future__ import annotations
@@ -111,21 +112,23 @@ def continuity_residuals(spec: BarrierSpec,
 
 
 def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
-                 x_max: float, n_points: int) -> FieldSamples:
-    """Sample psi and psi' on a uniform grid of n_points positions.
+                 x_max: float, n_points: int, cut: slice = slice(None)) -> FieldSamples:
+    """Sample psi and psi' on a uniform grid of n_points positions, at the
+    positions in cut, an ascending slice of the grid (all of it by default).
 
-    Only regions the grid reaches are evaluated."""
+    Only regions the positions reach are evaluated."""
     window_rule(require, x_min, x_max, n_points, spec.omega0)
     # np.linspace's float operations, with its branch for a step that underflows to 0
     span, div = x_max - x_min, n_points - 1
     step = span / div
-    xs = np.arange(n_points) * step if step else np.arange(n_points) / div * span
+    i = np.arange(*cut.indices(n_points))
+    xs = i * step if step else i / div * span
     xs += x_min
-    xs[-1] = x_max
-    # the grid ascends, so each region is the slice between two cuts
+    xs[i == div] = x_max
+    # the positions ascend, so each region is the slice between two cuts
     cuts = (0, int(np.searchsorted(xs, 0.0, "left")),
-            int(np.searchsorted(xs, spec.a, "right")), n_points)
-    values = np.empty((4, n_points), dtype=complex)
+            int(np.searchsorted(xs, spec.a, "right")), len(xs))
+    values = np.empty((4, len(xs)), dtype=complex)
     for name, lo, hi in zip(REGIONS, cuts, cuts[1:]):
         if lo < hi:
             values[:, lo:hi] = _eval(xs[lo:hi], amps, name)

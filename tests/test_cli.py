@@ -839,6 +839,34 @@ class TestField:
         assert main(["field", *args.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_DIGESTS[args]
 
+    def test_memory_holds_one_block_of_the_grid(self):
+        # 4x the points leave the traced peak in place: each block of positions
+        # is sampled, rendered and written before the next
+        main(["field", "--points", "3", "--out", os.devnull])     # render's tables
+        peaks = []
+        for points in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                assert main(["field", "--points", str(points), "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4e6
+        assert max(peaks) <= 1.25 * min(peaks)
+
+    @pytest.mark.parametrize("window", [
+        ("--points", "1"),
+        ("--xmin", "2", "--xmax", "1"),
+        ("--omega0", "1e13", "--a", "0.3", "--xmin", "1e9", "--xmax", "1.7976931348623157e308"),
+    ], ids=" ".join)
+    def test_invalid_window_leaves_out_unchanged(self, tmp_path, capsys, window):
+        # the window is checked before --out is opened and the first block written
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"old bytes")
+        assert main(["field", *window, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"old bytes"
+
     def test_underflowing_abs_psi_is_a_number(self, capsys):
         # |psi|^2 ~ 1e-599 underflows to 0; quaternion.magnitude rescales
         assert main(["field", "--a", "1", "--omega0", "1e-150", "--v0", "1e150",

@@ -29,8 +29,7 @@ class TestBuildSystem:
         raw_m, raw_rhs = _transcribed_matrix(spec_point)
         assert np.array_equal(raw_m[0],
                               np.array([1, 0, -1, 0, -1, 0, 0, 0], complex))
-        ratios = mode_ratios(spec_point.theta, spec_point.phi)
-        wp, wm = ratios.w_plus, ratios.w_minus
+        wp, wm, _ = mode_ratios(spec_point.theta, spec_point.phi)
         system = build_system(spec_point)
         assert np.array_equal(system.matrix[0],
                               np.array([1, 0, -wm, 0, -wp, 0, 0, 0], complex))
@@ -171,14 +170,13 @@ def _reference_system(spec):
     psi'_-(0) / (i um wp), c7 e^{i k0 a}, c8 e^{i k0 a} / wx), with
     um = min(max(k0, k-), |k- / sin(k- a)|); the psi' rows divided by i k+.
     """
-    disp, ratios = wavenumbers(spec), mode_ratios(spec.theta, spec.phi)
+    disp, (wp, wm, wx) = wavenumbers(spec), mode_ratios(spec.theta, spec.phi)
     k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
     cp, sp = math.cos(kp * a), math.sin(kp * a)
     cm, sm = math.cos(km * a), math.sin(km * a)
     slow = sm / km if km else a
     um = max(k0, km) if max(k0, km) * abs(slow) <= 1.0 else 1.0 / abs(slow)
     lm = um * slow
-    wp, wm, wx = ratios.w_plus, ratios.w_minus, ratios.w_cross
     x0, xm, xu = k0 / kp, km / kp, um / kp
     m = np.zeros((8, 8), dtype=complex)
     m[0] = [1, 0, -wm, 0, -wp, 0, 0, 0]

@@ -140,31 +140,31 @@ class TestDispersion:
 
 class TestModeRatios:
     def test_equator_values(self):
-        r = mode_ratios(math.pi / 2, 0.0)
+        w_plus, w_minus, w_cross = mode_ratios(math.pi / 2, 0.0)
         rp, rm = raw_ratios(math.pi / 2, 0.0)
         assert rp == pytest.approx(-1j)
         assert rm == pytest.approx(1j)
-        assert r.w_plus == pytest.approx(0.5)
-        assert r.w_minus == pytest.approx(-0.5)
-        assert r.w_cross == pytest.approx(0.5j)
+        assert w_plus == pytest.approx(0.5)
+        assert w_minus == pytest.approx(-0.5)
+        assert w_cross == pytest.approx(0.5j)
 
     @given(angles)
     def test_regular_combinations_match_raw(self, ang):
         theta, phi = ang
-        r = mode_ratios(theta, phi)
+        w_plus, w_minus, w_cross = mode_ratios(theta, phi)
         rp, rm = raw_ratios(theta, phi)
         dr = rp - rm
-        assert r.w_plus == pytest.approx(rp / dr, abs=1e-12)
-        assert r.w_minus == pytest.approx(rm / dr, abs=1e-12)
-        assert r.w_cross == pytest.approx(rp * rm / dr, abs=1e-12)
+        assert w_plus == pytest.approx(rp / dr, abs=1e-12)
+        assert w_minus == pytest.approx(rm / dr, abs=1e-12)
+        assert w_cross == pytest.approx(rp * rm / dr, abs=1e-12)
 
     @given(angles)
     def test_half_angle_forms(self, ang):
         theta, phi = ang
-        r = mode_ratios(theta, phi)
-        assert r.w_plus == pytest.approx(math.cos(theta / 2) ** 2, abs=1e-12)
-        assert r.w_minus == pytest.approx(-math.sin(theta / 2) ** 2, abs=1e-12)
-        assert r.w_cross == pytest.approx(
+        w_plus, w_minus, w_cross = mode_ratios(theta, phi)
+        assert w_plus == pytest.approx(math.cos(theta / 2) ** 2, abs=1e-12)
+        assert w_minus == pytest.approx(-math.sin(theta / 2) ** 2, abs=1e-12)
+        assert w_cross == pytest.approx(
             0.5j * math.sin(theta) * cmath.exp(-1j * phi), abs=1e-12)
 
     @given(angles)
@@ -173,13 +173,13 @@ class TestModeRatios:
         assert rp * rm.conjugate() == pytest.approx(-1.0, abs=1e-12)
 
     def test_cross_combination_at_poles(self):
-        assert mode_ratios(0.0, 1.0).w_cross == 0.0
+        assert mode_ratios(0.0, 1.0)[2] == 0.0
         # sin(pi) is not exactly zero in floats
-        assert abs(mode_ratios(math.pi, 1.0).w_cross) < 1e-15
+        assert abs(mode_ratios(math.pi, 1.0)[2]) < 1e-15
 
     def test_partition_of_unity(self):
-        r = mode_ratios(1.234, 2.345)
-        assert r.w_plus - r.w_minus == pytest.approx(1.0, abs=1e-15)
+        w_plus, w_minus, _ = mode_ratios(1.234, 2.345)
+        assert w_plus - w_minus == pytest.approx(1.0, abs=1e-15)
 
 
 class TestInteriorModes:

@@ -8,6 +8,7 @@ V0 = omega0."""
 
 import dataclasses
 import importlib
+import inspect
 import math
 import subprocess
 import sys
@@ -77,8 +78,7 @@ MODULE_ONLY = {
     "closedform": ("EXACT",),
     "errors": ("InvalidDirectionError",),
     "matcher": ("REGULARIZED", "MatchingSystem", "build_system", "solve"),
-    "model": ("DispersionData", "ModeRatios", "mode_ratios", "wavenumbers",
-              "direction_coupling"),
+    "model": ("DispersionData", "mode_ratios", "wavenumbers", "direction_coupling"),
     "multilayer": ("compose", "segment_transfer", "stack_transfer", "transfer_smatrix",
                    "stack_smatrix"),
     "quaternion": ("UnitImaginaryDirection",),
@@ -109,6 +109,15 @@ def test_removed_names_are_gone(name):
 
 def test_amplitudes_keep_no_mode_ratios():
     assert "ratios" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
+
+
+def test_one_source_for_the_mode_terms_and_the_slab_backend():
+    from qkg import closedform, matcher, model
+
+    assert not any(hasattr(model, name) for name in ("ModeRatios", "_mode_terms"))
+    assert "ratios" not in {field.name for field in dataclasses.fields(matcher.MatchingSystem)}
+    assert list(inspect.signature(closedform.slab_rt).parameters) == [
+        "q", "k0", "length", "faces"]
 
 
 def test_members_only_tests_read_are_gone():

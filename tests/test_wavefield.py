@@ -241,6 +241,29 @@ class TestSampling:
             field = sample_field(spec_point, amps, *window)
             assert field.x.tobytes() == np.linspace(*window).tobytes()
 
+    def test_blocks_join_to_the_whole_linspace_grid(self):
+        # blocks of positions laid end to end give one whole call's x, region
+        # and values bit for bit: barrier edges inside blocks and on their
+        # edges, the last point alone in its block or ending one, and the
+        # branch for a step that underflows to 0
+        spec = BarrierSpec(1.0, 0.3, 1.0, 1.1, 0.7)
+        cases = [((-2.0, 3.0, 401), 64), ((-2.0, 3.0, 401), 400), ((-2.0, 3.0, 384), 128),
+                 ((-2.0, 3.0, 6), 2), ((-2.0, 3.0, 6), 3), ((-2.0, 3.0, 6), 1),
+                 ((0.0, 5e-324, 3), 1), ((-5e-324, 5e-324, 5), 2)]
+        rng = np.random.default_rng(23)
+        for other in random_specs(rng, 20):
+            n = int(rng.integers(2, 3000))
+            cases.append(((-2.0, other.a + 2.0, n), int(rng.integers(1, n + 1)), other))
+        for window, size, *rest in cases:
+            at = rest[0] if rest else spec
+            amps = amplitudes_closed(at)
+            whole = sample_field(at, amps, *window)
+            blocks = [sample_field(at, amps, *window, slice(start, start + size))
+                      for start in range(0, window[2], size)]
+            for name in ("x", "region", "values"):
+                joined = np.concatenate([getattr(block, name) for block in blocks], axis=-1)
+                assert joined.tobytes() == getattr(whole, name).tobytes(), (window, size, name)
+
     @pytest.mark.parametrize("bounds", [
         (0.0, 1.0, 1),
         (1.0, 1.0, 5),
