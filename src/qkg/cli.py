@@ -243,7 +243,7 @@ def cmd_solve(args) -> int:
     spec = BarrierSpec(**_params(args))
     amps = solve_spec(spec)
     closed = amplitudes_closed(spec)
-    disp = asdict(closed.dispersion)
+    disp = closed.dispersion._asdict()
     solved, closed_form = amps.as_array(), closed.as_array()
     route_diff = max(map(abs, solved - closed_form))
     fraction = quaternionic_fraction(closed)

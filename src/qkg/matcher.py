@@ -36,14 +36,15 @@ where rho is the smallest pivot over the largest matrix entry.  Rejecting
 cond_1 >= 1 / (8 _PIVOT_FLOOR) therefore rejects every matrix whose pivot
 ratio falls below _PIVOT_FLOOR.
 
-Both gates read their norms from one np.abs of (M, M^-1): the largest column
-sums give cond_1, the largest row sum of |M| ||M||_inf for the backward error,
-which also needs only ||rhs||_inf = 1.  build_system copies one flat template of
-the fixed entries of M, rhs and the scales and fills in the 35 that depend on the
-spec with one indexed assignment, each the scalar expression of a row-by-row
-assembly.  No float operation differs from a row-by-row, norm-by-norm
-evaluation, so every gate and answer is bit-identical to it; qkg.verify keeps
-one for its backward-error criterion.
+Both gates read their norms from one np.abs of (M, M^-1) and their maxima from
+Python lists: the largest column sums give cond_1, the largest row sum of |M|
+||M||_inf for the backward error.  A NaN in M makes inv raise or the first
+column of M^-1 NaN, so cond_1 is NaN, though max skips a NaN not first in its
+list.  build_system copies a flat template of M, rhs and the scales and fills
+the 37 entries that depend on the spec with one indexed assignment, each the
+scalar expression of a row-by-row assembly.  No float operation differs from a
+row-by-row, norm-by-norm evaluation, so every gate and answer is bit-identical
+to it; qkg.verify keeps one for its backward-error criterion.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ _COND_WARN = 1e8
 
 REGULARIZED = "regularized"
 
-# matrix (row-major), rhs, column_scale, beta_scale / w_cross; build_system fills each _
+# matrix (row-major), rhs, column_scale, beta_scale; build_system fills each _
 _ = math.nan
 _FIXED = np.array((1, 0, _, 0, _, 0, 0, 0,
                    0, 1, -1, 0, -1, 0, 0, 0,
@@ -80,23 +81,21 @@ _FIXED = np.array((1, 0, _, 0, _, 0, 0, 0,
                    0, 0, _, _, _, _, _, 0,
                    0, 0, _, _, _, _, 0, _,
                    1, 0, _, 0, 0, 0, 0, 0,
-                   1, _, _, _, _, _, _, _, 1, _, 1, _), dtype=complex)
+                   1, _, _, _, _, _, _, _, _, _, _, _), dtype=complex)
 _FIXED[64:72] = -_FIXED[64:72]          # rhs = -(1, 0, _, 0, ...) in complex: -0 - 0j zeros
 _FILLED = np.flatnonzero(np.isnan(_FIXED))
 del _
 
-# the ufunc reductions behind np.linalg.norm, called without the ndarray
-# method wrappers, which cost a few microseconds per scalar solve
-_sum, _max = np.add.reduce, np.maximum.reduce
+# np.linalg.norm's ufunc reduction, without the ndarray method wrapper's few us a solve
+_sum = np.add.reduce
 
 
-@dataclass(frozen=True, eq=False)
-class MatchingSystem:
+class MatchingSystem(NamedTuple):
     """One assembled linear system M u = rhs.
 
     column_scale maps the solved unknowns back to the physical amplitudes,
     c_i = column_scale[i] * u_i, and beta_scale the interior unknowns u_2..u_5
-    to interior_beta.
+    to interior_beta.  A NamedTuple (copy with _replace); == raises on its arrays.
     """
 
     matrix: np.ndarray
@@ -121,13 +120,14 @@ def build_system(spec: BarrierSpec) -> MatchingSystem:
     x0, xm, xu = k0 / kp, km / kp, um / kp
 
     back = cmath.exp(-1j * a * k0)
+    # beta_scale = wx (1, kp/k0, 1, um/k0), complex by complex on every Python version
     t = _FIXED.copy()
     t[_FILLED] = (-wm, -wp, -x0, -wm, -wp * xu, -x0, -xu,
                   wm * cp, 1j * wm * sp, wp * cm, 1j * wp * lm, cp, 1j * sp, cm, 1j * lm,
                   1j * wm * sp, wm * cp, 1j * wp * xm * sm, wp * xu * cm, -x0,
                   1j * sp, cp, 1j * xm * sm, xu * cm, -x0, -complex(x0),
-                  wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back, kp / k0, um / k0)
-    t[80:] = wx * t[80:]
+                  wx, wm, wm * kp / k0, wp, wp * um / k0, back, wx * back,
+                  wx * (1 + 0j), wx * complex(kp / k0), wx * (1 + 0j), wx * complex(um / k0))
     return MatchingSystem(t[:64].reshape(8, 8), t[64:72], t[72:80], t[80:], spec, disp)
 
 
@@ -144,7 +144,8 @@ def solve(system: MatchingSystem) -> Amplitudes:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"matching matrix is singular: {exc}") from exc
     abs_mi = np.abs((m, inverse))
-    condition = math.prod(_max(_sum(abs_mi, 1), 1).tolist())      # ||M||_1 ||M^-1||_1
+    sums_m, sums_mi = _sum(abs_mi, 1).tolist()
+    condition = max(sums_m) * max(sums_mi)      # ||M||_1 ||M^-1||_1
     if not condition < _COND_REJECT:
         raise SingularSystemError(
             f"matching matrix is numerically singular (cond_1 {condition:.3e})")

@@ -53,6 +53,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +150,7 @@ class BarrierSpec:
         slab_rules(require, self.a, self.v0, self.theta, self.phi, self.omega0)
 
 
-@dataclass(frozen=True)
-class DispersionData:
+class DispersionData(NamedTuple):
     """Exterior and interior wavenumbers of a spec."""
 
     k0: float
@@ -203,8 +203,7 @@ def direction_coupling(n: UnitImaginaryDirection) -> np.ndarray:
     return np.array([[n.n1, off], [off.conjugate(), -n.n1]], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class Amplitudes:
+class Amplitudes(NamedTuple):
     """Scattering amplitudes c1..c8 of one barrier, from any route.
 
     route names the formula used: "regularized" (matching solve) or "exact"
@@ -218,7 +217,8 @@ class Amplitudes:
     (k_plus) or w_plus (k_minus), formed without dividing, so finite at every
     theta.  The matching solve also reports condition (1-norm condition
     number of M) and solution (the solved unknowns u); the closed form leaves
-    them None.
+    them None.  A NamedTuple, as are DispersionData and matcher.MatchingSystem
+    (_replace, _fields, _asdict); == compares by value, and raises on a solution.
     """
 
     c1: complex
@@ -236,5 +236,4 @@ class Amplitudes:
     solution: np.ndarray | None = None
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4,
-                         self.c5, self.c6, self.c7, self.c8], dtype=complex)
+        return np.array(self[:8], dtype=complex)

@@ -7,7 +7,6 @@ command line does.  The trip tests, which only need a check to fail, run it at
 smaller sizes by monkeypatching the module's size constants.
 """
 
-import dataclasses
 import logging
 import math
 
@@ -53,7 +52,7 @@ def test_criterion_1_closed_form_matches_linear_solve(results):
 def _scaled_c7(route, factor):
     def moved(spec):
         amps = route(spec)
-        return dataclasses.replace(amps, c7=amps.c7 * factor)
+        return amps._replace(c7=amps.c7 * factor)
     return moved
 
 
@@ -87,7 +86,7 @@ def test_criterion_3_trips_on_a_nonzero_pole_c8(monkeypatch, small):
 
     def moved(spec):
         amps = solve_spec(spec)
-        return dataclasses.replace(amps, c8=1e-30) if spec.theta == 0.0 else amps
+        return amps._replace(c8=1e-30) if spec.theta == 0.0 else amps
 
     monkeypatch.setattr(verify, "solve_spec", moved)
     res = verify.check_complex_limit()

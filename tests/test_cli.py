@@ -25,7 +25,7 @@ from qkg.model import BarrierSpec
 # scaled by 2^30: the same answer, bit for bit, at cond_1 7.0e9, between the
 # warning and the rejection gate.  No input spec reaches that band.
 _ILL_CONDITIONED_SOLVE = """\
-import dataclasses, sys
+import sys
 import numpy as np
 from qkg import cli, matcher
 
@@ -33,8 +33,8 @@ def ill_conditioned(spec):
     system = matcher.build_system(spec)
     scale = np.ones(8)
     scale[0] = 2.0 ** 30
-    return matcher.solve(dataclasses.replace(
-        system, matrix=system.matrix * scale, column_scale=system.column_scale * scale))
+    return matcher.solve(system._replace(
+        matrix=system.matrix * scale, column_scale=system.column_scale * scale))
 """
 
 

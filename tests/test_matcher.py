@@ -153,6 +153,16 @@ class TestSolveFailureModes:
         with pytest.raises(SingularSystemError, match="cond_1 nan"):
             solve(system)
 
+    @pytest.mark.parametrize("entry", [math.nan, complex(math.nan, 0.0), math.inf])
+    def test_each_non_finite_entry_fails_a_gate(self, spec_point, entry):
+        # the gates take Python's max, which skips a NaN not first in its list;
+        # LAPACK's inverse still carries one from any entry into cond_1
+        for i, j in np.ndindex(8, 8):
+            system = build_system(spec_point)
+            system.matrix[i, j] = entry
+            with pytest.raises(SingularSystemError, match="singular"):
+                solve(system)
+
     def test_near_singular_matrix_reported(self, spec_point):
         # nonzero smallest pivot, about 6e-15 of the largest entry: below
         # the pivot floor, so the condition gate must reject it too

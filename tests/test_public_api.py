@@ -4,7 +4,19 @@ loads no layer, and importing the command line leaves the verification
 suite unloaded.  The exports are the 21 names the paper needs; names removed
 from the package stay gone, or resolve only from their defining module, and
 both amplitude routes answer with their full interior at the poles and at
-V0 = omega0."""
+V0 = omega0.
+
+The three records of a scalar solve, DispersionData, Amplitudes and
+MatchingSystem, are NamedTuples: their field names and order are the contract,
+and they are read-only.  The other records stay dataclasses:
+
+- BarrierSpec, Segment, LayerStack and UnitImaginaryDirection validate their
+  fields in __post_init__, which a NamedTuple's _replace and _make would skip;
+- `qkg ordering --format json` writes asdict(report) of an OrderingReport,
+  and must keep writing each SymplecticPair in it as an {"alpha", "beta"}
+  object, where asdict would write a NamedTuple as a list;
+- the benchmark iterates FieldSamples through its own __iter__, where a
+  NamedTuple would iterate its fields."""
 
 import dataclasses
 import importlib
@@ -108,14 +120,14 @@ def test_removed_names_are_gone(name):
 
 
 def test_amplitudes_keep_no_mode_ratios():
-    assert "ratios" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
+    assert "ratios" not in qkg.Amplitudes._fields
 
 
 def test_one_source_for_the_mode_terms_and_the_slab_backend():
     from qkg import closedform, matcher, model
 
     assert not any(hasattr(model, name) for name in ("ModeRatios", "_mode_terms"))
-    assert "ratios" not in {field.name for field in dataclasses.fields(matcher.MatchingSystem)}
+    assert "ratios" not in matcher.MatchingSystem._fields
     assert list(inspect.signature(closedform.slab_rt).parameters) == [
         "q", "k0", "length", "faces"]
 
@@ -124,7 +136,7 @@ def test_members_only_tests_read_are_gone():
     pair = qkg.SymplecticPair(1 + 2j, 3 - 1j)
     assert not any(hasattr(pair, name) for name in ("__add__", "__sub__", "norm"))
     assert not hasattr(qkg.FieldSamples, "__getitem__")
-    assert "residual" not in {field.name for field in dataclasses.fields(qkg.Amplitudes)}
+    assert "residual" not in qkg.Amplitudes._fields
 
 
 @pytest.mark.parametrize("route", [qkg.solve_spec, qkg.amplitudes_closed])
@@ -134,3 +146,43 @@ def test_both_routes_answer_at_the_poles_and_the_edge(route, v0, theta):
     amps = route(qkg.BarrierSpec(a=1.0, v0=v0, omega0=1.0, theta=theta, phi=0.5))
     assert amps.route in {"exact", "regularized"}
     assert isinstance(amps.interior_beta, tuple) and len(amps.interior_beta) == 4
+
+
+RECORD_FIELDS = {
+    "DispersionData": ("k0", "k_plus", "k_minus"),
+    "Amplitudes": ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "dispersion", "route",
+                   "interior_beta", "condition", "solution"),
+    "MatchingSystem": ("matrix", "rhs", "column_scale", "beta_scale", "spec", "dispersion"),
+}
+
+
+def _records():
+    from qkg import matcher, model
+
+    spec = qkg.BarrierSpec(a=1.0, v0=0.3, omega0=1.0, theta=1.0, phi=0.5)
+    return {"DispersionData": [model.wavenumbers(spec)],
+            "Amplitudes": [matcher.solve_spec(spec), qkg.amplitudes_closed(spec)],
+            "MatchingSystem": [matcher.build_system(spec)]}
+
+
+@pytest.mark.parametrize("name", list(RECORD_FIELDS))
+def test_scalar_solve_records_are_read_only_named_tuples(name):
+    for record in _records()[name]:
+        cls = type(record)
+        assert cls.__name__ == name and issubclass(cls, tuple)
+        assert cls._fields == RECORD_FIELDS[name]
+        first = cls._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, first, None)
+        assert type(record._replace(**{first: getattr(record, first)})) is cls
+    if name == "Amplitudes":
+        assert cls._field_defaults == {"condition": None, "solution": None}
+
+
+def test_validated_and_nested_records_stay_dataclasses():
+    from qkg import model, multilayer, quaternion, wavefield
+
+    for cls in (model.BarrierSpec, multilayer.Segment, multilayer.LayerStack,
+                quaternion.UnitImaginaryDirection, quaternion.SymplecticPair,
+                multilayer.OrderingReport, wavefield.FieldSamples):
+        assert dataclasses.is_dataclass(cls) and not issubclass(cls, tuple), cls.__name__

@@ -174,7 +174,7 @@ class TestCurrent:
         for i in range(4):
             beta = list(amps.interior_beta)
             beta[i] += 1e-9
-            moved = dataclasses.replace(amps, interior_beta=tuple(beta))
+            moved = amps._replace(interior_beta=tuple(beta))
             assert current_defect(spec_point, moved) > self.CURRENT_TOL
 
 
