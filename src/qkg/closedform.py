@@ -14,10 +14,11 @@ r and t are entire in q: sigma k0/q = k0 a / 2 at q = 0, where
 r = k0 a / (k0 a + 2i).  No denominator vanishes, so there is no
 exponential damping in the barrier: both branches propagate for any width.
 
-Each 2x2 block of the barrier is f(N) = (f- + f+)/2 I + (f- - f+)/2 N, N the
-direction involution, f- on the k_minus and f+ on the k_plus branch
-(coupled).  c1, c2 and c7, c8 are the incident columns of r(N) and t(N); the
-transmitted wave picks up e^{-i a k0} once.  The interior amplitudes are the
+Each 2x2 block of the barrier is f(N) = f- P + f+ Q (coupled), f- on the
+k_minus and f+ on the k_plus branch, where in mode_ratios' weights
+P = (I + N)/2 = [[w_plus, conj(w_cross)], [w_cross, -w_minus]] and Q = I - P.
+c1, c2 and c7, c8 are the incident columns of r(N) and t(N); the transmitted
+wave picks up e^{-i a k0} once.  The interior amplitudes are the
 branch components of psi(0) (c3, c5) and of psi'(0) / (i k0) (c4, c6), read
 off the left face, where psi = 1 + r and psi' / (i k0) = 1 - r:
 
@@ -73,26 +74,16 @@ def slab_rt(q, k0, length, faces=False):
     return (r, t, t * (cosine - 2j * down), t * (cosine - 2j * up)) if faces else (r, t)
 
 
-def coupled(f_minus, f_plus, n1, cross):
-    """Entries (f00, f10, f01, f11) of f(N) = (f- + f+)/2 I + (f- - f+)/2 N.
-
-    N = [[n1, conj(cross)], [cross, -n1]], cross = n3 + i n2; the arguments
-    may be numbers or broadcasting arrays.
+def coupled(f_minus, f_plus, w_plus, w_minus, w_cross):
+    """Entries (f00, f10, f01, f11) of f(N) = f- P + f+ Q in mode_ratios' weights:
+    w_plus f- - w_minus f+, w_cross (f- - f+), conj(w_cross) (f- - f+) and
+    w_plus f+ - w_minus f-.  w_plus and -w_minus are non-negative and sum to 1,
+    so neither branch cancels the other (at theta = 0 the block is f- I
+    exactly).  The arguments may be numbers or broadcasting arrays.
     """
-    mean = 0.5 * (f_minus + f_plus)
-    half = 0.5 * (f_minus - f_plus)
-    return mean + half * n1, half * cross, half * cross.conjugate(), mean - half * n1
-
-
-def direction_terms(theta, phi):
-    """coupled's (n1, cross) = (cos theta, i sin(theta) e^{-i phi}) on broadcasting arrays.
-
-    cross = n3 + i n2 is formed part by part, without a complex exponential."""
-    sin_theta = np.sin(theta)
-    cross = np.empty(np.broadcast(theta, phi).shape, dtype=complex)
-    cross.real = sin_theta * np.sin(phi)
-    cross.imag = sin_theta * np.cos(phi)
-    return np.cos(theta), cross
+    split = f_minus - f_plus
+    return (w_plus * f_minus - w_minus * f_plus, w_cross * split,
+            w_cross.conjugate() * split, w_plus * f_plus - w_minus * f_minus)
 
 
 def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
@@ -103,14 +94,14 @@ def amplitudes_closed(spec: BarrierSpec) -> Amplitudes:
     every angle.
     """
     disp = wavenumbers(spec)
-    n1, (wp, wm, wx) = math.cos(spec.theta), mode_ratios(spec.theta, spec.phi)
+    wp, wm, wx = mode_ratios(spec.theta, spec.phi)
     # Python floats take slab_rt's math path, also where spec holds numpy scalars
     k0, kp, km, a = disp.k0, float(disp.k_plus), float(disp.k_minus), spec.a
     rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
     rm, tm, em, om = slab_rt(km, k0, a, faces=True)
-    cross, back = 2.0 * wx, cmath.exp(-1j * a * k0)
-    c1, c2, _, _ = coupled(rm, rp, n1, cross)
-    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    back = cmath.exp(-1j * a * k0)
+    c1, c2, _, _ = coupled(rm, rp, wp, wm, wx)
+    c7, c8, _, _ = coupled(tm, tp, wp, wm, wx)
     # Amplitudes' fields in order; (ep, op), (em, om): each branch's psi(0), psi'(0) / (i k0)
     return Amplitudes(c1, c2, -wm * ep, -wm * op, wp * em, wp * om, c7 * back, c8 * back,
                       disp, EXACT, (-wx * ep, -wx * op, wx * em, wx * om))
@@ -127,9 +118,9 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     require_each(slab_rules, a, v0, theta, phi, omega0)
     rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a)
     rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a)
-    n1, cross = direction_terms(theta, phi)
-    c1, c2, _, _ = coupled(rm, rp, n1, cross)
-    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    weights = mode_ratios(theta, phi)
+    c1, c2, _, _ = coupled(rm, rp, *weights)
+    c7, c8, _, _ = coupled(tm, tp, *weights)
     back = np.exp(-1j * a * omega0)
     return np.broadcast_arrays(c1, c2, c7 * back, c8 * back)
 

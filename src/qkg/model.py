@@ -174,7 +174,7 @@ def check_nondegenerate(spec: BarrierSpec) -> None:
     """
 
 
-def mode_ratios(theta: float, phi: float) -> tuple[complex, complex, complex]:
+def mode_ratios(theta, phi):
     """(w_plus, w_minus, w_cross) for the direction (theta, phi).
 
     The regular combinations are evaluated from their closed forms in the
@@ -183,7 +183,14 @@ def mode_ratios(theta: float, phi: float) -> tuple[complex, complex, complex]:
         w_plus  = (1 + cos theta) / 2
         w_minus = (cos theta - 1) / 2
         w_cross = (i/2) sin(theta) e^{-i phi}
+
+    On floats and numpy scalars, with math and cmath (Python complex); where
+    theta or phi is an ndarray, the same formulas with numpy over the broadcast
+    angles, w_plus and w_minus real and of theta's shape.
     """
+    if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray):
+        n1 = np.cos(theta)
+        return (1.0 + n1) / 2.0, (n1 - 1.0) / 2.0, 0.5j * np.sin(theta) * np.exp(-1j * phi)
     n1 = math.cos(theta)
     return (complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
             0.5j * math.sin(theta) * cmath.exp(-1j * phi))

@@ -9,11 +9,13 @@ N the direction involution.  Spectrally, K^2 = k_minus^2 P + k_plus^2 Q with
 projectors P = (I + N)/2 and Q = (I - N)/2, so every 2x2 block of a segment
 is a function of N,
 
-    f(N) = f- P + f+ Q = (f- + f+)/2 I + (f- - f+)/2 N,
+    f(N) = f- P + f+ Q,
 
-with f- taken on the k_minus branch and f+ on the k_plus branch.  A free gap
-(V0 = 0) has k_minus = k_plus = omega0, so its blocks ignore the stored
-angles.
+with f- taken on the k_minus branch and f+ on the k_plus branch.  In
+model.mode_ratios' weights P = [[w_plus, conj(w_cross)], [w_cross, -w_minus]]
+and Q = I - P, and closedform.coupled forms the blocks from them, as for a
+single barrier.  A free gap (V0 = 0) has k_minus = k_plus = omega0, so its
+blocks ignore the stored angles.
 
 Stacks are scattered with S-matrices in the free-wave basis of k0 = omega0,
 each side referenced to its own end.  One array pass builds every segment's
@@ -23,12 +25,11 @@ slab, whose r and t closedform.slab_rt gives,
     t = 1 / (cos qL - i (sigma k0/q + sigma q/k0)),   r = i (sigma q/k0 - sigma k0/q) t,
 
 with sigma = sin(qL) / 2.  Both are entire in q, so V0 = omega0 needs no
-special case.  closedform.coupled fills the f(N) blocks, and no per-segment
-inverse is needed.  The Redheffer star product composes
-the segments; it is associative, so the stack is reduced as a balanced tree
-in log2(n) batched steps, with the 2x2 products and inverses written out on
-(2, 2, n, m) arrays.  Every S-matrix is unitary, so no entry grows with
-depth.
+special case.  coupled fills the f(N) blocks, and no per-segment inverse is
+needed.  The Redheffer star product composes the segments; it is
+associative, so the stack is reduced as a balanced tree in log2(n) batched
+steps, with the 2x2 products and inverses written out on (2, 2, n, m)
+arrays.  Every S-matrix is unitary, so no entry grows with depth.
 
 A free gap has r = 0 and t = e I, e its slab t at q = k0 (|e| = 1), so its
 S-matrix is [[0, e], [e, 0]] and a star product with it on the right is three
@@ -62,10 +63,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .closedform import coupled, direction_terms, slab_rt
+from .closedform import coupled, slab_rt
 from .errors import SingularSystemError
-from .model import (direction_coupling, frequency_rule, require, require_each, slab_rules,
-                    stack_rules)
+from .model import (direction_coupling, frequency_rule, mode_ratios, require, require_each,
+                    slab_rules, stack_rules)
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
@@ -204,7 +205,7 @@ def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray:
     # then mirror it into the right one
     s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
     s[0, 0, :, 0], s[0, 1, :, 0], s[0, 0, :, 1], s[0, 1, :, 1] = coupled(
-        rt[:, 0], rt[:, 1], *direction_terms(theta, phi))
+        rt[:, 0], rt[:, 1], *mode_ratios(theta, phi))
     s[1] = s[0, :, ::-1]
     return s.reshape((4, 4) + theta.shape)
 

@@ -9,6 +9,7 @@ smaller sizes by monkeypatching the module's size constants.
 
 import logging
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_criterion_9_trips_on_a_moved_in_process_sweep(monkeypatch):
     res = verify.check_determinism()
     assert not res.passed
     assert res.detail.startswith("csv identical: False")
+
+
+def test_criterion_9_fails_when_the_subprocess_sweep_exits_nonzero(monkeypatch):
+    def failed(argv, **_):
+        return subprocess.CompletedProcess(argv, 1, b"", b"error\n")
+
+    monkeypatch.setattr(verify.subprocess, "run", failed)
+    res = verify.check_determinism()
+    assert not res.passed
+    assert res.detail == "csv run exited 1, json run exited 1"
 
 
 def test_criterion_9_adds_no_root_log_handler(monkeypatch):

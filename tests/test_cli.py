@@ -53,14 +53,17 @@ def run_cli(*args):
 # sha256 of the stdout of `qkg solve ARGS`: the default spec, both poles,
 # V0 = 0 and a = 0, as text, CSV and JSON.  Recorded when c3..c6 moved to the
 # entire interior basis {cos qx, sin(qx)/q}; the closed-form c1, c2, c7, c8
-# and the fraction and magnitude-sum lines did not change then.
+# and the fraction and magnitude-sum lines did not change then.  The default
+# and theta = pi digests were re-recorded when closedform.coupled moved to
+# mode_ratios' weights, which moves the last bits of some closed-form numbers;
+# the linear-solve column did not move.
 SOLVE_DIGESTS = {
     "":
-        "85aad2345a224f2e9c3d7e119ead949da3dcc26a1381d21c42a57deeaa5c6dfe",
+        "1db7c03c796541ab721f34c7dc1561734b6ae8b24a30fd44003cda724dff9567",
     "--format csv":
-        "12164cbcae6c3add4587720edaa979b9f3157cdf2d5684a72924dec983d47131",
+        "5640ec13bb492358190557ab47f099e7472c9a131e2b3b9947bbd65a88a32d61",
     "--format json":
-        "7dc163c8e39535b93df0c4a18b4a8bd0e5b43f16442a649927ca03e13bb3715f",
+        "46fab23d25a80d2d45a23099608a7120730251339e0756c3d5632c24ecf1f07e",
     "--theta 0":
         "835e38cfa183ddc2c911faa8e71e8a29eaa42a36f55b2a25de5290505b54fa90",
     "--theta 0 --format csv":
@@ -68,11 +71,11 @@ SOLVE_DIGESTS = {
     "--theta 0 --format json":
         "f848a4ca77efa28c79371ac98087e1ef8868100d253fa4734022a55cdee5189c",
     "--theta 3.141592653589793":
-        "9756fb87494336b3453043428bd49795b761df8e8054f6458528d550d42028fe",
+        "3d0433025c694e1c7f0ddcb230ee84dac1df27ba4443d7cfefe0c8c5a482c6c6",
     "--theta 3.141592653589793 --format csv":
-        "9edb33b4abea85b6eb9958cb479ed2a7a8dc9620f8a77549515e67f89247e0ee",
+        "96511130a7661ec1b34e6fac7f6db85574c0ef548124fbb308fe9e5e10e1e5e4",
     "--theta 3.141592653589793 --format json":
-        "45a12aff04a641be6845d12b0be23330d363669cab47ade6d1a39912b89bc56a",
+        "16e468f8321663da7ac311c2fdc5cfee52e02ce0b0ce364803e7c8f35817d2bf",
     "--v0 0":
         "460dc3e0901c27d1682a4881dd370b6b72807981704ae87137e98d8a76f86aca",
     "--v0 0 --format csv":
@@ -95,22 +98,25 @@ SOLVE_DIGESTS = {
 # neighbour instead of a star product, which moves the last bit of some numbers.
 # The first six sweep digests were re-recorded when the sweep's magnitudes moved
 # from np.abs to np.hypot, which rounds as abs(complex) and moves the last bit
-# of some |c|.
+# of some |c|.  Every digest whose grid leaves theta = 0 and the underflow
+# window was re-recorded when closedform.coupled moved to mode_ratios' weights
+# (each moved number within 1e-14 of its old value, relative); so were the
+# ordering digests (within 3e-14).
 _CI_GRID = ("--a 2 --omega0 1 --phi 1 --sweep v0:0.02:0.95:0.01978723404255319 "
             "--sweep theta:0:3.141592653589793:0.00393190569911113")
 SWEEP_DIGESTS = {
     "--sweep theta:0:3.141592653589793:0.12566370614359174":
-        "c90798375d3831488c49e92c47f8372971aba704edb30a918419f6b052b2f82b",
+        "a293a2f2576242d3cfa7331693746a3055a6c7d3fd157926b0b7354287c07ad1",
     "--sweep theta:0:3.141592653589793:0.12566370614359174 --format json":
-        "b489244482c0b79bcce8f24ed71e3cda72042bbf31b19c17c01e4c9dc52529d5",
+        "840b452f3433d4e88bf83e3984f436e3dfc40519156d7772c3be3a9a965332d0",
     _CI_GRID:
-        "f6ff9f1c055772ae44b83dd059c4ea83c31be205e84f244cf158193aedf92681",
+        "ca3ebbce38e891dca59197a7a0800d5546be2f34a1dde5f73d568b12601f9b9e",
     _CI_GRID + " --format json":
-        "ad625b4d4f5c3dc6f8a432a0ad004a8fd77e08db3912c910fa8abb34468aca8f",
+        "16ed8a204ff96fc59a8e769bd60313c91e75b312555ed63fac8833417dd5f363",
     "--sweep v0:0.5:1.5:0.25 --omega0 1":
-        "902f3a38d3cf2d00ad1d511e8bb3e019640aea253d280adefb4c8bf717493219",
+        "4a96502547601a5efb5b8fe7adacd3b97a9be573f79d01de0d2f3f68d36b3a14",
     "--sweep v0:0.5:1.5:0.25 --omega0 1 --format json":
-        "b4ed36db3e8feac7ad7a674974fa96c7d898a5bccb1cc3499abc19dc51edb38d",
+        "495a43b4f21f995de732ef53b611d73a8f39ec10f3c418e5c0b19e5e05519a46",
     "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5":
         "a208e554cda4bedf0a61bb4024ce1d924e4808e2e7d5ee44bd3822063ea56629",
     "--a 1 --omega0 1e-150 --v0 1e150 --sweep theta:0:1:0.5 --format json":
@@ -118,9 +124,9 @@ SWEEP_DIGESTS = {
 }
 ORDERING_DIGESTS = {
     "--seg-a 1:0.5:1:0 --seg-b 1:0.5:2:1 --gap 0.5":
-        "c6be6f7b61bde0e56bcf32597cc37d8229fe006c82042e79e819e9c55425f985",
+        "5a7cedd097ab88e8293a42105a2c5c656fa3b85595e6fbc4db182786c07ea6c1",
     "--seg-a 1:0.5:1:0 --seg-b 1:0.5:2:1 --gap 0.5 --format json":
-        "4ead3444240041292d0a0007824d67c9eaa5175ddd9a5c928765ee4aa8a7ff37",
+        "9c5e965a6f89d87d5b38d104c0d8a2593a6d3dd3a7f27250f279665b1fa0a771",
 }
 
 
@@ -195,7 +201,15 @@ class TestSolve:
         assert proc.stderr == ""
         assert "condition estimate 1.181e+01\n" in proc.stdout
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-            "c94fb768b080ae6e9b450659537fcda32382b70c7b5220587830460f86d126ff"
+            "7cbfdb529af5983bd3c877761c52068de4d8f63eec567e7c4ac8a123eb419e0a"
+
+    def test_pole_of_a_huge_barrier_answers(self):
+        # V0 = omega0 = 1e17 at theta = 0: |c7| = 2e-17 from the slow branch
+        # alone, which the weighted blocks keep beside the fast one
+        proc = run_cli("solve", "--theta", "0", "--omega0", "1e17", "--v0", "1e17")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "quaternionic fraction 0\n" in proc.stdout
 
     def test_badly_conditioned_warning_printed(self):
         code = _ILL_CONDITIONED_SOLVE + ("cli.solve_spec = ill_conditioned\n"
@@ -565,6 +579,30 @@ class TestSweep:
         assert proc.stdout == ""
         assert proc.stderr == "error: sweep grid exceeds 1000000 points\n"
 
+    @pytest.mark.parametrize("second", [(), ("--sweep", "v0:0:0.5:0.5")],
+                             ids=("alone", "with a second axis"))
+    def test_one_axis_past_the_cap_rejected(self, capsys, second):
+        # 3,000,001 points on theta: the grid's cap rejects the axis on its own
+        assert main(["sweep", "--sweep", "theta:0:3:1e-6", *second]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: sweep grid exceeds 1000000 points\n")
+
+    def test_pole_of_a_huge_barrier_has_a_fraction(self, capsys):
+        # the same barrier as qkg solve's pole test: a number at theta = 0, not nan
+        assert main(["sweep", "--a", "1", "--omega0", "1e17", "--v0", "1e17",
+                     "--sweep", "theta:0:0.002:0.001"]) == 0
+        out = capsys.readouterr()
+        rows = [line.split(",") for line in out.out.splitlines()[1:]]
+        assert out.err == "" and len(rows) == 3
+        assert rows[0][0] == "0" and rows[0][-1] == "0"
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_non_finite_bound_rejected(self, capsys):
+        # an infinite stop would also make the span infinite; the bound is named first
+        assert main(["sweep", "--sweep", "v0:0:inf:1"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: sweep bounds must be finite\n")
+
     def test_degenerate_point_answered(self):
         # the grid forms only the exterior, which is entire in k_minus
         proc = run_cli("sweep", "--sweep", "v0:0.5:1.5:0.25", "--omega0", "1")
@@ -776,20 +814,22 @@ class TestSweep:
 # one-region windows, the Klein zone (v0 > omega0) and a 100k-point grid, in
 # CSV and JSON.  The two 100k-point digests were re-recorded when abs_psi
 # moved to the array magnitude kernel, which squares by u * u rather than
-# u ** 2 (libm pow): 17 of the 100,000 rows moved by 1 ulp in abs_psi.
+# u ** 2 (libm pow): 17 of the 100,000 rows moved by 1 ulp in abs_psi.  Each
+# digest away from theta = 0 was re-recorded when closedform.coupled moved to
+# mode_ratios' weights (rows within 1.2e-16 of |psi| of their old values).
 FIELD_DIGESTS = {
     "":
-        "2c5550ff4402772f0c5189a9e43715cf55999f972d188d51e69cf638397ac4f7",
+        "9333e8784b38cf71902a76f7e17f461637d59331c41a6d671e70d909c7910698",
     "--format json":
-        "35f3b2ca7acdaaffd5192c2fe73eb640cc1c8269bee4730d5cdab343fae0d905",
+        "2f96fc595d5ab901707282212640a91d574e279dd33733b593d7336444924c28",
     "--theta 0":
         "e2c27bb805efebe5ce5db1e7761e4041b27c8f458a9631982c4b02a73ec547ce",
     "--theta 0 --format json":
         "34277eabebead84fdde59a9250f136122603f359438d5ca60bc132b2bd18663d",
     "--theta 3.141592653589793":
-        "5c17bb147eed90ce3508fd9d2654e0c271a3a9fdb6e7e3467dfd5bbf5a3fc52f",
+        "ea35ca6a60fce70cd65b97b0008553cd0c3b184c7f43571c7b5577cdf3b58ada",
     "--theta 3.141592653589793 --format json":
-        "730975402b87c7e4d59b99b7d5953fb62ad8bdce241ebbc11c341b07c7e04151",
+        "6fe2d1c26470f09eb9417cdaa30c82108e22514b5dc0d54e3c3dc7702db13b57",
     "--a 2 --xmin -2 --xmax 4 --points 7":
         "2fa2f4a94dad6602d50004e020be713b2a5bc9ee9fd38fb23bfd2c62a1b3890f",
     "--a 2 --xmin -2 --xmax 4 --points 7 --format json":
@@ -797,15 +837,15 @@ FIELD_DIGESTS = {
     "--a 0 --xmin -1 --xmax 1 --points 5":
         "325a22a358194690b063d6ba337b4d6eea60b5ee2c3a59dbae82e53976bd836b",
     "--v0 2.5 --theta 1 --phi 4 --xmin -5 --xmax 0 --points 11":
-        "b90224e18e8db820a39f56a922bb60653bd4934c2267da583f85d08fd8f35f8a",
+        "21685537c171bdb76067809a40a497d8a15d6b400ab122a52569309bb59f955a",
     "--xmin 1.5 --xmax 9 --points 13 --format json":
-        "4fe6d35c13cd9ebbf9be565f27325d8d92dfe005cd26c99c709c0a309bc26f39",
+        "7937e07a88418d3ffdbbe7eef1d8ce908377fedbef455eacd459e2b7a4ef3dad",
     "--xmin 0.25 --xmax 0.75 --points 9":
         "87749b6adb500fcaebdd28a6835ee90b31e7c309869e4f447509823b96f8a304",
     "--points 100000":
-        "131200128c80dba86132dbc3c6cf659eaccf82535f03c05ed7f767b950e92262",
+        "cb1ce05f19a830ff85b4f738fc5426444b63d851dc4dab89004414fcd3231d04",
     "--points 100000 --format json":
-        "43af5e83b1e29d665d41154cb687436b2dc8153a5229390d4196d08cf2aa3826",
+        "4e091a6ee9e719f6d2af0d2e247075de5ff6ae0ae24235d693978025625cf6db",
 }
 
 
@@ -930,6 +970,12 @@ class TestOrdering:
         proc = run_cli("ordering", "--seg-a", "1:0.3:0", "--seg-b", "1:0.3:0:0")
         assert proc.returncode == 2
 
+    def test_non_numeric_segment_field_exits_2(self, capsys):
+        assert main(["ordering", "--seg-a", "1:x:0:0", "--seg-b", "1:0:0:0"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "error: bad --seg-a '1:x:0:0': all four fields must be numbers\n")
+
     def test_invalid_angle_exits_2(self):
         proc = run_cli("ordering", "--seg-a", "1:0.3:9:0", "--seg-b", "1:0.3:1:1")
         assert proc.returncode == 2
@@ -962,12 +1008,12 @@ class TestOrdering:
          "d_amp 0\n"),
         (("--gap", "1e308", "--omega0", "1"),
          "gap=1e+308 omega0=1\n"
-         "transmission a-then-b alpha=-0.066790894953800084+0.83066492439172523j"
-         " beta=0.0068558363170149184+0.34711969209914928j\n"
-         "transmission b-then-a alpha=-0.14405594862242235+0.85586121328931997j"
-         " beta=0.050136975242670023+0.38789273906930827j\n"
-         "d_prob 0.091220702657693109\n"
-         "d_amp 0.081269560676960326\n"),
+         "transmission a-then-b alpha=-0.066790894953799806+0.83066492439172535j"
+         " beta=0.0068558363170150016+0.34711969209914928j\n"
+         "transmission b-then-a alpha=-0.14405594862242202+0.85586121328931997j"
+         " beta=0.050136975242670079+0.38789273906930832j\n"
+         "d_prob 0.09122070265769322\n"
+         "d_amp 0.081269560676960229\n"),
     ], ids=("omega0 1e-300", "gap 1e308"))
     def test_extreme_in_range_inputs_answer(self, args, expect):
         proc = run_cli("ordering", "--seg-a", "1:0.3:1:0",

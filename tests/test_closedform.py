@@ -235,14 +235,73 @@ def _reference_closed(spec):
     k0, kp, km, a = disp.k0, disp.k_plus, disp.k_minus, spec.a
     rp, tp, ep, op = slab_rt(kp, k0, a, faces=True)
     rm, tm, em, om = slab_rt(km, k0, a, faces=True)
-    n1, cross = math.cos(spec.theta), 2.0 * wx
-    c1, c2, _, _ = coupled(rm, rp, n1, cross)
-    c7, c8, _, _ = coupled(tm, tp, n1, cross)
+    c1, c2, _, _ = coupled(rm, rp, wp, wm, wx)
+    c7, c8, _, _ = coupled(tm, tp, wp, wm, wx)
     back = cmath.exp(-1j * a * k0)
     return Amplitudes(
         c1=c1, c2=c2, c3=-wm * ep, c4=-wm * op, c5=wp * em, c6=wp * om,
         c7=c7 * back, c8=c8 * back, dispersion=disp, route=EXACT,
         interior_beta=(-wx * ep, -wx * op, wx * em, wx * om))
+
+
+def _mp_exterior(spec):
+    """(c1, c2, c7, c8) from the module docstring's formulas at 60 digits, the
+    float inputs and the phases q a and a k0, rounded as floats round them,
+    taken as exact: what is left is the error of everything past the phases."""
+    with mp.workdps(60):
+        a, k0, theta, phi = map(mp.mpf, (spec.a, spec.omega0, spec.theta, spec.phi))
+
+        def slab(q):
+            phase, q = mp.mpf(q * spec.a), mp.mpf(q)
+            sigma = mp.sin(phase) / 2
+            down, up = (sigma * k0 / q if q else k0 * a / 2), sigma * q / k0
+            t = 1 / (mp.cos(phase) - 1j * (down + up))
+            return 1j * (up - down) * t, t
+
+        d = wavenumbers(spec)
+        (rp, tp), (rm, tm) = slab(d.k_plus), slab(d.k_minus)
+        wp, wm = mp.cos(theta / 2) ** 2, -mp.sin(theta / 2) ** 2
+        wx, back = 0.5j * mp.sin(theta) * mp.expj(-phi), mp.expj(-mp.mpf(spec.a * spec.omega0))
+        return [complex(c) for c in (wp * rm - wm * rp, wx * (rm - rp),
+                                     back * (wp * tm - wm * tp), back * wx * (tm - tp))]
+
+
+class TestBranchWeights:
+    # V0 = omega0 = 1e17 at the pole: the slow branch's t = 1 / (1 - 5e16 i)
+    # sits beside the fast branch's, of modulus about 1, and neither may
+    # cancel the other (every phase here is an exact float)
+    POLE = BarrierSpec(a=1.0, v0=1e17, omega0=1e17, theta=0.0, phi=0.0)
+
+    def test_slow_branch_survives_beside_the_fast_one(self):
+        want = _mp_exterior(self.POLE)
+        amps = amplitudes_closed(self.POLE)
+        grid = [complex(c[0])
+                for c in exterior_amplitudes_grid(1.0, 1e17, 1e17, np.zeros(1), 0.0)]
+        for got in ([amps.c1, amps.c2, amps.c7, amps.c8], grid):
+            assert abs(got[2] - want[2]) <= 1e-15 * abs(want[2])
+            assert abs(got[0] - want[0]) <= 1e-15 * abs(want[0])
+            assert got[1] == got[3] == 0.0
+        assert quaternionic_fraction(amps) == 0.0
+
+    def test_weighted_blocks_at_the_poles(self):
+        # theta = 0 leaves f- and theta = pi f+, each exactly
+        f_minus, f_plus = 0.3 - 0.7j, -2e-17 + 1e-17j
+        assert coupled(f_minus, f_plus, *mode_ratios(0.0, 0.4)) == (f_minus, 0j, 0j, f_plus)
+        f00, _, _, f11 = coupled(f_minus, f_plus, *mode_ratios(math.pi, 0.4))
+        assert (f00, f11) == (f_plus, f_minus)
+
+    def test_both_closed_routes_within_4_eps_past_the_phases(self):
+        # the verification distribution, then V0 = omega0, the Klein zone and
+        # a hard mirror; 2.5 eps of the largest |c| was the worst of 3200
+        specs = random_specs(np.random.default_rng(77), 300)
+        specs += [BarrierSpec(s.a, s.omega0 * (1.0, 2.5, 1e9)[i % 3], s.omega0, s.theta, s.phi)
+                  for i, s in enumerate(specs[:60])]
+        grid = np.array(exterior_amplitudes_grid(*TestGrid.columns(specs)))
+        for i, spec in enumerate(specs):
+            want = np.array(_mp_exterior(spec))
+            amps = amplitudes_closed(spec)
+            for got in (np.array([amps.c1, amps.c2, amps.c7, amps.c8]), grid[:, i]):
+                assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 class TestBitIdentity:

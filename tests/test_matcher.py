@@ -137,7 +137,6 @@ class TestSolveProperties:
 
 
 class TestSolveFailureModes:
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reported(self, spec_point):
         system = build_system(spec_point)
         system.matrix[:, 0] = system.matrix[:, 1]        # force rank loss
@@ -162,6 +161,15 @@ class TestSolveFailureModes:
             system.matrix[i, j] = entry
             with pytest.raises(SingularSystemError, match="singular"):
                 solve(system)
+
+    def test_inaccurate_inverse_fails_the_backward_error_gate(self, monkeypatch, spec_point):
+        # an inverse 1e-3 too large passes the condition gate; one refinement
+        # step leaves the backward error at 1.8e-7, above _RESIDUAL_ACCEPT
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inv(m) * (1.0 + 1e-3))
+        with pytest.raises(SingularSystemError,
+                           match="did not converge: backward error 1.798e-07"):
+            solve_spec(spec_point)
 
     def test_near_singular_matrix_reported(self, spec_point):
         # nonzero smallest pivot, about 6e-15 of the largest entry: below

@@ -181,6 +181,37 @@ class TestModeRatios:
         w_plus, w_minus, _ = mode_ratios(1.234, 2.345)
         assert w_plus - w_minus == pytest.approx(1.0, abs=1e-15)
 
+    def test_floats_and_numpy_scalars_keep_the_math_bits(self, bit_identity_specs):
+        # the scalar routes' bits: math and cmath, as Python complex numbers
+        for spec in bit_identity_specs:
+            n1 = math.cos(spec.theta)
+            want = np.array([complex((1.0 + n1) / 2.0), complex((n1 - 1.0) / 2.0),
+                             0.5j * math.sin(spec.theta) * cmath.exp(-1j * spec.phi)])
+            for theta, phi in ((spec.theta, spec.phi),
+                               (np.float64(spec.theta), np.float64(spec.phi))):
+                got = mode_ratios(theta, phi)
+                assert {type(w) for w in got} == {complex}
+                assert np.array(got).tobytes() == want.tobytes()
+
+    def test_arrays_take_numpy_with_the_same_bits(self, bit_identity_specs):
+        theta = np.array([spec.theta for spec in bit_identity_specs])
+        phi = np.array([spec.phi for spec in bit_identity_specs])
+        want = np.array([mode_ratios(*angles) for angles in zip(theta.tolist(), phi.tolist())]).T
+        for args in ((theta, phi), (theta[:, None], phi[None, :5])):
+            w_plus, w_minus, w_cross = mode_ratios(*args)
+            assert w_plus.dtype == w_minus.dtype == float and w_cross.dtype == complex
+            # the weights keep theta's shape; w_cross spans both angles
+            assert w_plus.shape == w_minus.shape == args[0].shape
+            assert w_cross.shape == np.broadcast(*args).shape
+        # the scalar path's bits, signed zeros included; the weights are real
+        # and -w_minus is non-negative
+        w_plus, w_minus, w_cross = mode_ratios(theta, phi)
+        assert np.array([w_plus, w_minus, w_cross]).tobytes() == want.tobytes()
+        assert (w_plus >= 0.0).all() and (w_minus <= 0.0).all()
+        # one array angle is enough, and a float phi broadcasts
+        assert (mode_ratios(theta, 0.25)[2].tobytes()
+                == np.array([mode_ratios(t, 0.25)[2] for t in theta.tolist()]).tobytes())
+
 
 class TestInteriorModes:
     def test_coupling_is_hermitian_involution(self):

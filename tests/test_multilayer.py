@@ -484,7 +484,7 @@ class TestStarProductRoute:
                 <= STACK_ORACLE_TOL
         report = ordering_report(seg_a, seg_b, 0.5, 1.0)
         assert report.transmission_ab.alpha == \
-            -1.5487833427222848e-17 + 8.4585891565807852e-18j
+            -1.5487833427222845e-17 + 8.4585891565807821e-18j
 
     def test_theta_zero_keeps_beta_exactly_zero(self, rng):
         segs = []
@@ -609,6 +609,19 @@ class TestFluxGate:
         monkeypatch.setattr(multilayer, "_star", lambda s1, s2: np.full_like(s1, np.nan))
         with pytest.raises(SingularSystemError, match="transfer product overflows"):
             stack_scatter(stack)
+
+    def test_unsolvable_boundary_system_is_a_numerical_failure(self, monkeypatch):
+        # a NaN star answer sends the stack to the transfer route, whose 4x4
+        # boundary solve then fails
+        def singular(*_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(multilayer, "_star", lambda s1, s2: np.full_like(s1, np.nan))
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        seg_a, seg_b = fixture_segments()
+        with pytest.raises(SingularSystemError,
+                           match="stack boundary system unsolvable: Singular matrix"):
+            stack_scatter(LayerStack((seg_a, free_gap(1.0), seg_b), 1.0))
 
     def test_leaky_star_products_fall_back_to_transfer_route(self, monkeypatch):
         monkeypatch.setattr(multilayer, "_star", leaky(multilayer._star))

@@ -22,6 +22,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import re
 import subprocess
 import sys
 
@@ -124,12 +125,23 @@ def test_amplitudes_keep_no_mode_ratios():
 
 
 def test_one_source_for_the_mode_terms_and_the_slab_backend():
-    from qkg import closedform, matcher, model
+    from qkg import cli, closedform, matcher, model, multilayer, wavefield
 
     assert not any(hasattr(model, name) for name in ("ModeRatios", "_mode_terms"))
+    assert not hasattr(closedform, "direction_terms")
     assert "ratios" not in matcher.MatchingSystem._fields
     assert list(inspect.signature(closedform.slab_rt).parameters) == [
         "q", "k0", "length", "faces"]
+    assert list(inspect.signature(closedform.coupled).parameters) == [
+        "f_minus", "f_plus", "w_plus", "w_minus", "w_cross"]
+    # every amplitude route takes the direction from mode_ratios alone: no
+    # other route module takes a sine, cosine or exponential of an angle
+    # (quaternion builds the unit vector n for the transfer oracle, and verify
+    # keeps checks of its own)
+    angle_term = re.compile(r"\b(?:sin|cos|exp)\([^()]*\b(?:theta|phi)\b")
+    assert angle_term.search(inspect.getsource(model.mode_ratios))
+    for module in (closedform, matcher, multilayer, wavefield, cli):
+        assert not angle_term.search(inspect.getsource(module)), module.__name__
 
 
 def test_members_only_tests_read_are_gone():
