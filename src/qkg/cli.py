@@ -16,13 +16,23 @@ samples one block of grid positions at a time.  Every table streams through
 one writer (_write_table), in CSV and JSON alike, from an iterable of row
 blocks; the fraction and abs_psi are the array kernels of closedform and
 quaternion.
+
+Each command loads only the layers it runs: sweep none of matcher,
+multilayer and wavefield, solve only matcher, field only wavefield and
+ordering only multilayer.  The three are lazy module objects
+(importlib.util.LazyLoader), in sys.modules and bound on qkg as an import
+binds them, whose bodies run on first attribute access; imports inside the
+commands would leave them out of sys.modules, where the benchmark's tracer
+looks for the functions it wraps after importing this module.  The parser
+declares the flags of the command being run only, and json loads with the
+JSON writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import importlib.util
 import logging
 import math
 import re
@@ -42,11 +52,24 @@ from .closedform import (
     quaternionic_fraction_grid,
 )
 from .errors import SingularSystemError, UndefinedFractionError
-from .matcher import solve_spec
 from .model import BarrierSpec, require, require_each, slab_rules, window_rule
-from .multilayer import Segment, ordering_report
 from .quaternion import magnitude
-from .wavefield import REGIONS, sample_field
+
+
+def _lazy(layer: str):
+    """qkg.<layer>, as an import binds it, with its body run on first
+    attribute access."""
+    name = f"{__package__}.{layer}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], layer, module)
+    return sys.modules[name]
+
+
+matcher, multilayer, wavefield = map(_lazy, ("matcher", "multilayer", "wavefield"))
 
 
 class Param(NamedTuple):
@@ -103,6 +126,8 @@ def _fmt_complex(z: complex) -> str:
 
 def _json_dump(value) -> str:
     # hand-rolled so floats go through _fmt and stay reproducible
+    import json
+
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, float):
@@ -225,7 +250,7 @@ def _parse_sweep(text: str) -> tuple[str, tuple[float, float, float], int]:
     return name, (start, stop, step), _grid_size(start, stop, step)
 
 
-def _parse_segment(text: str, label: str) -> Segment:
+def _parse_segment(text: str, label: str) -> multilayer.Segment:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"bad {label} {text!r}: expected length:v0:theta:phi")
@@ -233,12 +258,12 @@ def _parse_segment(text: str, label: str) -> Segment:
         length, v0, theta, phi = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad {label} {text!r}: all four fields must be numbers")
-    return Segment(length, v0, theta, phi)
+    return multilayer.Segment(length, v0, theta, phi)
 
 
 def cmd_solve(args) -> int:
     spec = BarrierSpec(**_params(args))
-    amps = solve_spec(spec)
+    amps = matcher.solve_spec(spec)
     closed = amplitudes_closed(spec)
     disp = closed.dispersion._asdict()
     solved, closed_form = amps.as_array(), closed.as_array()
@@ -348,14 +373,15 @@ def cmd_field(args) -> int:
     columns = ["x", "re_psi_alpha", "im_psi_alpha", "re_psi_beta",
                "im_psi_beta", "abs_psi", "region"]
     # the writer prints text cells as they are, so JSON's names carry quotes
-    regions = _text(REGIONS if args.format == "csv" else map(json.dumps, REGIONS))
+    regions = _text(wavefield.REGIONS if args.format == "csv"
+                    else map(_json_dump, wavefield.REGIONS))
     # 8 * _CHUNK positions a block: at _CHUNK, sample_field's fixed cost made a
     # 1,000,000-point field 23-32% slower in process (2-core x86-64, medians of 6
     # alternating runs); 8 * _CHUNK ran within the whole grid's spread, at 1/5 its peak
     size = 8 * _CHUNK
 
     def block(start):
-        field = sample_field(spec, amps, *window, slice(start, start + size))
+        field = wavefield.sample_field(spec, amps, *window, slice(start, start + size))
         alpha, beta = field.values[:2]
         # np.hypot rounds as abs(complex): abs_psi is magnitude(abs(psi.alpha), abs(psi.beta))
         abs_psi = magnitude(np.hypot(alpha.real, alpha.imag), np.hypot(beta.real, beta.imag))
@@ -373,7 +399,7 @@ def cmd_ordering(args) -> int:
         raise ValueError("ordering requires --seg-a and --seg-b")
     seg_a = _parse_segment(args.seg_a, "--seg-a")
     seg_b = _parse_segment(args.seg_b, "--seg-b")
-    report = ordering_report(seg_a, seg_b, args.gap, args.omega0)
+    report = multilayer.ordering_report(seg_a, seg_b, args.gap, args.omega0)
     with _output(args.out) as fh:
         if args.format == "text":
             fh.write(f"gap={_fmt(args.gap)} omega0={_fmt(args.omega0)}\n")
@@ -451,27 +477,29 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's subparser, with the flags of command only, or of every
+    command when it is None: argparse reads no other subparser's flags, so
+    parsing, --help and every usage and error line are the same either way."""
     parser = argparse.ArgumentParser(
         prog="qkg", description="scattering off rectangular quaternionic potentials")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p_command = sub.add_parser(name, help=command.help)
-        for key in command.params:
+    for name, entry in COMMANDS.items():
+        p_command = sub.add_parser(name, help=entry.help)
+        for key in entry.params if command in (None, name) else ():
             param = PARAMS[key]
             p_command.add_argument(
-                _flag(key), help=param.help.format(*command.formats[:1]),
-                **param.options(command.formats if key == "format" else None))
-        p_command.set_defaults(func=command)
+                _flag(key), help=param.help.format(*entry.formats[:1]),
+                **param.options(entry.formats if key == "format" else None))
+        p_command.set_defaults(func=entry)
     return parser
 
 
-def _join_negative_floats(argv: list[str]) -> list[str]:
+def _join_negative_floats(argv: list[str], command: str | None) -> list[str]:
     """'--xmin -1e-3' as '--xmin=-1e-3', for any negative decimal given to one
     of the command's float flags: argparse on Python 3.10 and 3.11 reads only
     -1 and -.5 as negative numbers, and takes -1e-3 for an option."""
-    command = COMMANDS.get(argv[0] if argv else None)
-    floats = {_flag(name) for name in (command.params if command else ())
+    floats = {_flag(name) for name in (COMMANDS[command].params if command else ())
               if PARAMS[name].type is float}
     joined: list[str] = []
     for token in argv:
@@ -484,8 +512,11 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _join_negative_floats(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first is the one argparse runs; any other argv (an
+    # option first) gets every command's flags
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(_join_negative_floats(argv, command))
     logging.basicConfig(format="%(message)s")    # warnings to stderr
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}

@@ -212,7 +212,8 @@ class TestSolve:
         assert "quaternionic fraction 0\n" in proc.stdout
 
     def test_badly_conditioned_warning_printed(self):
-        code = _ILL_CONDITIONED_SOLVE + ("cli.solve_spec = ill_conditioned\n"
+        # cli reads solve_spec from its lazy qkg.matcher when solve runs
+        code = _ILL_CONDITIONED_SOLVE + ("matcher.solve_spec = ill_conditioned\n"
                                          "sys.exit(cli.main(['solve']))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)

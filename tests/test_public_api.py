@@ -77,6 +77,49 @@ def test_cli_import_leaves_the_verification_suite_unloaded():
     assert proc.stdout == "False False\n"
 
 
+# Prints the layers (and json) that have run after `import qkg.cli`, then the
+# exit code of cli.main(ARGV) and the same list again.  Each of matcher,
+# multilayer and wavefield must sit in sys.modules and on qkg from the import
+# on, as an import binds it; its body has run once its __dict__, read through
+# object.__getattribute__ so that the check loads nothing, holds a name the
+# module defines.
+_LAYERS_RUN = """\
+import contextlib, io, sys
+import qkg, qkg.cli
+
+DEFINES = {"matcher": "solve_spec", "multilayer": "ordering_report",
+           "wavefield": "sample_field"}
+
+def ran():
+    names = []
+    for layer, name in DEFINES.items():
+        module = sys.modules[f"qkg.{layer}"]
+        assert vars(qkg)[layer] is module, layer
+        if name in object.__getattribute__(module, "__dict__"):
+            names.append(layer)
+    return names + ["json"] * ("json" in sys.modules)
+
+print(ran())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qkg.cli.main(sys.argv[1:])
+print(code, ran())
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sweep", "--sweep", "theta:0:1:0.5"], []),
+    (["sweep", "--sweep", "theta:0:1:0.5", "--format", "json"], ["json"]),
+    (["solve"], ["matcher"]),
+    (["field", "--points", "5"], ["wavefield"]),
+    (["ordering", "--seg-a", "1:0.5:1:0", "--seg-b", "1:0.5:2:1"], ["multilayer"]),
+], ids=("sweep", "sweep-json", "solve", "field", "ordering"))
+def test_each_command_runs_only_its_layers(argv, loaded):
+    proc = subprocess.run([sys.executable, "-c", _LAYERS_RUN, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[]\n0 {loaded}\n"
+
+
 PUBLIC = {
     "BarrierSpec", "Amplitudes", "amplitudes_closed", "solve_spec",
     "exterior_amplitudes_grid", "quaternionic_fraction", "quaternionic_fraction_grid",

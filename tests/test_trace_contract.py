@@ -10,6 +10,8 @@ unchanged.
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +47,45 @@ def test_traced_names_resolve(tracing):
         module = importlib.import_module(f"qkg.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"qkg.{layer}.{name}"
+
+
+# worker.py cli's order: a bare `import qkg.cli`, then tracing.install, which
+# reads each traced layer from sys.modules.  Prints the traced functions that
+# install left unwrapped, the calls a solve made through the wrappers, and the
+# functions that uninstall did not put back.
+_INSTALL_AFTER_CLI = """\
+import contextlib, importlib.util, io, json, sys
+import qkg.cli
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracing
+spec.loader.exec_module(tracing)
+
+tracer = tracing.Tracer()
+uninstall = tracing.install(tracer)
+traced = {f"{layer}.{name}": (sys.modules[f"qkg.{layer}"], name)
+          for layer, names in tracing.TRACED.items() for name in names}
+wrapped = {key: getattr(module, name).__wrapped__ for key, (module, name)
+           in traced.items() if hasattr(getattr(module, name), "__wrapped__")}
+with contextlib.redirect_stdout(io.StringIO()):
+    qkg.cli.main(["solve"])
+uninstall()
+print(json.dumps({
+    "unwrapped": sorted(set(traced) - set(wrapped)),
+    "calls": {key: tracer.stats[key][0] for key in ("cli.main", "matcher.solve_spec")},
+    "left": sorted(key for key, (module, name) in traced.items()
+                   if getattr(module, name) is not wrapped.get(key)),
+}))
+"""
+
+
+def test_install_after_a_bare_cli_import_wraps_every_layer():
+    proc = subprocess.run([sys.executable, "-c", _INSTALL_AFTER_CLI,
+                           str(PERFBENCH / "tracing.py")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "unwrapped": [], "calls": {"cli.main": 1, "matcher.solve_spec": 1}, "left": []}
 
 
 def test_direction_constructor_exists(tracing):
