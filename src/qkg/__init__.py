@@ -15,7 +15,6 @@ and the tests read are imported from their modules.
 """
 
 import importlib
-import logging
 
 _EXPORTS = {
     "closedform": ("amplitudes_closed", "exterior_amplitudes_grid", "exterior_magnitude_sum",
@@ -32,9 +31,6 @@ _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_MODULE)
 __version__ = "0.1.0"
-
-# The library logs warnings only; an application decides where they go.
-logging.getLogger("qkg").addHandler(logging.NullHandler())
 
 
 def __getattr__(name: str):

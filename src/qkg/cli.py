@@ -24,8 +24,8 @@ ordering only multilayer.  The three are lazy module objects
 binds them, whose bodies run on first attribute access; imports inside the
 commands would leave them out of sys.modules, where the benchmark's tracer
 looks for the functions it wraps after importing this module.  The parser
-declares the flags of the command being run only, and json loads with the
-JSON writer.
+declares the flags of the command being run only, json loads with the JSON
+writer, and logging with the two commands that run the matcher.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
-import logging
 import math
 import re
 import sys
@@ -261,7 +260,16 @@ def _parse_segment(text: str, label: str) -> multilayer.Segment:
     return multilayer.Segment(length, v0, theta, phi)
 
 
+def _log_to_stderr() -> None:
+    """Print the matcher's warnings to stderr; only the commands that run the
+    matcher, solve and verify, load logging."""
+    import logging
+
+    logging.basicConfig(format="%(message)s")
+
+
 def cmd_solve(args) -> int:
+    _log_to_stderr()
     spec = BarrierSpec(**_params(args))
     amps = matcher.solve_spec(spec)
     closed = amplitudes_closed(spec)
@@ -419,6 +427,7 @@ def cmd_ordering(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all     # only this command pays for the suite
 
+    _log_to_stderr()
     results = run_all()
     for result in results:
         print(result.line())
@@ -517,7 +526,6 @@ def main(argv=None) -> int:
     # option first) gets every command's flags
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(_join_negative_floats(argv, command))
-    logging.basicConfig(format="%(message)s")    # warnings to stderr
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args, config)

@@ -60,6 +60,8 @@ from .errors import SingularSystemError
 from .model import Amplitudes, BarrierSpec, DispersionData, mode_ratios, wavenumbers
 
 log = logging.getLogger(__name__)
+# The library logs warnings only; an application decides where they go.
+log.addHandler(logging.NullHandler())
 
 # Solver gates.
 _PIVOT_FLOOR = 1e-14          # times the largest matrix entry

@@ -20,7 +20,7 @@ blocks ignore the stored angles.
 Stacks are scattered with S-matrices in the free-wave basis of k0 = omega0,
 each side referenced to its own end.  One array pass builds every segment's
 S = [[r, t], [t, r]]: on each branch q the segment is a symmetric lossless
-slab, whose r and t closedform.slab_rt gives,
+slab, whose r and t closedform.slab_rt gives, in one call per stack,
 
     t = 1 / (cos qL - i (sigma k0/q + sigma q/k0)),   r = i (sigma q/k0 - sigma k0/q) t,
 
@@ -29,7 +29,9 @@ special case.  coupled fills the f(N) blocks, and no per-segment inverse is
 needed.  The Redheffer star product composes the segments; it is
 associative, so the stack is reduced as a balanced tree in log2(n) batched
 steps, with the 2x2 products and inverses written out on (2, 2, n, m)
-arrays.  Every S-matrix is unitary, so no entry grows with depth.
+arrays.  Each star takes four block products: one product forms both the
+left-going wave between its two S-matrices and the lower blocks of the
+result.  Every S-matrix is unitary, so no entry grows with depth.
 
 A free gap has r = 0 and t = e I, e its slab t at q = k0 (|e| = 1), so its
 S-matrix is [[0, e], [e, 0]] and a star product with it on the right is three
@@ -37,7 +39,9 @@ phase products: t -> e t, t' -> t' e, r' -> e r' e, with r unchanged.  When
 every pair (2i, 2i+1) of the tree's first level ends in a free segment in
 every stack of the batch, as in barrier + gap stacks and the Peres ordering
 batch, no S-matrix is built for those gaps and their phases are folded into
-the left neighbours; every other layout runs the full tree.
+the left neighbours; every other layout runs the full tree.  A folded gap's
+e is its own k_minus t from the stack's slab_rt call (|k0 - 0| = k0 is
+exact), and its k_plus branch is not evaluated.
 
 Every stack goes through the star products first.  At a cavity between
 strong mirrors they resolve the resonance only to about eps / |t|^2, which
@@ -187,25 +191,27 @@ def _star(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     w /= det
     y[:, :2] = s1[2:, :2]
     u = _mul(w, y)
-    v = _mul(s2[:2, :2], u, out=y)
-    v[:, 2:] += s2[:2, 2:]
-    out = np.empty_like(u, shape=s1.shape)
-    _mul(s1[:2, 2:], v, out=out[:2])
-    out[:2, :2] += s1[:2, :2]
-    _mul(s2[2:, :2], u, out=out[2:])
-    out[2:, 2:] += s2[2:, 2:]
+    # [v; t2 u + [0 | r2']] in one product, whose lower half is the
+    # right-going output; t1' v + [r1 | 0], formed in y, then replaces v
+    out = _mul(s2[:, :2], u, out=np.empty_like(u, shape=s1.shape))
+    out[:, 2:] += s2[:, 2:]
+    _mul(s1[:2, 2:], out[:2], out=y)
+    y[:, :2] += s1[:2, :2]
+    out[:2] = y
     return out
 
 
-def _segment_smatrices(k0: float, length, v0, theta, phi) -> np.ndarray:
-    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment."""
-    q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
-    rt = np.array(slab_rt(q, k0, length))
+def _segment_smatrices(rt_minus, rt_plus, theta, phi) -> np.ndarray:
+    """(4, 4, n, m) S = [[r, t], [t, r]] of every segment.
+
+    rt_minus and rt_plus are slab_rt's (r, t) on the k_minus and on the
+    k_plus branch, as (2, n, m) arrays.
+    """
     # s[out side, i, in side, j] = [[r, t], [t, r]]: fill the left row,
     # then mirror it into the right one
     s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
     s[0, 0, :, 0], s[0, 1, :, 0], s[0, 0, :, 1], s[0, 1, :, 1] = coupled(
-        rt[:, 0], rt[:, 1], *mode_ratios(theta, phi))
+        rt_minus, rt_plus, *mode_ratios(theta, phi))
     s[1] = s[0, :, ::-1]
     return s.reshape((4, 4) + theta.shape)
 
@@ -241,18 +247,24 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
     require_each(stack_rules, k0, length.T, v0.T)
     # an overflow or a 0 / 0 leaves a NaN, which fails the flux gate
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = len(v0) // 2
-        if pairs and not v0[1::2].any():
-            # every first-level pair ends in a free gap: fold its phase e into
-            # the left neighbour, t -> e t, t' -> t' e, r' -> e r' e, which is
-            # _star(s, [[0, e], [e, 0]]) without the zero blocks; q = k0 is a
-            # numpy scalar for slab_rt's numpy path
-            s = _segment_smatrices(k0, length[::2], v0[::2], theta[::2], phi[::2])
-            e = slab_rt(np.float64(k0), k0, length[1::2])[1]
+        n = len(v0)
+        pairs = n // 2
+        # when every first-level pair ends in a free gap, only the other
+        # segments get an S-matrix
+        fold = pairs > 0 and not v0[1::2].any()
+        built = slice(0, n, 2 if fold else 1)
+        # one slab_rt call: the k_minus rows of every segment, then the
+        # k_plus rows of the built ones
+        rt = np.array(slab_rt(np.concatenate((np.abs(k0 - v0), np.abs(k0 + v0[built]))), k0,
+                              np.concatenate((length, length[built]))))
+        s = _segment_smatrices(rt[:, built], rt[:, n:], theta[built], phi[built])
+        if fold:
+            # a free gap's phase e is its slab t at q = |k0 - 0| = k0; fold it
+            # into the left neighbour, t -> e t, t' -> t' e, r' -> e r' e,
+            # which is _star(s, [[0, e], [e, 0]]) without the zero blocks
+            e = rt[1, 1:n:2]
             s[2:, :, :pairs] *= e
             s[:, 2:, :pairs] *= e
-        else:
-            s = _segment_smatrices(k0, length, v0, theta, phi)
         s = _star_tree(s)
         defect = _flux_defect(s)
         if not defect <= STACK_FLUX_TOL:

@@ -7,8 +7,10 @@ import pytest
 from mpmath import mp
 
 from qkg import cli, multilayer
+from qkg.closedform import coupled, slab_rt
 from qkg.errors import SingularSystemError
 from qkg.matcher import solve_spec
+from qkg.model import mode_ratios
 from qkg.multilayer import (
     LayerStack,
     Segment,
@@ -503,8 +505,9 @@ def unfolded(stacks):
     columns = [[(seg.length, seg.v0, seg.theta, seg.phi) for seg in stack.segments]
                for stack in stacks]
     length, v0, theta, phi = np.array(columns, dtype=float).T
-    return multilayer._star_tree(multilayer._segment_smatrices(
-        stacks[0].omega0, length, v0, theta, phi))
+    k0 = stacks[0].omega0
+    rt = np.array(slab_rt(np.array((np.abs(k0 - v0), np.abs(k0 + v0))), k0, length))
+    return multilayer._star_tree(multilayer._segment_smatrices(rt[:, 0], rt[:, 1], theta, phi))
 
 
 def random_barrier(rng, omega0=1.0):
@@ -565,6 +568,124 @@ class TestGapFold:
         eps = np.finfo(float).eps
         assert report.d_prob <= 4 * eps
         assert report.d_amp <= 4 * eps
+
+
+# A literal reference for the star-product route: the five block products of
+# the star and the two slab_rt calls (barriers, then the folded gaps' phases)
+# that the route is an exact rearrangement of.  The route must match it bit
+# for bit.
+
+def reference_mul(a, b, out=None):
+    out = np.multiply(a[:, :1], b[0], out=out)
+    out += a[:, 1:] * b[1]
+    return out
+
+
+def reference_star(s1, s2):
+    y = reference_mul(s1[2:, 2:], s2[:2])
+    x = y[:, :2]
+    d00 = 1.0 - x[0, 0]
+    d11 = 1.0 - x[1, 1]
+    det = d00 * d11 - x[0, 1] * x[1, 0]
+    w = np.array([[d11, x[0, 1]], [x[1, 0], d00]])
+    w /= det
+    y[:, :2] = s1[2:, :2]
+    u = reference_mul(w, y)
+    v = reference_mul(s2[:2, :2], u, out=y)
+    v[:, 2:] += s2[:2, 2:]
+    out = np.empty_like(u, shape=s1.shape)
+    reference_mul(s1[:2, 2:], v, out=out[:2])
+    out[:2, :2] += s1[:2, :2]
+    reference_mul(s2[2:, :2], u, out=out[2:])
+    out[2:, 2:] += s2[2:, 2:]
+    return out
+
+
+def reference_segments(k0, length, v0, theta, phi):
+    q = np.array((np.abs(k0 - v0), np.abs(k0 + v0)))
+    rt = np.array(slab_rt(q, k0, length))
+    s = np.empty((2, 2, 2, 2) + theta.shape, dtype=complex)
+    s[0, 0, :, 0], s[0, 1, :, 0], s[0, 0, :, 1], s[0, 1, :, 1] = coupled(
+        rt[:, 0], rt[:, 1], *mode_ratios(theta, phi))
+    s[1] = s[0, :, ::-1]
+    return s.reshape((4, 4) + theta.shape)
+
+
+def reference_smatrices(stacks):
+    """(4, 4, m) star-tree S-matrices of m stacks, by the reference blocks."""
+    k0 = stacks[0].omega0
+    columns = [[(seg.length, seg.v0, seg.theta, seg.phi) for seg in stack.segments]
+               for stack in stacks]
+    length, v0, theta, phi = np.array(columns, dtype=float).transpose(2, 1, 0)
+    pairs = len(v0) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pairs and not v0[1::2].any():
+            s = reference_segments(k0, length[::2], v0[::2], theta[::2], phi[::2])
+            e = slab_rt(np.float64(k0), k0, length[1::2])[1]
+            s[2:, :, :pairs] *= e
+            s[:, 2:, :pairs] *= e
+        else:
+            s = reference_segments(k0, length, v0, theta, phi)
+        while s.shape[2] > 1:
+            half = s.shape[2] // 2
+            joined = reference_star(s[:, :, 0:2 * half:2], s[:, :, 1:2 * half:2])
+            s = joined if s.shape[2] % 2 == 0 else np.concatenate(
+                (joined, s[:, :, -1:]), axis=2)
+    return s[:, :, 0]
+
+
+def benchmark_stack(rng, pairs, omega0=None, exact_edge=False):
+    """Barrier + gap stack drawn as the stack benchmark draws it; with
+    exact_edge every barrier sits at V0 = omega0."""
+    omega0 = rng.uniform(0.5, 2.0) if omega0 is None else omega0
+    layers = []
+    for _ in range(pairs):
+        v0 = omega0 if exact_edge else omega0 * rng.uniform(0.1, 0.9)
+        layers += (Segment(rng.uniform(0.5, 1.5), v0, rng.uniform(0.0, math.pi),
+                           rng.uniform(0.0, 2.0 * math.pi)),
+                   free_gap(rng.uniform(0.5, 1.5)))
+    return LayerStack(tuple(layers), omega0)
+
+
+def assert_same_bits(stacks):
+    route, reference = multilayer._smatrices(stacks), reference_smatrices(stacks)
+    assert route.shape == reference.shape and route.dtype == reference.dtype
+    assert route.tobytes() == reference.tobytes()
+
+
+class TestStackBits:
+    """multilayer._smatrices against the literal reference, byte for byte."""
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7, 31, 200, 1000])
+    def test_barrier_gap_stacks_bits(self, pairs):
+        rng = np.random.default_rng(pairs)
+        for _ in range(max(1, 40 // pairs)):
+            assert_same_bits((benchmark_stack(rng, pairs),))
+
+    def test_ordering_batch_bits(self, rng):
+        for _ in range(40):
+            omega0 = rng.uniform(0.5, 2.0)
+            seg_a, seg_b = random_barrier(rng, omega0), random_barrier(rng, omega0)
+            spacer = free_gap(rng.uniform(0.0, 4.0))
+            assert_same_bits((LayerStack((seg_a, spacer, seg_b), omega0),
+                              LayerStack((seg_b, spacer, seg_a), omega0)))
+
+    @pytest.mark.parametrize("layout", ["BGB", "GBGB", "BBG", "GG"])
+    def test_layouts_bits(self, rng, layout):
+        for _ in range(20):
+            assert_same_bits((LayerStack(tuple(
+                random_barrier(rng) if c == "B" else free_gap(rng.uniform(0.0, 20.0))
+                for c in layout), 1.0),))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 7, 31])
+    def test_exact_edge_barriers_bits(self, pairs):
+        # V0 = omega0: q = 0 on the k_minus branch, slab_rt's q == 0 branch
+        rng = np.random.default_rng(100 + pairs)
+        for _ in range(5):
+            stack = benchmark_stack(rng, pairs, exact_edge=True)
+            assert_same_bits((stack,))
+            # a batch with q = 0 in one stack only
+            assert_same_bits((stack, benchmark_stack(rng, pairs, stack.omega0)))
 
 
 def leaky(func):

@@ -97,7 +97,7 @@ def ran():
         assert vars(qkg)[layer] is module, layer
         if name in object.__getattribute__(module, "__dict__"):
             names.append(layer)
-    return names + ["json"] * ("json" in sys.modules)
+    return names + [name for name in ("json", "logging") if name in sys.modules]
 
 print(ran())
 with contextlib.redirect_stdout(io.StringIO()):
@@ -109,7 +109,7 @@ print(code, ran())
 @pytest.mark.parametrize("argv, loaded", [
     (["sweep", "--sweep", "theta:0:1:0.5"], []),
     (["sweep", "--sweep", "theta:0:1:0.5", "--format", "json"], ["json"]),
-    (["solve"], ["matcher"]),
+    (["solve"], ["matcher", "logging"]),
     (["field", "--points", "5"], ["wavefield"]),
     (["ordering", "--seg-a", "1:0.5:1:0", "--seg-b", "1:0.5:2:1"], ["multilayer"]),
 ], ids=("sweep", "sweep-json", "solve", "field", "ordering"))
