@@ -111,12 +111,17 @@ def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite
           "(omega0 + v0)^2 must be finite and omega0^2 a normal float", width, v0, omega0)
 
 
+def segment_rule(check, omega0, length, v0, isfinite=math.isfinite):
+    """Rule of a segment at omega0: its fast phase length * (omega0 + v0) is finite."""
+    check(isfinite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
+          "{}: length * (omega0 + v0) leaves the float range", length, v0, omega0)
+
+
 def stack_rules(check, omega0, length=0.0, v0=0.0, gap=0.0, total=0.0, isfinite=math.isfinite):
     """Rules of a segment at omega0, a gap and a stack's total length; the defaults pass."""
     check((gap >= 0.0) & isfinite(gap), "gap must be >= 0, got {}", gap)
     frequency_rule(check, omega0, isfinite)
-    check(isfinite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
-          "{}: length * (omega0 + v0) leaves the float range", length, v0, omega0)
+    segment_rule(check, omega0, length, v0, isfinite)
     check(isfinite(omega0 * total), "stack of total length {} at omega0 = {}: omega0 * total "
           "length leaves the float range", total, omega0)
 

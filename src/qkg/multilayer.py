@@ -43,6 +43,14 @@ the left neighbours; every other layout runs the full tree.  A folded gap's
 e is its own k_minus t from the stack's slab_rt call (|k0 - 0| = k0 is
 exact), and its k_plus branch is not evaluated.
 
+A scatter reads each segment's length and v0 straight from the stacks' own
+tuples, and theta and phi only of the segments that get an S-matrix, so a
+folded gap's angles are never read.  LayerStack has checked omega0, so the
+length and v0 tables are checked with model.segment_rule alone, stack by
+stack.  The transmission is moved to global x by each stack's total length,
+the left-to-right sum of the same floats that total_length() forms, under
+stack_rules' total rule.
+
 Every stack goes through the star products first.  At a cavity between
 strong mirrors they resolve the resonance only to about eps / |t|^2, which
 shows as a flux defect; at omega0 near the smallest float they can divide
@@ -63,14 +71,14 @@ import cmath
 from dataclasses import dataclass
 from itertools import chain
 from math import cos, sin
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .closedform import coupled, slab_rt
 from .errors import SingularSystemError
 from .model import (direction_coupling, frequency_rule, mode_ratios, require, require_each,
-                    slab_rules, stack_rules)
+                    segment_rule, slab_rules, stack_rules)
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
@@ -231,33 +239,42 @@ def _star_tree(s: np.ndarray) -> np.ndarray:
     return s[:, :, 0]
 
 
-def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
-    """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0.
+def _column(name: str, stacks: tuple[LayerStack, ...], count: int,
+            built: slice = slice(None)) -> np.ndarray:
+    """(m, count) table of one Segment field of m stacks, read off the segments
+    that built picks from each stack's own tuple."""
+    segs = chain.from_iterable(map(itemgetter(built), map(attrgetter("segments"), stacks)))
+    return np.fromiter(map(attrgetter(name), segs), float,
+                       count=len(stacks) * count).reshape(len(stacks), count)
 
-    Raises the error of stack_rules for the first segment, stack by stack,
-    that breaks one.
+
+def _route(stacks: tuple[LayerStack, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0,
+    and the (m, n) table of their segment lengths.
+
+    Raises the error of segment_rule for the first segment, stack by stack,
+    that breaks it.
     """
     k0 = stacks[0].omega0
-    segs = [seg for stack in stacks for seg in stack.segments]
-    # gathered a column at a time: map(attrgetter) beats a generator per float
-    length, v0, theta, phi = np.fromiter(
-        chain.from_iterable(map(attrgetter(name), segs)
-                            for name in ("length", "v0", "theta", "phi")),
-        float, count=4 * len(segs)).reshape(4, len(stacks), -1).transpose(0, 2, 1)
-    require_each(stack_rules, k0, length.T, v0.T)
+    n = len(stacks[0].segments)
+    lengths, v0 = _column("length", stacks, n), _column("v0", stacks, n)
+    # LayerStack checked omega0, so the segment's phase is the one rule left
+    require_each(segment_rule, k0, lengths, v0)
+    length, v0 = lengths.T, v0.T
     # an overflow or a 0 / 0 leaves a NaN, which fails the flux gate
     with np.errstate(over="ignore", invalid="ignore"):
-        n = len(v0)
         pairs = n // 2
         # when every first-level pair ends in a free gap, only the other
-        # segments get an S-matrix
+        # segments get an S-matrix, and only their angles are read
         fold = pairs > 0 and not v0[1::2].any()
         built = slice(0, n, 2 if fold else 1)
+        theta, phi = (_column(name, stacks, n - pairs if fold else n, built).T
+                      for name in ("theta", "phi"))
         # one slab_rt call: the k_minus rows of every segment, then the
         # k_plus rows of the built ones
         rt = np.array(slab_rt(np.concatenate((np.abs(k0 - v0), np.abs(k0 + v0[built]))), k0,
                               np.concatenate((length, length[built]))))
-        s = _segment_smatrices(rt[:, built], rt[:, n:], theta[built], phi[built])
+        s = _segment_smatrices(rt[:, built], rt[:, n:], theta, phi)
         if fold:
             # a free gap's phase e is its slab t at q = |k0 - 0| = k0; fold it
             # into the left neighbour, t -> e t, t' -> t' e, r' -> e r' e,
@@ -276,15 +293,21 @@ def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
         raise SingularSystemError(
             f"stack scattering loses flux: ||r|^2 + |t|^2 - 1| = "
             f"{defect:.3e} exceeds {STACK_FLUX_TOL:.0e}")
-    return s
+    return s, lengths
+
+
+def _smatrices(stacks: tuple[LayerStack, ...]) -> np.ndarray:
+    """Flux-checked (4, 4, m) S-matrices of m stacks of equal depth and omega0."""
+    return _route(stacks)[0]
 
 
 def _scatter(stacks: tuple[LayerStack, ...]) -> list[tuple[SymplecticPair, SymplecticPair]]:
     """Reflection and global-coordinate transmission pairs of each stack."""
     k0 = stacks[0].omega0
+    s, lengths = _route(stacks)
     out = []
-    for col, stack in zip(_smatrices(stacks)[:, 0].T.tolist(), stacks):
-        total_length = stack.total_length()
+    # each total is total_length()'s left-to-right sum, over the gathered floats
+    for col, total_length in zip(s[:, 0].T.tolist(), map(sum, lengths.tolist())):
         stack_rules(require, k0, total=total_length)
         back = cmath.exp(-1j * k0 * total_length)
         out.append((SymplecticPair(col[0], col[1]),

@@ -15,6 +15,7 @@ from qkg.model import (
     mode_ratios,
     require,
     require_each,
+    segment_rule,
     slab_rules,
     stack_rules,
     wavenumbers,
@@ -110,6 +111,8 @@ class TestInputRules:
                                                           v0.ravel().tolist())]
                 want = self.first_scalar_error(stack_rules, points)
                 assert self.array_error(stack_rules, (omega0, length, v0)) == want
+                # the one rule multilayer checks its segment tables with
+                assert self.array_error(segment_rule, (omega0, length, v0)) == want
 
     def test_defaults_of_stack_rules_pass(self):
         stack_rules(require, 1e-300)

@@ -23,6 +23,7 @@ from qkg.multilayer import (
     stack_transfer,
     transfer_smatrix,
 )
+from qkg.quaternion import SymplecticPair
 from qkg.verify import STACK_ORACLE_TOL, random_stack
 
 # Orthogonal-direction regression fixture: two unit-width barriers with
@@ -653,6 +654,25 @@ def assert_same_bits(stacks):
     assert route.tobytes() == reference.tobytes()
 
 
+def reference_scatter(stacks):
+    """(reflection, transmission) pairs of each stack: column 0 of the reference
+    S-matrices, the transmission moved to global x by the stack's summed lengths."""
+    out = []
+    for col, stack in zip(reference_smatrices(stacks)[:, 0].T.tolist(), stacks):
+        back = cmath.exp(-1j * stack.omega0 * sum(seg.length for seg in stack.segments))
+        out.append((SymplecticPair(col[0], col[1]),
+                    SymplecticPair(col[2] * back, col[3] * back)))
+    return out
+
+
+def pair_bits(*pairs):
+    return np.array([(p.alpha, p.beta) for p in pairs], dtype=complex).tobytes()
+
+
+def assert_same_scatter_bits(stack):
+    assert pair_bits(*stack_scatter(stack)) == pair_bits(*reference_scatter((stack,))[0])
+
+
 class TestStackBits:
     """multilayer._smatrices against the literal reference, byte for byte."""
 
@@ -686,6 +706,82 @@ class TestStackBits:
             assert_same_bits((stack,))
             # a batch with q = 0 in one stack only
             assert_same_bits((stack, benchmark_stack(rng, pairs, stack.omega0)))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7, 31, 200, 1000])
+    def test_stack_scatter_bits(self, pairs):
+        rng = np.random.default_rng(200 + pairs)
+        for _ in range(max(1, 40 // pairs)):
+            assert_same_scatter_bits(benchmark_stack(rng, pairs))
+
+    def test_ordering_report_bits(self, rng):
+        for _ in range(40):
+            omega0 = rng.uniform(0.5, 2.0)
+            seg_a, seg_b = random_barrier(rng, omega0), random_barrier(rng, omega0)
+            gap = rng.uniform(0.0, 4.0)
+            report = ordering_report(seg_a, seg_b, gap, omega0)
+            (_, t_ab), (_, t_ba) = reference_scatter((
+                LayerStack((seg_a, free_gap(gap), seg_b), omega0),
+                LayerStack((seg_b, free_gap(gap), seg_a), omega0)))
+            assert pair_bits(report.transmission_ab, report.transmission_ba) \
+                == pair_bits(t_ab, t_ba)
+            assert report.d_prob == abs(t_ab.norm2() - t_ba.norm2())
+            assert report.d_amp == max(abs(t_ab.alpha - t_ba.alpha),
+                                       abs(t_ab.beta - t_ba.beta))
+
+    def test_int_lengths_bits(self):
+        # total_length() sums the ints themselves; the route sums their floats
+        segs = (Segment(1, 0.3, 1.0, 0.5), free_gap(2), Segment(3, 0.7, 2.0, 4.0), free_gap(5),
+                Segment(7, 0.1, 0.5, 1.0))
+        stack = LayerStack(segs, 1.3)
+        assert stack.total_length() == 18 and isinstance(stack.total_length(), int)
+        assert_same_scatter_bits(stack)
+
+
+class CountingSegment(Segment):
+    """A Segment that counts reads of its angles, in CountingSegment.reads."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name in ("theta", "phi"):
+            CountingSegment.reads += 1
+        return super().__getattribute__(name)
+
+
+def counting_gap(length):
+    gap = CountingSegment(length, 0.0, 0.0, 0.0)
+    CountingSegment.reads = 0
+    return gap
+
+
+class TestFoldedGapAngles:
+    """A folded gap gets no S-matrix, so its angles are never read."""
+
+    @pytest.mark.parametrize("pairs", [1, 2, 31])
+    def test_stack_scatter_reads_no_gap_angle(self, rng, pairs):
+        segs = []
+        for _ in range(pairs):
+            segs += (random_barrier(rng), counting_gap(rng.uniform(0.5, 1.5)))
+        stack = LayerStack(tuple(segs), 1.0)
+        CountingSegment.reads = 0
+        stack_scatter(stack)
+        assert CountingSegment.reads == 0
+
+    def test_ordering_report_reads_no_gap_angle(self, monkeypatch):
+        seg_a, seg_b = fixture_segments()
+        expect = ordering_report(seg_a, seg_b, 2.0, 1.0)
+        monkeypatch.setattr(multilayer, "free_gap", counting_gap)
+        assert ordering_report(seg_a, seg_b, 2.0, 1.0) == expect
+        assert CountingSegment.reads == 0
+
+    def test_unfolded_layout_reads_every_gap_angle(self, rng):
+        # GBGB: the first pair ends in a barrier, so every segment gets its
+        # S-matrix, and each gap's theta and phi are read once
+        stack = LayerStack((counting_gap(1.0), random_barrier(rng),
+                            counting_gap(2.0), random_barrier(rng)), 1.0)
+        CountingSegment.reads = 0
+        stack_scatter(stack)
+        assert CountingSegment.reads == 4
 
 
 def leaky(func):
