@@ -51,7 +51,7 @@ from .closedform import (
     quaternionic_fraction_grid,
 )
 from .errors import SingularSystemError, UndefinedFractionError
-from .model import BarrierSpec, require, require_each, slab_rules, window_rule
+from .model import BarrierSpec, barrier_rules, require, require_each, window_rule
 from .quaternion import magnitude
 
 
@@ -341,8 +341,8 @@ def cmd_sweep(args) -> int:
 
     # every block is checked, in the output's order, before any output
     for at in cuts:
-        require_each(slab_rules, *map(grid(block_axes(at)).get,
-                                      ("a", "v0", "theta", "phi", "omega0")))
+        require_each(barrier_rules, *map(grid(block_axes(at)).get,
+                                         ("a", "v0", "theta", "phi", "omega0")))
     # an axis value that heads several rows of a block is formatted once, as
     # a text cell: the outer axis's per block, the inner axis's once while
     # whole rows fit in a block

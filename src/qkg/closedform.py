@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import UndefinedFractionError
-from .model import Amplitudes, BarrierSpec, mode_ratios, require_each, slab_rules, wavenumbers
+from .model import Amplitudes, BarrierSpec, barrier_rules, mode_ratios, require_each, wavenumbers
 from .quaternion import rescaled
 
 EXACT = "exact"
@@ -115,7 +115,7 @@ def exterior_amplitudes_grid(a, v0, omega0, theta, phi):
     raises at the first invalid point in C order.  The slab factors take the
     shape of (a, v0, omega0) and the direction that of (theta, phi), so given
     np.ix_ axes only the amplitudes span the grid."""
-    require_each(slab_rules, a, v0, theta, phi, omega0)
+    require_each(barrier_rules, a, v0, theta, phi, omega0)
     rp, tp = slab_rt(np.abs(omega0 + v0), omega0, a)
     rm, tm = slab_rt(np.abs(omega0 - v0), omega0, a)
     weights = mode_ratios(theta, phi)

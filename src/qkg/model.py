@@ -40,9 +40,10 @@ branch's solutions are 1 and x: every route writes a branch in the entire
 basis {cos qx, sin(qx)/q}, so no V0 is degenerate.  Outside the barrier the
 field is free and k0 = omega0.
 
-Input rules live here, once.  A rule function calls check(holds, message,
-*values) per rule; holds is written in plain operators and the isfinite handed
-in, a bool on floats (check = require) or a mask on arrays (require_each).
+Input rules live here, once.  A rule function takes check and the values it
+checks, nothing else, and calls check(holds, message, *values) per rule; holds
+is written in plain operators and finite, the one finiteness test, so it is a
+bool on numbers (check = require) and a mask on arrays (require_each).
 """
 
 from __future__ import annotations
@@ -64,65 +65,69 @@ def require(holds, message: str, *values) -> None:
         raise ValueError(message.format(*values))
 
 
+def finite(x):
+    """math.isfinite or np.isfinite; False, not OverflowError, on a huge int."""
+    return abs(x) <= sys.float_info.max
+
+
 def require_each(rules, *arrays) -> None:
     """rules(require, *point) at each point of the broadcast arrays, every one
     of which some rule reads; the first invalid point in C order raises."""
     masks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        rules(lambda holds, *_: masks.append(holds),
-              *(np.asarray(x, dtype=float) for x in arrays), isfinite=np.isfinite)
+        rules(lambda holds, *_: masks.append(holds), *(np.asarray(x, dtype=float) for x in arrays))
     ok = functools.reduce(operator.and_, masks)
     if not ok.all():
         point = (x.flat[ok.argmin()].item() for x in np.broadcast_arrays(*arrays))
         rules(require, *point)
 
 
-def frequency_rule(check, omega0, isfinite=math.isfinite):
-    check((omega0 > 0.0) & isfinite(omega0), "frequency must satisfy omega0 > 0, got {}", omega0)
+def frequency_rule(check, omega0):
+    check((omega0 > 0.0) & finite(omega0), "frequency must satisfy omega0 > 0, got {}", omega0)
 
 
-def window_rule(check, x_min, x_max, n_points, omega0, isfinite=math.isfinite):
-    """Rules of a sample grid: n_points >= 2 positions ascending from x_min to x_max,
-    whose exterior phases omega0 x stay in the float range (interior phases are
-    bounded by slab_rules)."""
+def window_rule(check, x_min, x_max, n_points, omega0):
+    """Rules of a sample grid: n_points >= 2 positions ascending from x_min to x_max, whose
+    exterior phases omega0 x stay in the float range (barrier_rules bounds the interior's)."""
     check(n_points >= 2, "n_points must be >= 2, got {}", n_points)
     span = x_max - x_min
-    check((span > 0.0) & isfinite(span), "need x_min < x_max with x_max - x_min in the "
+    check((span > 0.0) & finite(span), "need x_min < x_max with x_max - x_min in the "
           "float range, got [{}, {}]", x_min, x_max)
-    check(isfinite(omega0 * max(abs(x_min), abs(x_max))), "window [{}, {}] at omega0 = {}: "
+    check(finite(omega0 * x_min) & finite(omega0 * x_max), "window [{}, {}] at omega0 = {}: "
           "omega0 * max(|x_min|, |x_max|) leaves the float range", x_min, x_max, omega0)
 
 
-def slab_rules(check, width, v0, theta, phi, omega0=None, isfinite=math.isfinite):
-    """Rules of Segment; given omega0, of BarrierSpec."""
-    check((width >= 0.0) & isfinite(width), "width must be finite and >= 0, got {}", width)
-    check((v0 >= 0.0) & isfinite(v0), "potential must satisfy v0 >= 0, got {}", v0)
+def slab_rules(check, width, v0, theta, phi):
+    """Rules of Segment."""
+    check((width >= 0.0) & finite(width), "width must be finite and >= 0, got {}", width)
+    check((v0 >= 0.0) & finite(v0), "potential must satisfy v0 >= 0, got {}", v0)
     check((0.0 <= theta) & (theta <= math.pi), "theta must lie in [0, pi], got {}", theta)
     check((0.0 <= phi) & (phi < 2.0 * math.pi), "phi must lie in [0, 2 pi), got {}", phi)
-    if omega0 is None:
-        return
-    frequency_rule(check, omega0, isfinite)
-    # Past these bounds the closed form overflows, or divides by a term that
-    # underflows to zero.
+
+
+def barrier_rules(check, width, v0, theta, phi, omega0):
+    """Rules of BarrierSpec: Segment's, omega0's and the bounds past which the
+    closed form overflows, or divides by a term that underflows to zero."""
+    slab_rules(check, width, v0, theta, phi)
+    frequency_rule(check, omega0)
     k = omega0 + v0
-    check(isfinite(2.0 * width * k) & isfinite(16.0 * k * k)
-          & (omega0 * omega0 >= sys.float_info.min),
+    check(finite(2.0 * width * k) & finite(16.0 * k * k) & (omega0 * omega0 >= sys.float_info.min),
           "a = {}, v0 = {}, omega0 = {} leave the float range: 2 a (omega0 + v0) and 16 "
           "(omega0 + v0)^2 must be finite and omega0^2 a normal float", width, v0, omega0)
 
 
-def segment_rule(check, omega0, length, v0, isfinite=math.isfinite):
+def segment_rule(check, omega0, length, v0):
     """Rule of a segment at omega0: its fast phase length * (omega0 + v0) is finite."""
-    check(isfinite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
+    check(finite(length * abs(omega0 + v0)), "segment with length = {}, v0 = {} at omega0 = "
           "{}: length * (omega0 + v0) leaves the float range", length, v0, omega0)
 
 
-def stack_rules(check, omega0, length=0.0, v0=0.0, gap=0.0, total=0.0, isfinite=math.isfinite):
-    """Rules of a segment at omega0, a gap and a stack's total length; the defaults pass."""
-    check((gap >= 0.0) & isfinite(gap), "gap must be >= 0, got {}", gap)
-    frequency_rule(check, omega0, isfinite)
-    segment_rule(check, omega0, length, v0, isfinite)
-    check(isfinite(omega0 * total), "stack of total length {} at omega0 = {}: omega0 * total "
+def gap_rule(check, gap):
+    check((gap >= 0.0) & finite(gap), "gap must be >= 0, got {}", gap)
+
+
+def total_rule(check, omega0, total):
+    check(finite(omega0 * total), "stack of total length {} at omega0 = {}: omega0 * total "
           "length leaves the float range", total, omega0)
 
 
@@ -152,7 +157,7 @@ class BarrierSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        slab_rules(require, self.a, self.v0, self.theta, self.phi, self.omega0)
+        barrier_rules(require, self.a, self.v0, self.theta, self.phi, self.omega0)
 
 
 class DispersionData(NamedTuple):

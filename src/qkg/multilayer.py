@@ -45,11 +45,11 @@ exact), and its k_plus branch is not evaluated.
 
 A scatter reads each segment's length and v0 straight from the stacks' own
 tuples, and theta and phi only of the segments that get an S-matrix, so a
-folded gap's angles are never read.  LayerStack has checked omega0, so the
-length and v0 tables are checked with model.segment_rule alone, stack by
-stack.  The transmission is moved to global x by each stack's total length,
-the left-to-right sum of the same floats that total_length() forms, under
-stack_rules' total rule.
+folded gap's angles are never read.  Segment has checked each segment and
+LayerStack omega0, so a scatter checks two rules of model: segment_rule on
+the length and v0 tables, stack by stack, and total_rule on each stack's
+total length, the left-to-right sum of the same floats that total_length()
+forms, by which the transmission is moved to global x.
 
 Every stack goes through the star products first.  At a cavity between
 strong mirrors they resolve the resonance only to about eps / |t|^2, which
@@ -77,8 +77,8 @@ import numpy as np
 
 from .closedform import coupled, slab_rt
 from .errors import SingularSystemError
-from .model import (direction_coupling, frequency_rule, mode_ratios, require, require_each,
-                    segment_rule, slab_rules, stack_rules)
+from .model import (direction_coupling, frequency_rule, gap_rule, mode_ratios, require,
+                    require_each, segment_rule, slab_rules, total_rule)
 from .quaternion import SymplecticPair, UnitImaginaryDirection
 
 # Largest flux defect | |r|^2 + |t|^2 - 1 | a stack answer may carry.
@@ -116,12 +116,13 @@ class LayerStack:
         frequency_rule(require, self.omega0)
 
     def total_length(self) -> float:
-        return sum(seg.length for seg in self.segments)
+        return sum(float(seg.length) for seg in self.segments)
 
 
 def segment_transfer(seg: Segment, omega0: float) -> np.ndarray:
     """(4, 4) transfer matrix of one segment at frequency omega0."""
-    stack_rules(require, omega0, seg.length, seg.v0)
+    frequency_rule(require, omega0)
+    segment_rule(require, omega0, seg.length, seg.v0)
     kp = abs(omega0 + seg.v0)
     km = abs(omega0 - seg.v0)
     n = UnitImaginaryDirection.from_angles(seg.theta, seg.phi)
@@ -308,7 +309,7 @@ def _scatter(stacks: tuple[LayerStack, ...]) -> list[tuple[SymplecticPair, Sympl
     out = []
     # each total is total_length()'s left-to-right sum, over the gathered floats
     for col, total_length in zip(s[:, 0].T.tolist(), map(sum, lengths.tolist())):
-        stack_rules(require, k0, total=total_length)
+        total_rule(require, k0, total_length)
         back = cmath.exp(-1j * k0 * total_length)
         out.append((SymplecticPair(col[0], col[1]),
                     SymplecticPair(col[2] * back, col[3] * back)))
@@ -357,7 +358,7 @@ def ordering_report(seg_a: Segment, seg_b: Segment, gap: float,
     barriers with non-commuting directions generally give d_amp > 0.  Both
     orders are scattered as one batch.
     """
-    stack_rules(require, omega0, gap=gap)
+    gap_rule(require, gap)
     spacer = free_gap(gap)
     (_, t_ab), (_, t_ba) = _scatter((LayerStack((seg_a, spacer, seg_b), omega0),
                                      LayerStack((seg_b, spacer, seg_a), omega0)))

@@ -419,8 +419,8 @@ def check_matrix_fidelity():
 def check_determinism():
     """Criterion 9: a sweep prints the same bytes in a fresh process and in this one.
 
-    The in-process run calls the sweep command itself, not cli.main, so it
-    adds no logging handler to this process."""
+    Both runs go through cli.main; a sweep loads no logging, so the one in
+    this process adds no logging handler to it."""
     passed = True
     details = []
     for fmt in ("csv", "json"):
@@ -431,10 +431,9 @@ def check_determinism():
             passed = False
             details.append(f"{fmt} run exited {proc.returncode}")
             continue
-        args = cli.build_parser().parse_args(argv)
         with contextlib.redirect_stdout(io.StringIO()) as here:
-            args.func(args, {})
-        same = proc.stdout == here.getvalue().encode() and len(proc.stdout) > 0
+            code = cli.main(argv)
+        same = code == 0 and proc.stdout == here.getvalue().encode() and len(proc.stdout) > 0
         passed = passed and same
         details.append(f"{fmt} identical: {same}")
     return passed, ", ".join(details)

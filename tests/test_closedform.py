@@ -327,6 +327,37 @@ class TestBitIdentity:
                     == np.array(want.interior_beta).tobytes())
 
 
+def dyadic(spec, k):
+    """spec with omega0 and V0 scaled by 2^k and the width by 2^-k: every
+    product a omega0 and ratio V0 / omega0 is the same float."""
+    return BarrierSpec(spec.a * 2.0 ** -k, spec.v0 * 2.0 ** k, spec.omega0 * 2.0 ** k,
+                       spec.theta, spec.phi)
+
+
+EXTERIOR = [0, 1, 6, 7]     # c1, c2, c7, c8
+
+
+class TestDyadicScaleBits:
+    """An answer depends on a omega0, V0 / omega0 and the angles only, and a
+    power-of-two scale rounds nothing, so every route keeps its bits."""
+
+    @pytest.mark.parametrize("k", [-1, 1, -40, 30])
+    @pytest.mark.parametrize("route", [amplitudes_closed, solve_spec])
+    def test_scalar_routes_dyadic_scale_bits(self, bit_identity_specs, route, k):
+        for spec in bit_identity_specs:
+            got, want = route(dyadic(spec, k)).as_array(), route(spec).as_array()
+            assert got[EXTERIOR].tobytes() == want[EXTERIOR].tobytes()
+
+    @pytest.mark.parametrize("k", [-1, 1, -40, 30])
+    def test_grid_dyadic_scale_bits(self, bit_identity_specs, k):
+        a, v0, omega0, theta, phi = np.array([dataclasses.astuple(spec)
+                                              for spec in bit_identity_specs]).T
+        got = exterior_amplitudes_grid(a * 2.0 ** -k, v0 * 2.0 ** k, omega0 * 2.0 ** k,
+                                       theta, phi)
+        assert np.array(got).tobytes() == np.array(
+            exterior_amplitudes_grid(a, v0, omega0, theta, phi)).tobytes()
+
+
 class TestInteriorCoefficients:
     def test_interior_matches_matching_solver(self, spec_factory):
         for _ in range(20):

@@ -10,15 +10,20 @@ from qkg.closedform import amplitudes_closed
 from qkg.matcher import solve_spec
 from qkg.model import (
     BarrierSpec,
+    barrier_rules,
     check_nondegenerate,
     direction_coupling,
+    finite,
+    frequency_rule,
+    gap_rule,
     mode_ratios,
     require,
     require_each,
     segment_rule,
     slab_rules,
-    stack_rules,
+    total_rule,
     wavenumbers,
+    window_rule,
 )
 from qkg.quaternion import SymplecticPair, UnitImaginaryDirection
 
@@ -51,6 +56,16 @@ class TestBarrierSpec:
         base = {"a": 1.0, "v0": 0.3, "omega0": 1.0, "theta": 0.5, "phi": 0.5}
         base.update(kwargs)
         with pytest.raises(ValueError):
+            BarrierSpec(**base)
+
+    @pytest.mark.parametrize("field, named", [
+        ("a", "width"), ("v0", "potential"), ("omega0", "frequency"),
+        ("theta", "theta"), ("phi", "phi"),
+    ])
+    def test_int_past_the_float_range_named(self, field, named):
+        base = {"a": 1.0, "v0": 0.3, "omega0": 1.0, "theta": 0.5, "phi": 0.5}
+        base[field] = 10**400
+        with pytest.raises(ValueError, match=rf"^{named} must .*, got 1000000000"):
             BarrierSpec(**base)
 
 
@@ -87,8 +102,11 @@ class TestInputRules:
             columns = [np.where(rng.random(6) < 0.8, values[0], rng.choice(values, size=6))
                        for values in pool.values()]
             points = list(zip(*(col.tolist() for col in columns)))
-            want = self.first_scalar_error(slab_rules, points)
-            assert self.array_error(slab_rules, columns) == want
+            want = self.first_scalar_error(barrier_rules, points)
+            assert self.array_error(barrier_rules, columns) == want
+            # Segment's rules: the same draws without omega0
+            want = self.first_scalar_error(slab_rules, [point[:4] for point in points])
+            assert self.array_error(slab_rules, columns[:4]) == want
             # the same draws on an open grid, as qkg sweep passes its axes:
             # one column down (n, 1), one across (1, m), the rest at their
             # valid value, against the scalar loop over the meshed points in C order
@@ -97,8 +115,8 @@ class TestInputRules:
             grid[down], grid[across] = columns[down][:2, None], columns[across][None, 2:]
             meshed = np.broadcast_arrays(*grid)
             points = list(zip(*(m.ravel().tolist() for m in meshed)))
-            want = self.first_scalar_error(slab_rules, points)
-            assert self.array_error(slab_rules, grid) == want
+            want = self.first_scalar_error(barrier_rules, points)
+            assert self.array_error(barrier_rules, grid) == want
 
     def test_segment_tables_agree_with_the_scalar_loop(self, rng):
         pool_length = [1.0, 0.0, 1e300, 1e308]
@@ -109,14 +127,42 @@ class TestInputRules:
                 v0 = rng.choice(pool_v0, size=(3, 4))
                 points = [(omega0, x, y) for x, y in zip(length.ravel().tolist(),
                                                           v0.ravel().tolist())]
-                want = self.first_scalar_error(stack_rules, points)
-                assert self.array_error(stack_rules, (omega0, length, v0)) == want
-                # the one rule multilayer checks its segment tables with
+                want = self.first_scalar_error(segment_rule, points)
                 assert self.array_error(segment_rule, (omega0, length, v0)) == want
 
-    def test_defaults_of_stack_rules_pass(self):
-        stack_rules(require, 1e-300)
-        stack_rules(require, 1e300)
+    @pytest.mark.parametrize("rules, pool", [
+        (frequency_rule, [[1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, math.inf, math.nan]]),
+        (gap_rule, [[0.5, 0.0, -0.0, 1e308, -1.0, -5e-324, math.inf, math.nan]]),
+        (total_rule, [[1.0, 1e-300, 1e300, math.inf],
+                      [0.0, 1e8, 1e308, -1e308, math.inf, math.nan]]),
+        (window_rule, [[-1.0, 0.0, 1e-300, -1e308, 2.0, math.nan],
+                       [1.0, 3.0, 1e308, -2.0, math.inf],
+                       [2, 100, 1, 0],
+                       [1.0, 1e13, 1e-300, 10.0]]),
+    ])
+    def test_rules_agree_with_the_scalar_loop(self, rng, rules, pool):
+        for _ in range(200):
+            columns = [np.where(rng.random(6) < 0.7, values[0], rng.choice(values, size=6))
+                       for values in pool]
+            points = list(zip(*(col.tolist() for col in columns)))
+            want = self.first_scalar_error(rules, points)
+            assert self.array_error(rules, columns) == want
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                                   1.7976931348623157e308, -1.7976931348623157e308,
+                                   math.inf, -math.inf, math.nan])
+    def test_finite_is_isfinite_on_floats(self, x):
+        assert finite(x) is math.isfinite(x)
+        column = np.array([x, 1.0, x])
+        assert (finite(column) == np.isfinite(column)).all()
+
+    def test_finite_is_false_on_an_int_past_the_float_range(self):
+        for x in (10**400, -10**400, 2**1024, 2**1024 - 2**970):
+            with pytest.raises(OverflowError):
+                math.isfinite(x)
+            assert finite(x) is False
+        # the largest float, as an int, and an int inside the range
+        assert finite(2**1024 - 2**971) is True and finite(-10**308) is True
 
 
 class TestDispersion:

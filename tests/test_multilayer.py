@@ -57,6 +57,24 @@ class TestSegments:
         with pytest.raises(ValueError):
             Segment(1.0, 0.3, theta, phi)
 
+    @pytest.mark.parametrize("field, named", [
+        ("length", "width"), ("v0", "potential"), ("theta", "theta"), ("phi", "phi"),
+    ])
+    def test_int_past_the_float_range_named(self, field, named):
+        base = {"length": 1.0, "v0": 0.3, "theta": 1.0, "phi": 0.0}
+        base[field] = 10**400
+        with pytest.raises(ValueError, match=rf"^{named} must .*, got 1000000000"):
+            Segment(**base)
+
+    def test_int_gap_and_frequency_past_the_float_range_named(self):
+        seg_a, seg_b = fixture_segments()
+        with pytest.raises(ValueError, match="^gap must be >= 0, got 1000000000"):
+            ordering_report(seg_a, seg_b, 10**400, 1.0)
+        with pytest.raises(ValueError, match="^frequency must satisfy omega0 > 0, got 1000"):
+            LayerStack((seg_a,), 10**400)
+        with pytest.raises(ValueError, match="^frequency must satisfy omega0 > 0, got 1000"):
+            segment_transfer(seg_a, 10**400)
+
     def test_degenerate_segment_answered(self):
         # at k_minus = 0 the slow branch's sin(qL)/q block is L
         t = segment_transfer(Segment(1.0, 1.0, 0.0, 0.0), 1.0)
@@ -729,12 +747,65 @@ class TestStackBits:
                                        abs(t_ab.beta - t_ba.beta))
 
     def test_int_lengths_bits(self):
-        # total_length() sums the ints themselves; the route sums their floats
+        # total_length() is the route's left-to-right sum of the lengths' floats
         segs = (Segment(1, 0.3, 1.0, 0.5), free_gap(2), Segment(3, 0.7, 2.0, 4.0), free_gap(5),
                 Segment(7, 0.1, 0.5, 1.0))
         stack = LayerStack(segs, 1.3)
-        assert stack.total_length() == 18 and isinstance(stack.total_length(), int)
+        assert stack.total_length() == 18 and isinstance(stack.total_length(), float)
         assert_same_scatter_bits(stack)
+
+
+def dyadic_stack(stack, k):
+    """stack with omega0 and every V0 scaled by 2^k and every length by 2^-k."""
+    return LayerStack(tuple(Segment(seg.length * 2.0 ** -k, seg.v0 * 2.0 ** k, seg.theta,
+                                    seg.phi) for seg in stack.segments),
+                      stack.omega0 * 2.0 ** k)
+
+
+def peres_stacks(rng):
+    """[A, gap, B] at omega0 on [0.5, 2], each V0 up to 1.8 omega0 (the Klein
+    zone included), with its mirror [B, gap, A] and its reciprocal, every phi
+    taken to (pi - phi) mod 2 pi."""
+    omega0 = rng.uniform(0.5, 2.0)
+    seg_a, seg_b = (Segment(rng.uniform(0.0, 5.0), omega0 * rng.uniform(0.0, 1.8),
+                            rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+                    for _ in range(2))
+    gap = free_gap(rng.uniform(0.0, 5.0))
+    flip = [dataclasses.replace(seg, phi=(math.pi - seg.phi) % (2.0 * math.pi))
+            for seg in (seg_a, gap, seg_b)]
+    return (LayerStack((seg_a, gap, seg_b), omega0), LayerStack((seg_b, gap, seg_a), omega0),
+            LayerStack(tuple(flip), omega0))
+
+
+# swaps the left and right ports of an S-matrix
+PORTS = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+
+
+class TestExactSymmetries:
+    """Identities between the answers at different inputs, which check the
+    stack route without an oracle."""
+
+    def test_stack_smatrix_dyadic_scale_bits(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            stack = random_stack(rng, int(rng.integers(1, 40)))
+            k = int(rng.integers(-20, 20))
+            assert stack_smatrix(dyadic_stack(stack, k)).tobytes() == stack_smatrix(stack).tobytes()
+
+    def test_mirror_swaps_the_ports(self):
+        # each segment is symmetric in x: S(reversed) = Pi S Pi
+        rng = np.random.default_rng(2401)
+        for _ in range(200):
+            stack, mirror, _ = peres_stacks(rng)
+            s = stack_smatrix(stack)
+            assert np.abs(stack_smatrix(mirror) - PORTS @ s @ PORTS).max() <= 1e-13
+
+    def test_reciprocity_transposes(self):
+        # N^T = conj(N) is the direction at pi - phi: S^T is the reciprocal's S
+        rng = np.random.default_rng(2402)
+        for _ in range(200):
+            stack, _, reciprocal = peres_stacks(rng)
+            assert np.abs(stack_smatrix(reciprocal) - stack_smatrix(stack).T).max() <= 1e-13
 
 
 class CountingSegment(Segment):
