@@ -26,12 +26,18 @@ commands would leave them out of sys.modules, where the benchmark's tracer
 looks for the functions it wraps after importing this module.  The parser
 declares the flags of the command being run only, json loads with the JSON
 writer, and logging with the two commands that run the matcher.
+
+Run as the program, reading sys.argv, main calls gc.freeze() before it builds
+the parser: no collection, finalization's passes included, then walks what the
+imports left (numpy's objects too); a caller passing argv keeps its collector.
+Not os._exit, which would also skip atexit handlers and buffered output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import math
 import re
@@ -521,6 +527,8 @@ def _join_negative_floats(argv: list[str], command: str | None) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if argv is None:        # the program: its start-up objects outlive every command
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command named first is the one argparse runs; any other argv (an
     # option first) gets every command's flags

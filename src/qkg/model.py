@@ -97,6 +97,10 @@ def window_rule(check, x_min, x_max, n_points, omega0):
           "omega0 * max(|x_min|, |x_max|) leaves the float range", x_min, x_max, omega0)
 
 
+def cut_rule(check, step):
+    check(step > 0, "cut must ascend: its step must be > 0, got {}", step)
+
+
 def slab_rules(check, width, v0, theta, phi):
     """Rules of Segment."""
     check((width >= 0.0) & finite(width), "width must be finite and >= 0, got {}", width)

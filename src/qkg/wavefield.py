@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Amplitudes, BarrierSpec, require, window_rule
+from .model import Amplitudes, BarrierSpec, cut_rule, require, window_rule
 from .quaternion import SymplecticPair, magnitude
 
 LEFT = "left"
@@ -118,6 +118,7 @@ def sample_field(spec: BarrierSpec, amps: Amplitudes, x_min: float,
 
     Only regions the positions reach are evaluated."""
     window_rule(require, x_min, x_max, n_points, spec.omega0)
+    cut_rule(require, 1 if cut.step is None else cut.step)
     # np.linspace's float operations, with its branch for a step that underflows to 0
     span, div = x_max - x_min, n_points - 1
     step = span / div

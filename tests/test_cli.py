@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -251,6 +253,58 @@ def test_import_leaves_out_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+class TestProgramPath:
+    """main() reading sys.argv, as python -m qkg.cli and the qkg script run it,
+    freezes the collector's start-up objects; main(argv) leaves it as it was."""
+
+    def test_in_process_call_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count()
+        assert main(["solve", "--out", os.devnull]) == 0
+        assert main(["sweep", "--sweep", "theta:0:1:0.5", "--out", os.devnull]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("run", [
+        # what python -m qkg.cli runs: the module as __main__, argv in sys.argv
+        "runpy.run_module('qkg.cli', run_name='__main__', alter_sys=True)",
+        # what the qkg console script runs
+        "from qkg.cli import main; sys.exit(main())",
+    ])
+    def test_program_path_freezes(self, run):
+        code = ("import gc, os, runpy, sys\n"
+                "sys.argv = ['qkg', 'solve', '--out', os.devnull]\n"
+                "try:\n"
+                f"    {run}\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stderr == ""
+        exit_code, frozen = map(int, proc.stdout.split())
+        assert exit_code == 0 and frozen > 0
+
+    @pytest.mark.parametrize("args, code", [
+        ("solve", 0),
+        ("solve --format csv", 0),
+        ("sweep --sweep v0:0:0.9:0.3 --sweep theta:0:3.141592653589793:0.5", 0),
+        ("field --points 50", 0),
+        ("field --points 50 --format json", 0),
+        ("ordering --seg-a 1:0.3:1:0 --seg-b 1:0.3:1:1 --gap 0.5", 0),
+        ("ordering --seg-a 1:0.3:1:0 --seg-b 1:0.3:1:1 --gap 0.5 --format json", 0),
+        ("solve --v0 -1", 2),
+        # a thin barrier with a huge V0 / omega0: the matching system is singular
+        ("solve --a 1e-25 --v0 1e13 --omega0 1 --theta 1", 1),
+    ])
+    def test_program_prints_what_the_call_prints(self, args, code):
+        proc = subprocess.run([sys.executable, "-m", "qkg.cli", *args.split()],
+                              capture_output=True)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(args.split()) == code
+        assert proc.returncode == code
+        assert proc.stdout == out.getvalue().encode()
+        assert proc.stderr == err.getvalue().encode()
+        assert proc.stdout if code == 0 else proc.stderr.startswith(b"error: ")
 
 
 # `qkg [COMMAND] --help` at COLUMNS=80, as argparse of Python 3.10 and 3.11

@@ -12,6 +12,7 @@ from qkg.model import (
     BarrierSpec,
     barrier_rules,
     check_nondegenerate,
+    cut_rule,
     direction_coupling,
     finite,
     frequency_rule,
@@ -135,6 +136,7 @@ class TestInputRules:
         (gap_rule, [[0.5, 0.0, -0.0, 1e308, -1.0, -5e-324, math.inf, math.nan]]),
         (total_rule, [[1.0, 1e-300, 1e300, math.inf],
                       [0.0, 1e8, 1e308, -1e308, math.inf, math.nan]]),
+        (cut_rule, [[1, 3, 100, 0, -1, -100]]),
         (window_rule, [[-1.0, 0.0, 1e-300, -1e308, 2.0, math.nan],
                        [1.0, 3.0, 1e308, -2.0, math.inf],
                        [2, 100, 1, 0],

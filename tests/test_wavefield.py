@@ -264,6 +264,23 @@ class TestSampling:
                 joined = np.concatenate([getattr(block, name) for block in blocks], axis=-1)
                 assert joined.tobytes() == getattr(whole, name).tobytes(), (window, size, name)
 
+    @pytest.mark.parametrize("cut", [slice(None, None, -1), slice(8, 2, -2),
+                                     slice(None, None, 0)])
+    def test_cut_must_ascend(self, cut):
+        # the regions are found by binary search on ascending positions: a
+        # reversed cut came back all "barrier", off the reversed grid by 1.10
+        spec = BarrierSpec(1.0, 0.5, 1.0, 1.0, 0.3)
+        with pytest.raises(ValueError, match="cut must ascend"):
+            sample_field(spec, amplitudes_closed(spec), -2.0, 3.0, 11, cut)
+
+    def test_strided_cut_is_a_slice_of_the_whole_grid(self):
+        spec = BarrierSpec(1.0, 0.5, 1.0, 1.0, 0.3)
+        amps = amplitudes_closed(spec)
+        whole = sample_field(spec, amps, -2.0, 3.0, 11)
+        part = sample_field(spec, amps, -2.0, 3.0, 11, slice(1, None, 3))
+        for name in ("x", "region", "values"):
+            assert getattr(part, name).tobytes() == getattr(whole, name)[..., 1::3].tobytes()
+
     @pytest.mark.parametrize("bounds", [
         (0.0, 1.0, 1),
         (1.0, 1.0, 5),
